@@ -140,6 +140,9 @@ def cmd_traffic(args) -> int:
     sys.stdout.write(render_traffic_text(summary))
     with _open_out(args) as out:
         write_traffic_csv(summary, out)
+    if not summary.consistent:
+        print("instrumented traffic or peaks differ from the closed forms", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -202,14 +202,17 @@ def run_check_suite(
             q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
             rs = _valid_chunk_counts(C, r_values)
             fd_grads = None
+            naive_ok = None
             fwd_outputs: list[DenseTensor] = []
             bwd_grads: list[tuple[DenseTensor, DenseTensor, DenseTensor]] = []
 
             for r in rs:
                 cfg = TileConfig(r=r, elem_bytes=elem_bytes)
                 if peak_sram_forward(L, C, cfg) > capacity_bytes:
+                    if naive_ok is None:
+                        naive_ok = _naive_succeeds(q, k, v)
                     results.append(
-                        _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes)
+                        _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes, naive_ok)
                     )
                     continue
 
@@ -239,7 +242,16 @@ def run_check_suite(
     return results
 
 
-def _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes) -> SuiteResult:
+def _naive_succeeds(q, k, v) -> bool:
+    """Whether the untiled reference runs; it depends only on the inputs, not on r."""
+    try:
+        naive_forward(q, k, v)
+    except FlashwinError:
+        return False
+    return True
+
+
+def _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes, naive_ok) -> SuiteResult:
     """Footprint exceeds the budget: the kernel must refuse, the oracle must not."""
     t0 = time.perf_counter_ns()
     refused = False
@@ -247,11 +259,6 @@ def _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes) -> SuiteResult:
         flash_forward(q, k, v, cfg, ScratchpadArena(capacity_bytes))
     except CapacityError:
         refused = True
-    naive_ok = True
-    try:
-        naive_forward(q, k, v)
-    except FlashwinError:
-        naive_ok = False
     return SuiteResult(
         case_id=f"capacity_fwd_L{L}_C{C}_r{r}",
         max_err=0.0,
@@ -329,8 +336,16 @@ def _backward_case(L, C, r, q, k, v, do, cfg, capacity_bytes, bwd_grads) -> Suit
 
 
 def _finite_diff_grads(q, k, v, do):
-    """Central differences of <dO, O> through the untiled forward pass."""
-    dot = lambda t: float((do.array * naive_forward(*t)[0].array).sum())
+    """Central differences of <dO, O> through the untiled forward pass.
+
+    Each probe stacks perturbed copies of one operand; ``naive_forward``
+    broadcasts the other two, and ``dot`` gives one value per copy.
+    """
+
+    def dot(qkv):
+        o = naive_forward(*qkv)[0].array
+        return (do.array * o).reshape(o.shape[0], -1).sum(axis=1)
+
     fd_q = finite_diff_grad(lambda t: dot((t, k, v)), q, FD_STEP)
     fd_k = finite_diff_grad(lambda t: dot((q, t, v)), k, FD_STEP)
     fd_v = finite_diff_grad(lambda t: dot((q, k, t)), v, FD_STEP)

@@ -6,7 +6,9 @@ The forward pass is the plain three-step pipeline
 
 with every intermediate materialized, and the backward pass is its
 analytic derivative. Both serve as the correctness yardstick for the
-tiled kernels, so nothing here models memory traffic.
+tiled kernels, so nothing here models memory traffic. Leading axes of
+the operands are a stack of independent problems, which lets the
+finite-difference oracle evaluate many perturbed copies in one call.
 """
 
 from __future__ import annotations
@@ -40,54 +42,78 @@ class AttnIntermediates:
     P: DenseTensor
 
     def __post_init__(self):
-        if self.S.ndim != 2 or self.S.shape != self.P.shape:
+        if self.S.ndim < 2 or self.S.shape != self.P.shape:
             raise ShapeError(
-                f"S and P must be equal 2-D shapes, got {self.S.shape} and {self.P.shape}"
+                f"S and P must be equal shapes of at least 2 axes, "
+                f"got {self.S.shape} and {self.P.shape}"
             )
 
 
+# Largest number of float64 elements in one stacked array of the
+# finite-difference oracle (2**17 elements, 1 MiB): the (m, *x.shape)
+# perturbed copies, and the (m, L, L) scores when f runs the attention
+# reference on them, with L = x.shape[0].
+FD_STACK_ELEMS = 1 << 17
+
+
 def softmax_rows(S: DenseTensor) -> DenseTensor:
-    """Row-wise softmax with the row max subtracted before exponentiation."""
-    if S.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got {S.shape}")
+    """Softmax along the last axis, with the row max subtracted before exponentiation.
+
+    Leading axes beyond the last two are a stack of independent matrices.
+    """
+    if S.ndim < 2:
+        raise ShapeError(f"softmax_rows needs at least 2 axes, got {S.shape}")
     s = S.array
     if not np.isfinite(s).all():
         raise NumericsError("softmax input contains non-finite entries")
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return DenseTensor(s.shape, e / e.sum(axis=1, keepdims=True))
+    e = s - s.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return DenseTensor._adopt(e)
 
 
-def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, int]:
-    if q.ndim != 2:
-        raise ShapeError(f"Q/K/V must be 2-D, got {q.shape}")
-    if not (q.shape == k.shape == v.shape):
+def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, ...]:
+    """Validate (..., L, C) operands; returns the broadcast shape of their stacks."""
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ShapeError(f"Q/K/V need at least 2 axes, got {q.shape}, {k.shape}, {v.shape}")
+    if not (q.shape[-2:] == k.shape[-2:] == v.shape[-2:]):
         raise ShapeError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    return q.shape
+    try:
+        return np.broadcast_shapes(q.shape, k.shape, v.shape)
+    except ValueError:
+        raise ShapeError(
+            f"Q/K/V stack axes do not broadcast: {q.shape}, {k.shape}, {v.shape}"
+        ) from None
 
 
 def naive_forward(
     q: DenseTensor, k: DenseTensor, v: DenseTensor, params: AttnParams = AttnParams()
 ) -> tuple[DenseTensor, AttnIntermediates]:
-    """Standard attention forward; returns the output and cached S, P."""
+    """Standard attention forward; returns the output and cached S, P.
+
+    Q, K and V are (..., L, C). Leading axes are a stack of independent
+    problems and broadcast against each other, so one perturbed operand
+    can be stacked while the other two stay 2-D; each stacked result
+    equals the 2-D call on that problem.
+    """
     _check_qkv(q, k, v)
-    s = params.scale * (q.array @ k.array.T)
-    S = DenseTensor(s.shape, s)
+    s = params.scale * (q.array @ k.array.swapaxes(-1, -2))
+    S = DenseTensor._adopt(s)
     P = softmax_rows(S)
-    o = P.array @ v.array
-    return DenseTensor(o.shape, o), AttnIntermediates(S=S, P=P)
+    return DenseTensor._adopt(P.array @ v.array), AttnIntermediates(S=S, P=P)
 
 
 def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
     """Pull dP back through the row softmax.
 
     dS[i][j] = P[i][j] * (dP[i][j] - sum_l P[i][l] * dP[i][l]); every row
-    of the result sums to zero.
+    of the result sums to zero. Leading axes are a stack, as in
+    :func:`softmax_rows`.
     """
-    if P.ndim != 2 or P.shape != dP.shape:
+    if P.ndim < 2 or P.shape != dP.shape:
         raise ShapeError(f"shape mismatch: P {P.shape} vs dP {dP.shape}")
     p, dp = P.array, dP.array
-    row_dot = (p * dp).sum(axis=1, keepdims=True)
+    row_dot = (p * dp).sum(axis=-1, keepdims=True)
     return DenseTensor(p.shape, p * (dp - row_dot))
 
 
@@ -102,21 +128,28 @@ def naive_backward(
     """Analytic gradients (dQ, dK, dV) of standard attention.
 
     dV = P^T dO; dP = dO V^T; dS via :func:`softmax_backward`;
-    dQ = scale * dS K; dK = scale * dS^T Q.
+    dQ = scale * dS K; dK = scale * dS^T Q. Q, K, V and dO must have one
+    shape (..., L, C); leading axes are a stack of independent problems.
+    Stacks do not broadcast here, since a broadcast operand would need
+    its gradient summed over the stack.
     """
     shape = _check_qkv(q, k, v)
+    if not (q.shape == k.shape == v.shape):
+        raise ShapeError(
+            f"naive_backward needs Q/K/V of one shape, got {q.shape}, {k.shape}, {v.shape}"
+        )
     if dO.shape != shape:
         raise ShapeError(f"dO shape {dO.shape} does not match Q/K/V shape {shape}")
-    if cache.P.shape != (shape[0], shape[0]):
+    if cache.P.shape != shape[:-1] + (shape[-2],):
         raise ShapeError(
-            f"cache shape {cache.P.shape} inconsistent with sequence length {shape[0]}"
+            f"cache shape {cache.P.shape} inconsistent with Q/K/V shape {shape}"
         )
     p = cache.P.array
-    dv = p.T @ dO.array
-    dp = dO.array @ v.array.T
+    dv = p.swapaxes(-1, -2) @ dO.array
+    dp = dO.array @ v.array.swapaxes(-1, -2)
     ds = softmax_backward(cache.P, DenseTensor(dp.shape, dp)).array
     dq = params.scale * (ds @ k.array)
-    dk = params.scale * (ds.T @ q.array)
+    dk = params.scale * (ds.swapaxes(-1, -2) @ q.array)
     return (
         DenseTensor(dq.shape, dq),
         DenseTensor(dk.shape, dk),
@@ -125,20 +158,37 @@ def naive_backward(
 
 
 def finite_diff_grad(
-    f: Callable[[DenseTensor], float], x: DenseTensor, h: float = 1e-5
+    f: Callable[[DenseTensor], np.ndarray], x: DenseTensor, h: float = 1e-5
 ) -> DenseTensor:
-    """Central-difference gradient of a scalar function, one probe per element."""
+    """Central-difference gradient of a scalar function, probed in stacks.
+
+    ``f`` takes a stack of shape ``(m, *x.shape)`` and returns its ``m``
+    values, one per stacked copy. Element ``i`` of the gradient is
+    ``(f(x + h e_i) - f(x - h e_i)) / 2h``; one call of ``f`` evaluates the
+    +h and -h copies of several elements, with ``m`` chosen so that no
+    stacked array, including ``(m, L, L)`` attention scores with
+    ``L = x.shape[0]``, exceeds :data:`FD_STACK_ELEMS` elements. ``x``
+    may have at most 3 axes, since the stack adds one.
+    """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidRangeError(f"step must be finite and > 0, got {h}")
     base = x.array.reshape(-1)
     grad = np.empty_like(base)
-    for i in range(base.size):
-        bumped = base.copy()
-        bumped[i] = base[i] + h
-        f_plus = f(DenseTensor(x.shape, bumped))
-        bumped[i] = base[i] - h
-        f_minus = f(DenseTensor(x.shape, bumped))
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise OracleError(f"non-finite evaluation at element {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return DenseTensor(x.shape, grad)
+    per_copy = max(base.size, x.shape[0] ** 2)
+    step = max(1, FD_STACK_ELEMS // (2 * per_copy))
+    for start in range(0, base.size, step):
+        idx = np.arange(start, min(start + step, base.size))
+        n = idx.size
+        rows = np.arange(n)
+        stack = np.tile(base, (2 * n, 1))
+        stack[rows, idx] = base[idx] + h
+        stack[rows + n, idx] = base[idx] - h
+        values = np.asarray(f(DenseTensor._adopt(stack.reshape((2 * n,) + x.shape))))
+        if values.shape != (2 * n,):
+            raise ShapeError(f"f returned shape {values.shape} for a stack of {2 * n}")
+        f_plus, f_minus = values[:n], values[n:]
+        bad = ~(np.isfinite(f_plus) & np.isfinite(f_minus))
+        if bad.any():
+            raise OracleError(f"non-finite evaluation at element {int(idx[bad.argmax()])}")
+        grad[idx] = (f_plus - f_minus) / (2.0 * h)
+    return DenseTensor._adopt(grad.reshape(x.shape))

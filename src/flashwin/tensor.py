@@ -28,7 +28,8 @@ class DenseTensor:
 
     The backing buffer is flat float64; views handed out through
     :attr:`array` are marked read-only so shared tensors stay safe to
-    pass between concurrent workers.
+    pass between concurrent workers. The constructor copies its input,
+    so later writes to that input never reach the tensor.
     """
 
     __slots__ = ("_shape", "_data")
@@ -44,6 +45,23 @@ class DenseTensor:
         flat.setflags(write=False)
         self._shape = shape
         self._data = flat
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> "DenseTensor":
+        """Wrap an array without copying it, taking its shape.
+
+        Only for arrays the package has just created and never writes
+        again: the buffer is marked read-only and shared, not copied.
+        Everything else goes through the copying constructor.
+        """
+        shape = tuple(array.shape)
+        _validate_shape(shape)
+        flat = np.ascontiguousarray(array, dtype=np.float64).reshape(-1)
+        flat.setflags(write=False)
+        tensor = object.__new__(cls)
+        tensor._shape = shape
+        tensor._data = flat
+        return tensor
 
     @property
     def shape(self) -> tuple[int, ...]:

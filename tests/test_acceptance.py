@@ -108,7 +108,7 @@ def test_criterion_02_gradient_correctness():
             naive_grads = naive_backward(q, k, v, cache, do)
 
             def of(qq, kk, vv):
-                return float((do.array * naive_forward(qq, kk, vv)[0].array).sum())
+                return (do.array * naive_forward(qq, kk, vv)[0].array).sum(axis=(-2, -1))
 
             fd_grads = (
                 finite_diff_grad(lambda t: of(t, k, v), q, FD_STEP),

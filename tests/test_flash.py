@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flashwin import (
+    AttnParams,
     CapacityError,
     ContextError,
     DenseTensor,
@@ -25,6 +26,7 @@ from flashwin import (
     peak_sram_forward,
     zeros,
 )
+from flashwin.harness import FD_STEP, GRAD_TOL
 
 TOL = 1e-10
 
@@ -218,11 +220,30 @@ class TestFlashBackward:
         dq, dk, dv, _ = flash_backward(ctx, do, ScratchpadArena())
 
         def of(qq, kk, vv):
-            return float((do.array * naive_forward(qq, kk, vv)[0].array).sum())
+            return (do.array * naive_forward(qq, kk, vv)[0].array).sum(axis=(-2, -1))
 
         assert max_abs_diff(dq, finite_diff_grad(lambda t: of(t, k, v), q, 1e-5)) <= 1e-6
         assert max_abs_diff(dk, finite_diff_grad(lambda t: of(q, t, v), k, 1e-5)) <= 1e-6
         assert max_abs_diff(dv, finite_diff_grad(lambda t: of(q, k, t), v, 1e-5)) <= 1e-6
+
+    def test_matches_finite_differences_at_swin_shape(self):
+        # One Swin window head: 7x7 tokens, head dim 32, softmax scale 32**-0.5.
+        L, C, scale = 49, 32, 32**-0.5
+        rng = Rng(57)
+        q, k, v, do = (rand(rng, (L, C)) for _ in range(4))
+        _, ctx, _ = flash_forward(q, k, v, TileConfig(r=2, scale=scale), ScratchpadArena())
+        dq, dk, dv, _ = flash_backward(ctx, do, ScratchpadArena())
+        params = AttnParams(scale=scale)
+
+        def of(qq, kk, vv):
+            return (do.array * naive_forward(qq, kk, vv, params)[0].array).sum(axis=(-2, -1))
+
+        for grad, fd in (
+            (dq, finite_diff_grad(lambda t: of(t, k, v), q, FD_STEP)),
+            (dk, finite_diff_grad(lambda t: of(q, t, v), k, FD_STEP)),
+            (dv, finite_diff_grad(lambda t: of(q, k, t), v, FD_STEP)),
+        ):
+            assert max_abs_diff(grad, fd) <= GRAD_TOL
 
     def test_do_shape_must_match_context(self):
         q, k, v = make_qkv(55, 4, 8)

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import tracemalloc
 
 import pytest
 
+from flashwin import NumericsError, harness
 from flashwin.cli import main
 from flashwin.harness import (
     BENCH_COLUMNS,
@@ -47,6 +49,51 @@ class TestCheckSuite:
         results = run_check_suite(seed=42, Ls=[1024], Cs=[32], r_values=[2])
         capacity_cases = [r for r in results if r.case_id.startswith("capacity_")]
         assert capacity_cases and all(r.ok for r in capacity_cases)
+
+    def test_refusals_share_one_reference_run_per_shape(self, monkeypatch):
+        # The 64x64 scores alone need 16384 bytes, so every r is a refusal.
+        calls = []
+        real = harness.naive_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "naive_forward", counted)
+        grid = dict(Ls=[64], Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000)
+        results = run_check_suite(seed=42, **grid)
+        assert [r.case_id for r in results if not r.case_id.startswith("roundtrip_")] == [
+            f"capacity_fwd_L64_C{C}_r{r}" for C, rs in ((16, (1, 2, 4)), (32, (1, 2, 4))) for r in rs
+        ]
+        assert all(r.ok for r in results)
+        assert calls == [(64, 16), (64, 32)]
+
+    def test_refusal_fails_when_shared_reference_run_fails(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericsError("reference failed")
+
+        monkeypatch.setattr(harness, "naive_forward", broken)
+        results = run_check_suite(
+            seed=42, Ls=[64], Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000
+        )
+        capacity = [r for r in results if r.case_id.startswith("capacity_fwd_")]
+        assert len(capacity) == 6
+        assert not any(r.ok for r in capacity)
+        assert all(r.sram_ok for r in capacity)  # the kernel still refused
+
+    def test_gradient_oracle_memory_stays_bounded(self):
+        # One copy's scores are 256x256: the stacked oracle must not stack many.
+        tracemalloc.start()
+        try:
+            results = run_check_suite(
+                seed=42, Ls=[256], Cs=[1], r_values=[1], capacity_bytes=1000000
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "grad_L256_C1_r1" in {r.case_id for r in results}
+        assert all(r.ok for r in results)
+        assert peak < 40e6
 
     def test_gradient_cases_only_on_small_shapes(self):
         results = run_check_suite(seed=42, Ls=[2, 64], Cs=[16], r_values=[2])
@@ -172,6 +219,13 @@ class TestCli:
         assert main(["traffic", "--L", "64", "--C", "64", "--r", "4"]) == 0
         out = capsys.readouterr().out
         assert "24576" in out and "pass,operand,loads,stores" in out
+
+    def test_traffic_mismatch_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness.TrafficSummary, "consistent", property(lambda self: False))
+        assert main(["traffic", "--L", "8", "--C", "16", "--r", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "match closed form: NO" in captured.out
+        assert "closed forms" in captured.err
 
     def test_traffic_writes_csv_to_out(self, tmp_path, capsys):
         path = tmp_path / "traffic.csv"

@@ -22,6 +22,7 @@ from flashwin import (
     softmax_rows,
     zeros,
 )
+from flashwin import reference
 
 FD_STEP = 1e-5
 
@@ -31,10 +32,10 @@ def rand(rng, shape):
 
 
 def loss_fn(do):
-    """<dO, O> through the untiled forward pass, closing over fixed inputs."""
+    """<dO, O> through the untiled forward pass, one value per stacked copy."""
 
     def of(q, k, v):
-        return float((do.array * naive_forward(q, k, v)[0].array).sum())
+        return (do.array * naive_forward(q, k, v)[0].array).sum(axis=(-2, -1))
 
     return of
 
@@ -70,6 +71,18 @@ class TestSoftmaxRows:
         with pytest.raises(ShapeError):
             softmax_rows(zeros([4]))
 
+    def test_stacked_rows_equal_per_matrix_calls(self):
+        s = rand(Rng(26), (3, 5, 5))
+        p = softmax_rows(s)
+        for i in range(3):
+            assert np.array_equal(p.array[i], softmax_rows(DenseTensor((5, 5), s.array[i])).array)
+
+    def test_nan_in_stack_reported(self):
+        bad = np.zeros((3, 2, 2))
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(NumericsError):
+            softmax_rows(DenseTensor(bad.shape, bad))
+
 
 class TestNaiveForward:
     def test_zero_keys_give_column_means(self):
@@ -104,6 +117,39 @@ class TestNaiveForward:
         with pytest.raises(ShapeError):
             naive_forward(zeros([2, 3]), zeros([2, 3]), zeros([2, 4]))
 
+    @pytest.mark.parametrize("stacked", [0, 1, 2])
+    def test_stacked_operand_equals_per_copy_calls(self, stacked):
+        rng = Rng(27)
+        qkv = [rand(rng, (6, 4)) for _ in range(3)]
+        stack = rand(rng, (3, 6, 4))
+        operands = list(qkv)
+        operands[stacked] = stack
+        o, cache = naive_forward(*operands, AttnParams(scale=0.5))
+        assert o.shape == (3, 6, 4)
+        for i in range(3):
+            operands[stacked] = DenseTensor((6, 4), stack.array[i])
+            o_i, cache_i = naive_forward(*operands, AttnParams(scale=0.5))
+            assert np.array_equal(o.array[i], o_i.array)
+            if stacked < 2:  # V does not enter the scores
+                assert np.array_equal(cache.P.array[i], cache_i.P.array)
+
+    def test_outputs_are_read_only(self):
+        rng = Rng(32)
+        o, cache = naive_forward(*(rand(rng, (4, 3)) for _ in range(3)))
+        for t in (o, cache.S, cache.P):
+            with pytest.raises(ValueError):
+                t.array[0, 0] = 1.0
+
+    def test_stack_axes_must_broadcast(self):
+        with pytest.raises(ShapeError):
+            naive_forward(zeros([2, 3, 4]), zeros([3, 3, 4]), zeros([3, 4]))
+
+    def test_nan_in_stacked_operand_reported(self):
+        bad = np.zeros((2, 3, 4))
+        bad[1, 0, 2] = np.nan
+        with pytest.raises(NumericsError):
+            naive_forward(DenseTensor(bad.shape, bad), zeros([3, 4]), zeros([3, 4]))
+
     def test_bad_scale_rejected(self):
         with pytest.raises(InvalidRangeError):
             AttnParams(scale=0.0)
@@ -132,7 +178,7 @@ class TestSoftmaxBackward:
         s = rand(rng, (6, 6))
         dp = rand(rng, (6, 6))
         analytic = softmax_backward(softmax_rows(s), dp)
-        probe = lambda t: float((dp.array * softmax_rows(t).array).sum())
+        probe = lambda t: (dp.array * softmax_rows(t).array).sum(axis=(-2, -1))
         fd = finite_diff_grad(probe, s, FD_STEP)
         assert max_abs_diff(analytic, fd) <= 1e-6
 
@@ -180,6 +226,29 @@ class TestNaiveBackward:
         assert max_abs_diff(dk, finite_diff_grad(lambda t: of(q, t, v), k, FD_STEP)) <= 1e-5
         assert max_abs_diff(dv, finite_diff_grad(lambda t: of(q, k, t), v, FD_STEP)) <= 1e-5
 
+    def test_stacked_problems_equal_per_slice_calls(self):
+        rng = Rng(28)
+        q, k, v, do = (rand(rng, (2, 3, 5, 4)) for _ in range(4))
+        _, cache = naive_forward(q, k, v, AttnParams(scale=0.5))
+        grads = naive_backward(q, k, v, cache, do, AttnParams(scale=0.5))
+        for b in range(2):
+            for h in range(3):
+                sl = lambda t: DenseTensor((5, 4), t.array[b, h])
+                _, cache_bh = naive_forward(sl(q), sl(k), sl(v), AttnParams(scale=0.5))
+                want = naive_backward(sl(q), sl(k), sl(v), cache_bh, sl(do), AttnParams(scale=0.5))
+                for g, w in zip(grads, want):
+                    assert np.array_equal(g.array[b, h], w.array)
+
+    def test_broadcast_stack_rejected(self):
+        # A stack that broadcasts in the forward pass has no per-copy
+        # gradient for its 2-D operands, so the backward pass refuses it.
+        rng = Rng(29)
+        q, do = rand(rng, (3, 5, 4)), rand(rng, (3, 5, 4))
+        k, v = rand(rng, (5, 4)), rand(rng, (5, 4))
+        _, cache = naive_forward(q, k, v)
+        with pytest.raises(ShapeError):
+            naive_backward(q, k, v, cache, do)
+
     def test_cache_shape_consistency_checked(self):
         rng = Rng(24)
         q, k, v, do = (rand(rng, (4, 3)) for _ in range(4))
@@ -190,7 +259,7 @@ class TestNaiveBackward:
 
 class TestFiniteDiffGrad:
     def test_sum_of_squares(self):
-        grad = finite_diff_grad(lambda t: float((t.array**2).sum()),
+        grad = finite_diff_grad(lambda t: (t.array**2).sum(axis=-1),
                                 DenseTensor((2,), [1.0, 2.0]), FD_STEP)
         assert np.allclose(grad.array, [2.0, 4.0], atol=1e-8)
 
@@ -198,12 +267,60 @@ class TestFiniteDiffGrad:
         rng = Rng(25)
         a = rand(rng, (3, 3))
         x = rand(rng, (3, 3))
-        grad = finite_diff_grad(lambda t: float((a.array * t.array).sum()), x, 1e-3)
+        grad = finite_diff_grad(lambda t: (a.array * t.array).sum(axis=(-2, -1)), x, 1e-3)
         assert max_abs_diff(grad, a) <= 1e-12
 
     def test_non_finite_evaluation_reported(self):
         with pytest.raises(OracleError):
-            finite_diff_grad(lambda t: float("inf"), zeros([2]), FD_STEP)
+            finite_diff_grad(lambda t: np.full(t.shape[0], np.inf), zeros([2]), FD_STEP)
+
+    def test_chunked_stacks_equal_per_element_loop(self, monkeypatch):
+        # 5x3 operands: each copy's largest stacked array is the 5x5 scores,
+        # so a budget of 200 elements allows 4 elements per stack of 8
+        # copies, and the 15 elements of Q take chunks of 4, 4, 4 and 3.
+        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 200)
+        rng = Rng(30)
+        q, k, v, do = (rand(rng, (5, 3)) for _ in range(4))
+        of = loss_fn(do)
+        stacks = []
+
+        def probe(t):
+            stacks.append(t.shape[0])
+            return of(t, k, v)
+
+        grad = finite_diff_grad(probe, q, FD_STEP)
+        assert stacks == [8, 8, 8, 6]
+        base = q.array.reshape(-1)
+        want = np.empty(base.size)
+        for i in range(base.size):
+            bumped = base.copy()
+            bumped[i] = base[i] + FD_STEP
+            f_plus = float((do.array * naive_forward(DenseTensor((5, 3), bumped), k, v)[0].array).sum())
+            bumped[i] = base[i] - FD_STEP
+            f_minus = float((do.array * naive_forward(DenseTensor((5, 3), bumped), k, v)[0].array).sum())
+            want[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
+        assert np.array_equal(grad.array.reshape(-1), want)
+
+    def test_non_finite_evaluation_names_element_of_later_chunk(self, monkeypatch):
+        # 4x3 operand, per-copy bound 4*4 elements: 4 elements per stack of 8
+        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 8 * 16)
+        x = rand(Rng(31), (4, 3))
+        stacks = []
+
+        def probe(t):
+            # only the copies that perturb element 10, in the third stack, give inf
+            stacks.append(t.shape[0])
+            flat = t.array.reshape(t.shape[0], -1)
+            moved = flat[:, 10] != x.array.reshape(-1)[10]
+            return np.where(moved, np.inf, flat.sum(axis=-1))
+
+        with pytest.raises(OracleError, match="element 10$"):
+            finite_diff_grad(probe, x, FD_STEP)
+        assert stacks == [8, 8, 8]
+
+    def test_one_value_per_copy_required(self):
+        with pytest.raises(ShapeError):
+            finite_diff_grad(lambda t: float(t.array.sum()), zeros([2]), FD_STEP)
 
     def test_bad_step_rejected(self):
         with pytest.raises(InvalidRangeError):
