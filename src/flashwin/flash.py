@@ -27,7 +27,6 @@ features per chunk):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,10 +95,13 @@ def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
 
 
 def _check_budget(kind: str, need: int, arena: ScratchpadArena) -> None:
-    if need > arena.capacity_bytes:
+    # Checked against what is free now, so a busy arena is refused before
+    # the kernel allocates anything rather than overflowing partway through.
+    available = arena.capacity_bytes - arena.live_bytes
+    if need > available:
         raise CapacityError(
             f"{kind} pass needs {need} bytes of scratchpad, "
-            f"arena provides {arena.capacity_bytes}"
+            f"arena has {available} of {arena.capacity_bytes} available"
         )
 
 
@@ -111,17 +113,23 @@ def _load(
     elem_bytes: int,
     tag: str,
 ) -> OnChipBuffer:
-    """Copy a global-memory slice into a fresh on-chip buffer, counting elements."""
+    """Copy a global-memory slice into a fresh on-chip buffer, counting elements.
+
+    ``loads`` is pre-seeded with every operand the kernel reads.
+    """
     buf = arena.allocate(tag, view.shape, elem_bytes)
-    np.copyto(buf.array, view)
-    loads[operand] = loads.get(operand, 0) + view.size
+    buf.array[...] = view
+    loads[operand] += view.size
     return buf
 
 
 def _store(stores: dict[str, int], operand: str, dest: np.ndarray, src: np.ndarray) -> None:
-    """Copy an on-chip tile out to a global-memory slice, counting elements."""
-    np.copyto(dest, src)
-    stores[operand] = stores.get(operand, 0) + src.size
+    """Copy an on-chip tile out to a global-memory slice, counting elements.
+
+    ``stores`` is pre-seeded with every operand the kernel writes.
+    """
+    dest[...] = src
+    stores[operand] += src.size
 
 
 def _softmax_rows_inplace(s: np.ndarray) -> None:
@@ -155,8 +163,9 @@ def flash_forward(
     spans = cfg.chunk_spans(C)
     _check_budget("forward", peak_sram_forward(L, C, cfg), arena)
 
-    loads: dict[str, int] = {}
-    stores: dict[str, int] = {}
+    # Seeded in first-touch order, which is the order reports list them in.
+    loads = {"Q": 0, "K": 0, "V": 0}
+    stores = {"O": 0}
     qg, kg, vg = q.array, k.array, v.array
     og = np.empty((L, C), dtype=np.float64)
 
@@ -181,7 +190,7 @@ def flash_forward(
     arena.free(scores)
 
     report = TrafficReport(loads=loads, stores=stores, peak_sram_bytes=arena.peak_bytes)
-    return DenseTensor((L, C), og), FlashContext(q=q, k=k, v=v, cfg=cfg), report
+    return DenseTensor._adopt(og), FlashContext(q=q, k=k, v=v, cfg=cfg), report
 
 
 def flash_backward(
@@ -205,8 +214,8 @@ def flash_backward(
     spans = cfg.chunk_spans(C)
     _check_budget("backward", peak_sram_backward(L, C, cfg), arena)
 
-    loads: dict[str, int] = {}
-    stores: dict[str, int] = {}
+    loads = {"Q": 0, "K": 0, "dO": 0, "V": 0}
+    stores = {"dV": 0, "dQ": 0, "dK": 0}
     qg, kg, vg, dog = ctx.q.array, ctx.k.array, ctx.v.array, dO.array
     dqg = np.empty((L, C), dtype=np.float64)
     dkg = np.empty((L, C), dtype=np.float64)
@@ -275,10 +284,12 @@ def batched_flash_forward(
 ) -> tuple[DenseTensor, list[list[FlashContext]], TrafficReport]:
     """Run the forward kernel independently over every (batch, head) slice.
 
-    Slices are distributed round-robin over one worker per arena; counts
-    are merged by summation after all workers finish, so the result does
-    not depend on scheduling. Failures are re-raised annotated with the
-    (batch, head) of the offending slice.
+    Slices run one after another in (batch, head) order and are assigned
+    round-robin to ``arenas``, so each arena models one window's
+    scratchpad at a time. Counts are summed over slices and the peak is
+    the largest per-arena peak. Each slice's context holds read-only views
+    of ``q``/``k``/``v``, not copies. Failures are re-raised annotated
+    with the (batch, head) of the offending slice.
     """
     if q.ndim != 4 or not (q.shape == k.shape == v.shape):
         raise ShapeError(
@@ -287,36 +298,27 @@ def batched_flash_forward(
     if not arenas:
         raise InvalidRangeError("at least one arena is required")
     B, h, L, C = q.shape
+    qa, ka, va = q.array, k.array, v.array
     out = np.empty((B, h, L, C), dtype=np.float64)
-    contexts: list[list[FlashContext | None]] = [[None] * h for _ in range(B)]
-    reports: list[TrafficReport | None] = [None] * (B * h)
-
-    def run_slice(idx: int, arena: ScratchpadArena) -> None:
+    contexts: list[list[FlashContext]] = [[] for _ in range(B)]
+    reports: list[TrafficReport] = []
+    for idx in range(B * h):
         b, head = divmod(idx, h)
-        sl_q = DenseTensor((L, C), q.array[b, head])
-        sl_k = DenseTensor((L, C), k.array[b, head])
-        sl_v = DenseTensor((L, C), v.array[b, head])
         try:
-            o, sl_ctx, rep = flash_forward(sl_q, sl_k, sl_v, cfg, arena)
+            o, sl_ctx, rep = flash_forward(
+                DenseTensor._adopt(qa[b, head]),
+                DenseTensor._adopt(ka[b, head]),
+                DenseTensor._adopt(va[b, head]),
+                cfg,
+                arenas[idx % len(arenas)],
+            )
         except FlashwinError as exc:
             raise type(exc)(f"slice (b={b}, head={head}): {exc}") from exc
         out[b, head] = o.array
-        contexts[b][head] = sl_ctx
-        reports[idx] = rep
+        contexts[b].append(sl_ctx)
+        reports.append(rep)
 
-    def run_worker(worker: int) -> None:
-        for idx in range(worker, B * h, len(arenas)):
-            run_slice(idx, arenas[worker])
-
-    if len(arenas) == 1:
-        run_worker(0)
-    else:
-        with ThreadPoolExecutor(max_workers=len(arenas)) as pool:
-            for fut in [pool.submit(run_worker, w) for w in range(len(arenas))]:
-                fut.result()
-
-    merged = merge_reports([rep for rep in reports if rep is not None])
-    return DenseTensor((B, h, L, C), out), contexts, merged
+    return DenseTensor._adopt(out), contexts, merge_reports(reports)
 
 
 def _check_qkv_2d(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, int]:

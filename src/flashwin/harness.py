@@ -550,7 +550,7 @@ def run_bench(
 
 
 def _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes):
-    B, h, L, C = q.shape
+    B, h = q.shape[:2]
     merged: TrafficReport | None = None
 
     def run() -> TrafficReport:
@@ -560,7 +560,7 @@ def _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes):
         if pass_ == "fwd_bwd":
             for b in range(B):
                 for head in range(h):
-                    sl_do = DenseTensor((L, C), do.array[b, head])
+                    sl_do = DenseTensor._adopt(do.array[b, head])
                     *_, bwd_rep = flash_backward(contexts[b][head], sl_do, arena)
                     reports.append(bwd_rep)
         return merge_reports(reports)
@@ -575,17 +575,17 @@ def _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes):
 
 
 def _time_naive(q, k, v, do, pass_, repeats):
-    B, h, L, C = q.shape
+    B, h = q.shape[:2]
 
     def run() -> None:
         for b in range(B):
             for head in range(h):
-                sq = DenseTensor((L, C), q.array[b, head])
-                sk = DenseTensor((L, C), k.array[b, head])
-                sv = DenseTensor((L, C), v.array[b, head])
+                sq = DenseTensor._adopt(q.array[b, head])
+                sk = DenseTensor._adopt(k.array[b, head])
+                sv = DenseTensor._adopt(v.array[b, head])
                 _, cache = naive_forward(sq, sk, sv)
                 if pass_ == "fwd_bwd":
-                    sdo = DenseTensor((L, C), do.array[b, head])
+                    sdo = DenseTensor._adopt(do.array[b, head])
                     naive_backward(sq, sk, sv, cache, sdo)
 
     run()  # warm-up

@@ -11,6 +11,11 @@ Accounting granularity matches the claims being checked: named kernel
 buffers only. Per-row scalar temporaries (softmax row max/sum and the
 dS row dot products) are not modeled, and byte accounting uses the
 configured element size independently of the float64 compute precision.
+
+Allocation sits on the kernels' hot path (a forward pass allocates once
+per chunk load and once per output tile), so with many short windows the
+arena's own bookkeeping is part of what a wall-clock benchmark measures;
+:meth:`ScratchpadArena.allocate` is kept lean for that reason.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FlashwinError
+from .errors import CapacityError, FlashwinError, ShapeError
 
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
 
@@ -31,9 +36,9 @@ class OnChipBuffer:
 
     __slots__ = ("name", "array", "nbytes", "_live")
 
-    def __init__(self, name: str, shape: tuple[int, ...], nbytes: int):
+    def __init__(self, name: str, array: np.ndarray, nbytes: int):
         self.name = name
-        self.array = np.zeros(shape, dtype=np.float64)
+        self.array = array
         self.nbytes = nbytes
         self._live = True
 
@@ -49,16 +54,33 @@ class ScratchpadArena:
         self.peak_bytes = 0
 
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> OnChipBuffer:
-        shape = tuple(int(e) for e in shape)
-        nbytes = math.prod(shape) * int(elem_bytes)
-        if self.live_bytes + nbytes > self.capacity_bytes:
-            raise CapacityError(
-                f"scratchpad overflow allocating '{name}': {nbytes} bytes requested, "
-                f"{self.capacity_bytes - self.live_bytes} of {self.capacity_bytes} available"
-            )
-        self.live_bytes += nbytes
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-        return OnChipBuffer(name, shape, nbytes)
+        """Reserve ``prod(shape) * elem_bytes`` bytes and return a zeroed workspace.
+
+        Raises :class:`ShapeError` for a negative extent and
+        :class:`CapacityError` when the request does not fit; in both cases
+        live and peak bytes are left as they were.
+        """
+        try:
+            array = np.zeros(shape)  # float64, numpy's default
+        except ValueError as exc:
+            raise ShapeError(f"invalid shape {tuple(shape)} for '{name}': {exc}") from exc
+        except MemoryError:
+            # Too large for the host, so far larger than any scratchpad.
+            raise self._overflow(name, math.prod(shape) * int(elem_bytes)) from None
+        nbytes = array.size * int(elem_bytes)
+        live = self.live_bytes + nbytes
+        if live > self.capacity_bytes:
+            raise self._overflow(name, nbytes)
+        self.live_bytes = live
+        if live > self.peak_bytes:
+            self.peak_bytes = live
+        return OnChipBuffer(name, array, nbytes)
+
+    def _overflow(self, name: str, nbytes: int) -> CapacityError:
+        return CapacityError(
+            f"scratchpad overflow allocating '{name}': {nbytes} bytes requested, "
+            f"{self.capacity_bytes - self.live_bytes} of {self.capacity_bytes} available"
+        )
 
     def free(self, buf: OnChipBuffer) -> None:
         if not buf._live:
@@ -85,7 +107,7 @@ class TrafficReport:
 
 
 def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:
-    """Sum counts across independent workers; peak is per-worker, not summed."""
+    """Sum counts across independent kernel calls; the peak is the largest, not summed."""
     loads: dict[str, int] = {}
     stores: dict[str, int] = {}
     peak = 0

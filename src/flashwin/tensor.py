@@ -27,8 +27,8 @@ class DenseTensor:
     """Immutable row-major array with explicit shape.
 
     The backing buffer is flat float64; views handed out through
-    :attr:`array` are marked read-only so shared tensors stay safe to
-    pass between concurrent workers. The constructor copies its input,
+    :attr:`array` are marked read-only so shared tensors and views into
+    them stay safe to pass around. The constructor copies its input,
     so later writes to that input never reach the tensor.
     """
 
@@ -51,7 +51,9 @@ class DenseTensor:
         """Wrap an array without copying it, taking its shape.
 
         Only for arrays the package has just created and never writes
-        again: the buffer is marked read-only and shared, not copied.
+        again, or for read-only views into another tensor's buffer (which
+        is immutable too): the buffer is marked read-only and shared, not
+        copied. A non-contiguous input is copied into contiguous order.
         Everything else goes through the copying constructor.
         """
         shape = tuple(array.shape)

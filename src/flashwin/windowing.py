@@ -51,7 +51,7 @@ def window_partition(x: DenseTensor, cfg: WindowConfig) -> DenseTensor:
         .transpose(0, 2, 1, 3, 4)
         .reshape(cfg.num_windows, cfg.seq_len, cfg.C)
     )
-    return DenseTensor(windows.shape, windows)
+    return DenseTensor._adopt(windows)
 
 
 def window_reverse(y: DenseTensor, cfg: WindowConfig) -> DenseTensor:
@@ -67,4 +67,4 @@ def window_reverse(y: DenseTensor, cfg: WindowConfig) -> DenseTensor:
         .transpose(0, 2, 1, 3, 4)
         .reshape(cfg.H, cfg.W, cfg.C)
     )
-    return DenseTensor(image.shape, image)
+    return DenseTensor._adopt(image)

@@ -270,6 +270,23 @@ class TestFlashBackward:
             flash_backward(ctx, zeros([16, 16]), small)
         assert small.live_bytes == 0
 
+    def test_busy_arena_refused_before_any_allocation(self):
+        # Capacity equal to the peak, 4 B already live: the kernel must be
+        # refused up front, not overflow partway and keep its buffers.
+        q, k, v = make_qkv(57, 8, 8)
+        cfg = TileConfig(r=2)
+        _, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena())
+        for peak, run in (
+            (peak_sram_forward(8, 8, cfg), lambda a: flash_forward(q, k, v, cfg, a)),
+            (peak_sram_backward(8, 8, cfg), lambda a: flash_backward(ctx, zeros([8, 8]), a)),
+        ):
+            arena = ScratchpadArena(peak)
+            arena.allocate("held", (1,), 4)
+            with pytest.raises(CapacityError, match=f"has {peak - 4} of {peak} available"):
+                run(arena)
+            assert arena.live_bytes == 4
+            assert arena.peak_bytes == 4
+
 
 class TestChunkCountInvariance:
     @pytest.mark.parametrize("L,C", [(8, 16), (49, 32), (64, 64)])
@@ -338,6 +355,37 @@ class TestBatchedForward:
         assert np.array_equal(out1.array, out3.array)
         assert rep1.loads == rep3.loads and rep1.stores == rep3.stores
         assert rep1.peak_sram_bytes == rep3.peak_sram_bytes
+
+    def test_equals_a_per_slice_loop_on_copied_slices(self):
+        rng = Rng(76)
+        q, k, v = (rand(rng, (2, 4, 64, 256)) for _ in range(3))
+        cfg = TileConfig(r=16, scale=256**-0.5)
+        out, _, report = batched_flash_forward(q, k, v, cfg, [ScratchpadArena()])
+        arena = ScratchpadArena()
+        for b in range(2):
+            for h in range(4):
+                sl = lambda t: DenseTensor((64, 256), t.array[b, h].copy())
+                o, _, rep = flash_forward(sl(q), sl(k), sl(v), cfg, arena)
+                assert np.array_equal(out.array[b, h], o.array)
+        assert report.loads == {name: 8 * n for name, n in rep.loads.items()}
+        assert report.stores == {name: 8 * n for name, n in rep.stores.items()}
+        assert list(report.loads) == ["Q", "K", "V"]
+        assert report.peak_sram_bytes == peak_sram_forward(64, 256, cfg)
+
+    def test_contexts_are_read_only_views_of_the_input(self):
+        rng = Rng(77)
+        q, k, v = (rand(rng, (2, 3, 8, 16)) for _ in range(3))
+        out, contexts, _ = batched_flash_forward(q, k, v, TileConfig(r=2), [ScratchpadArena()])
+        assert not out.array.flags.writeable
+        for b in range(2):
+            for h in range(3):
+                ctx = contexts[b][h]
+                for sl, full in ((ctx.q, q), (ctx.k, k), (ctx.v, v)):
+                    assert np.shares_memory(sl.array, full.array[b, h])
+                    assert np.array_equal(sl.array, full.array[b, h])
+                    assert not sl.array.flags.writeable
+                    with pytest.raises(ValueError):
+                        sl.array[0, 0] = 1.0
 
     def test_failures_name_the_slice(self):
         rng = Rng(74)

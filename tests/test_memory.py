@@ -6,6 +6,7 @@ from flashwin import (
     CapacityError,
     FlashwinError,
     ScratchpadArena,
+    ShapeError,
     TrafficReport,
     merge_reports,
 )
@@ -44,6 +45,22 @@ def test_over_capacity_allocation_names_required_and_available():
     msg = str(exc.value)
     assert "80" in msg and "20" in msg and "100" in msg
     assert arena.live_bytes == 80  # failed allocation leaves occupancy untouched
+
+
+def test_request_too_large_for_the_host_is_still_a_capacity_error():
+    arena = ScratchpadArena(capacity_bytes=100)
+    with pytest.raises(CapacityError, match="4000000000000000 bytes requested"):
+        arena.allocate("huge", (10**15,), 4)
+    assert arena.live_bytes == 0 and arena.peak_bytes == 0
+
+
+def test_negative_extent_is_a_shape_error_and_leaves_occupancy_untouched():
+    arena = ScratchpadArena(capacity_bytes=100)
+    arena.allocate("base", (2,), 8)
+    with pytest.raises(ShapeError, match="'x'"):
+        arena.allocate("x", (-2,), 4)
+    assert arena.live_bytes == 16
+    assert arena.peak_bytes == 16
 
 
 def test_buffer_workspace_is_zeroed_and_writable():

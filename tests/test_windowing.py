@@ -47,7 +47,9 @@ def test_index_map_on_4x4_by_brute_force():
 def test_round_trip_is_bitwise_identity(H, W, C, k):
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     x = fill_uniform(Rng(7), (H, W, C), -1.0, 1.0)
-    back = window_reverse(window_partition(x, cfg), cfg)
+    windows = window_partition(x, cfg)
+    back = window_reverse(windows, cfg)
+    assert not windows.array.flags.writeable and not back.array.flags.writeable
     assert np.array_equal(back.array, x.array)
     assert max_abs_diff(back, x) == 0.0
 
