@@ -139,11 +139,11 @@ def _softmax_rows_inplace(s: np.ndarray) -> None:
 
 
 def _softmax_grad_inplace(p: np.ndarray, dp: np.ndarray) -> None:
-    # dp becomes dS = P * (dP - rowdot); scalar accumulator per row, no extra buffer
-    for i in range(p.shape[0]):
-        rho = float(np.dot(p[i], dp[i]))
-        dp[i] -= rho
-        dp[i] *= p[i]
+    # dp becomes dS = P * (dP - rowdot). The L row dots are per-row scalars,
+    # which the arena does not model; vecdot gives each the same bits as a
+    # per-row np.dot (einsum and (p * dp).sum do not).
+    dp -= np.vecdot(p, dp)[:, None]
+    dp *= p
 
 
 def flash_forward(
@@ -267,12 +267,8 @@ def flash_backward(
     arena.free(dweights)
 
     report = TrafficReport(loads=loads, stores=stores, peak_sram_bytes=arena.peak_bytes)
-    return (
-        DenseTensor((L, C), dqg),
-        DenseTensor((L, C), dkg),
-        DenseTensor((L, C), dvg),
-        report,
-    )
+    dq, dk, dv = (DenseTensor._adopt(g) for g in (dqg, dkg, dvg))
+    return dq, dk, dv, report
 
 
 def batched_flash_forward(

@@ -9,9 +9,11 @@ seeds and grids produce identical bytes.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 from .errors import CapacityError, FlashwinError
@@ -172,7 +174,8 @@ def run_check_suite(
 
     Grid points whose closed-form footprint exceeds the capacity become
     expected-error cases: they pass when the kernel refuses to run while
-    the untiled reference still succeeds.
+    the untiled reference still succeeds. The untiled reference runs at
+    most once per (L, C) and is shared by every chunk count.
     """
     if not Ls or not Cs or not r_values:
         return []
@@ -201,34 +204,23 @@ def run_check_suite(
             rng = master.split()
             q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
             rs = _valid_chunk_counts(C, r_values)
+            ref = _Reference(q, k, v, do)
             fd_grads = None
-            naive_ok = None
             fwd_outputs: list[DenseTensor] = []
             bwd_grads: list[tuple[DenseTensor, DenseTensor, DenseTensor]] = []
 
             for r in rs:
                 cfg = TileConfig(r=r, elem_bytes=elem_bytes)
                 if peak_sram_forward(L, C, cfg) > capacity_bytes:
-                    if naive_ok is None:
-                        naive_ok = _naive_succeeds(q, k, v)
-                    results.append(
-                        _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes, naive_ok)
-                    )
+                    results.append(_capacity_case(L, C, r, cfg, capacity_bytes, ref))
                     continue
 
-                results.append(
-                    _forward_case(L, C, r, q, k, v, cfg, capacity_bytes, fwd_outputs)
-                )
+                result, ctx = _forward_case(L, C, r, cfg, capacity_bytes, ref, fwd_outputs)
+                results.append(result)
                 if peak_sram_backward(L, C, cfg) > capacity_bytes:
-                    results.append(
-                        _capacity_backward_case(L, C, r, q, k, v, do, cfg, capacity_bytes)
-                    )
+                    results.append(_capacity_backward_case(L, C, r, ctx, do, capacity_bytes))
                     continue
-                results.append(
-                    _backward_case(
-                        L, C, r, q, k, v, do, cfg, capacity_bytes, bwd_grads
-                    )
-                )
+                results.append(_backward_case(L, C, r, ctx, capacity_bytes, ref, bwd_grads))
                 if L * C <= 256:
                     if fd_grads is None:
                         fd_grads = _finite_diff_grads(q, k, v, do)
@@ -242,21 +234,44 @@ def run_check_suite(
     return results
 
 
-def _naive_succeeds(q, k, v) -> bool:
-    """Whether the untiled reference runs; it depends only on the inputs, not on r."""
-    try:
-        naive_forward(q, k, v)
-    except FlashwinError:
-        return False
-    return True
+@dataclass
+class _Reference:
+    """Untiled results for one (L, C), computed on first use and shared by every r.
+
+    The reference depends only on the inputs, not on the chunk count. None
+    means it raised, which fails every case of the shape that needs it.
+    """
+
+    q: DenseTensor
+    k: DenseTensor
+    v: DenseTensor
+    do: DenseTensor
+
+    @cached_property
+    def forward(self):
+        """(O, cache) of ``naive_forward``, or None."""
+        try:
+            return naive_forward(self.q, self.k, self.v)
+        except FlashwinError:
+            return None
+
+    @cached_property
+    def grads(self):
+        """(dQ, dK, dV) of ``naive_backward``, or None."""
+        if self.forward is None:
+            return None
+        try:
+            return naive_backward(self.q, self.k, self.v, self.forward[1], self.do)
+        except FlashwinError:
+            return None
 
 
-def _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes, naive_ok) -> SuiteResult:
+def _capacity_case(L, C, r, cfg, capacity_bytes, ref) -> SuiteResult:
     """Footprint exceeds the budget: the kernel must refuse, the oracle must not."""
     t0 = time.perf_counter_ns()
     refused = False
     try:
-        flash_forward(q, k, v, cfg, ScratchpadArena(capacity_bytes))
+        flash_forward(ref.q, ref.k, ref.v, cfg, ScratchpadArena(capacity_bytes))
     except CapacityError:
         refused = True
     return SuiteResult(
@@ -265,13 +280,12 @@ def _capacity_case(L, C, r, q, k, v, cfg, capacity_bytes, naive_ok) -> SuiteResu
         traffic_ok=True,
         sram_ok=refused,
         elapsed_ns=time.perf_counter_ns() - t0,
-        ok=refused and naive_ok,
+        ok=refused and ref.forward is not None,
     )
 
 
-def _capacity_backward_case(L, C, r, q, k, v, do, cfg, capacity_bytes) -> SuiteResult:
+def _capacity_backward_case(L, C, r, ctx, do, capacity_bytes) -> SuiteResult:
     t0 = time.perf_counter_ns()
-    _, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena(capacity_bytes))
     refused = False
     try:
         flash_backward(ctx, do, ScratchpadArena(capacity_bytes))
@@ -287,12 +301,12 @@ def _capacity_backward_case(L, C, r, q, k, v, do, cfg, capacity_bytes) -> SuiteR
     )
 
 
-def _forward_case(L, C, r, q, k, v, cfg, capacity_bytes, fwd_outputs) -> SuiteResult:
+def _forward_case(L, C, r, cfg, capacity_bytes, ref, fwd_outputs):
+    """The forward case's result and the kernel's context, for the backward case."""
     t0 = time.perf_counter_ns()
     arena = ScratchpadArena(capacity_bytes)
-    o_flash, _, report = flash_forward(q, k, v, cfg, arena)
-    o_naive, _ = naive_forward(q, k, v)
-    err = max_abs_diff(o_flash, o_naive)
+    o_flash, ctx, report = flash_forward(ref.q, ref.k, ref.v, cfg, arena)
+    err = math.inf if ref.forward is None else max_abs_diff(o_flash, ref.forward[0])
     exp_loads, exp_stores = expected_forward_traffic(L, C)
     traffic_ok = report.loads == exp_loads and report.stores == exp_stores
     sram_ok = (
@@ -307,24 +321,27 @@ def _forward_case(L, C, r, q, k, v, cfg, capacity_bytes, fwd_outputs) -> SuiteRe
         sram_ok=sram_ok,
         elapsed_ns=time.perf_counter_ns() - t0,
         ok=err <= ORACLE_TOL and traffic_ok and sram_ok,
-    )
+    ), ctx
 
 
-def _backward_case(L, C, r, q, k, v, do, cfg, capacity_bytes, bwd_grads) -> SuiteResult:
+def _backward_case(L, C, r, ctx, capacity_bytes, ref, bwd_grads) -> SuiteResult:
     t0 = time.perf_counter_ns()
-    _, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena(capacity_bytes))
+    cfg = ctx.cfg
     arena = ScratchpadArena(capacity_bytes)
-    dq, dk, dv, report = flash_backward(ctx, do, arena)
-    _, cache = naive_forward(q, k, v)
-    ndq, ndk, ndv = naive_backward(q, k, v, cache, do)
-    err = max(max_abs_diff(dq, ndq), max_abs_diff(dk, ndk), max_abs_diff(dv, ndv))
+    dq, dk, dv, report = flash_backward(ctx, ref.do, arena)
+    grads = (dq, dk, dv)
+    err = (
+        math.inf
+        if ref.grads is None
+        else max(max_abs_diff(a, b) for a, b in zip(grads, ref.grads))
+    )
     exp_loads, exp_stores = expected_backward_traffic(L, C)
     traffic_ok = report.loads == exp_loads and report.stores == exp_stores
     sram_ok = (
         report.peak_sram_bytes == peak_sram_backward(L, C, cfg)
         and arena.live_bytes == 0
     )
-    bwd_grads.append((dq, dk, dv))
+    bwd_grads.append(grads)
     return SuiteResult(
         case_id=f"bwd_L{L}_C{C}_r{r}",
         max_err=err,
@@ -624,20 +641,20 @@ def run_demo(
 
     roundtrip = max_abs_diff(x, window_reverse(windows, cfg))
 
-    stacked = DenseTensor((N, 1, L, C), windows.array)
+    stacked = DenseTensor._adopt(windows.array.reshape(N, 1, L, C))
     out, _, report = batched_flash_forward(
         stacked, stacked, stacked, tile, [ScratchpadArena(capacity_bytes)]
     )
 
     oracle_err = 0.0
     for n in range(N):
-        w = DenseTensor((L, C), windows.array[n])
+        w = DenseTensor._adopt(windows.array[n])
         o_ref, _ = naive_forward(w, w, w)
         oracle_err = max(
-            oracle_err, max_abs_diff(DenseTensor((L, C), out.array[n, 0]), o_ref)
+            oracle_err, max_abs_diff(DenseTensor._adopt(out.array[n, 0]), o_ref)
         )
 
-    image = window_reverse(DenseTensor((N, L, C), out.array), cfg)
+    image = window_reverse(DenseTensor._adopt(out.array.reshape(N, L, C)), cfg)
     lines = [
         f"image {H}x{W}x{C}, window {k}x{k} -> {N} windows of length {L}",
         f"round_trip_max_abs_diff: {roundtrip:g}",

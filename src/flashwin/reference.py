@@ -97,7 +97,8 @@ def naive_forward(
     equals the 2-D call on that problem.
     """
     _check_qkv(q, k, v)
-    s = params.scale * (q.array @ k.array.swapaxes(-1, -2))
+    s = q.array @ k.array.swapaxes(-1, -2)
+    s *= params.scale
     S = DenseTensor._adopt(s)
     P = softmax_rows(S)
     return DenseTensor._adopt(P.array @ v.array), AttnIntermediates(S=S, P=P)
@@ -114,7 +115,7 @@ def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
         raise ShapeError(f"shape mismatch: P {P.shape} vs dP {dP.shape}")
     p, dp = P.array, dP.array
     row_dot = (p * dp).sum(axis=-1, keepdims=True)
-    return DenseTensor(p.shape, p * (dp - row_dot))
+    return DenseTensor._adopt(p * (dp - row_dot))
 
 
 def naive_backward(
@@ -147,14 +148,12 @@ def naive_backward(
     p = cache.P.array
     dv = p.swapaxes(-1, -2) @ dO.array
     dp = dO.array @ v.array.swapaxes(-1, -2)
-    ds = softmax_backward(cache.P, DenseTensor(dp.shape, dp)).array
-    dq = params.scale * (ds @ k.array)
-    dk = params.scale * (ds.swapaxes(-1, -2) @ q.array)
-    return (
-        DenseTensor(dq.shape, dq),
-        DenseTensor(dk.shape, dk),
-        DenseTensor(dv.shape, dv),
-    )
+    ds = softmax_backward(cache.P, DenseTensor._adopt(dp)).array
+    dq = ds @ k.array
+    dq *= params.scale
+    dk = ds.swapaxes(-1, -2) @ q.array
+    dk *= params.scale
+    return DenseTensor._adopt(dq), DenseTensor._adopt(dk), DenseTensor._adopt(dv)
 
 
 def finite_diff_grad(

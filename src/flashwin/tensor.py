@@ -22,6 +22,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
+# Draws generated per step of fill_uniform (2**15 elements, 256 KiB per
+# uint64 buffer): small enough that a block's mixing stays in cache, large
+# enough that the per-block Python overhead does not show.
+_FILL_BLOCK = 1 << 15
+
 
 class DenseTensor:
     """Immutable row-major array with explicit shape.
@@ -138,24 +143,47 @@ def zeros(shape: Sequence[int]) -> DenseTensor:
 def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseTensor:
     """Tensor of i.i.d. uniform draws on [lo, hi) in row-major order.
 
-    Consumes exactly one SplitMix64 draw per element; the result is
-    bitwise identical to filling element by element with
-    ``rng.next_float()``.
+    Consumes exactly one SplitMix64 draw per element: element ``i`` is
+    ``lo + (hi - lo) * u`` with ``u`` the stream's ``i``-th
+    ``rng.next_float()``, bitwise, and the stream ends where ``n`` calls of
+    ``rng.next_u64()`` would leave it. The draws are generated in blocks
+    of :data:`_FILL_BLOCK` elements, each mixed in place in two reused
+    buffers and written straight into the one output array, which the
+    tensor adopts without a copy; so peak memory is the output plus two
+    blocks, whatever the size.
     """
     shape = tuple(int(e) for e in shape)
     _validate_shape(shape)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidRangeError(f"need lo < hi, got lo={lo}, hi={hi}")
     n = math.prod(shape)
-    # Vectorized SplitMix64: state for draw i is seed + (i+1)*GOLDEN mod 2^64.
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(rng._state) + np.uint64(_GOLDEN) * idx
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
+    out = np.empty(n, dtype=np.float64)
+    # Vectorized SplitMix64: the state for draw i (from 1) is seed + i*GOLDEN
+    # mod 2^64. Blocks are mixed in place in two reused buffers, so no
+    # temporary grows with n and the working set stays in cache.
+    m = min(n, _FILL_BLOCK)
+    offsets = np.arange(1, m + 1, dtype=np.uint64)
+    offsets *= np.uint64(_GOLDEN)
+    z, t = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+    for start in range(0, n, m):
+        size = min(m, n - start)
+        zb, tb = z[:size], t[:size]
+        np.add(offsets[:size], np.uint64((rng._state + start * _GOLDEN) & _MASK), out=zb)
+        np.right_shift(zb, np.uint64(30), out=tb)
+        zb ^= tb
+        zb *= np.uint64(_MIX1)
+        np.right_shift(zb, np.uint64(27), out=tb)
+        zb ^= tb
+        zb *= np.uint64(_MIX2)
+        np.right_shift(zb, np.uint64(31), out=tb)
+        zb ^= tb
+        zb >>= np.uint64(11)
+        block = out[start : start + size]
+        np.multiply(zb, 2.0**-53, out=block)
+        block *= hi - lo
+        block += lo
     rng._state = (rng._state + n * _GOLDEN) & _MASK
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return DenseTensor(shape, lo + (hi - lo) * u)
+    return DenseTensor._adopt(out.reshape(shape))
 
 
 def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:

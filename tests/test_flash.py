@@ -24,8 +24,10 @@ from flashwin import (
     naive_forward,
     peak_sram_backward,
     peak_sram_forward,
+    softmax_rows,
     zeros,
 )
+from flashwin.flash import _softmax_grad_inplace
 from flashwin.harness import FD_STEP, GRAD_TOL
 
 TOL = 1e-10
@@ -95,6 +97,20 @@ def test_chunked_score_accumulation_equals_full_product():
         for lo, hi in TileConfig(r=r).chunk_spans(64):
             acc += q.array[:, lo:hi] @ k.array[:, lo:hi].T
         assert np.abs(acc - full).max() <= TOL
+
+
+@pytest.mark.parametrize("L", [49, 64])
+def test_softmax_grad_equals_per_row_loop(L):
+    rng = Rng(70 + L)
+    p = softmax_rows(rand(rng, (L, L))).array.copy()
+    dp = rand(rng, (L, L)).array.copy()
+    want = dp.copy()
+    for i in range(L):
+        rho = float(np.dot(p[i], want[i]))
+        want[i] -= rho
+        want[i] *= p[i]
+    _softmax_grad_inplace(p, dp)
+    assert np.array_equal(dp, want)
 
 
 class TestFlashForward:
@@ -186,6 +202,17 @@ class TestFlashBackward:
         assert report.stores == {"dQ": L * C, "dK": L * C, "dV": L * C}
         assert report.peak_sram_bytes == peak_sram_backward(L, C, cfg)
         assert arena.live_bytes == 0
+
+    def test_gradients_are_read_only_and_reproducible(self):
+        q, k, v, do = make_qkv(61, 8, 32, n=4)
+        _, ctx, _ = flash_forward(q, k, v, TileConfig(r=2), ScratchpadArena())
+        grads = flash_backward(ctx, do, ScratchpadArena())[:3]
+        again = flash_backward(ctx, do, ScratchpadArena())[:3]
+        for g, fresh in zip(grads, again):
+            with pytest.raises(ValueError):
+                g.array[0, 0] = 1.0
+            assert np.array_equal(g.array, fresh.array)
+            assert not np.shares_memory(g.array, fresh.array)
 
     def test_peak_holds_when_chunks_wider_than_sequence(self):
         # C/r > L stresses the gradient-phase schedule

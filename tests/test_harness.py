@@ -3,10 +3,11 @@
 import csv
 import io
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from flashwin import NumericsError, harness
+from flashwin import DenseTensor, NumericsError, harness
 from flashwin.cli import main
 from flashwin.harness import (
     BENCH_COLUMNS,
@@ -80,6 +81,49 @@ class TestCheckSuite:
         assert len(capacity) == 6
         assert not any(r.ok for r in capacity)
         assert all(r.sram_ok for r in capacity)  # the kernel still refused
+
+    # L*C > 256 keeps the finite-difference oracle, which also runs the
+    # untiled forward, out of these grids.
+    KERNEL_GRID = dict(Ls=[16], Cs=[32, 64], r_values=[1, 2, 4])
+
+    def test_kernel_cases_share_one_reference_run_per_shape(self, monkeypatch):
+        calls = []
+        for name in ("naive_forward", "naive_backward", "flash_forward"):
+
+            def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+                calls.append((_name, args[0].shape))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        results = run_check_suite(seed=42, **self.KERNEL_GRID)
+        assert sum(r.case_id.startswith(("fwd_", "bwd_")) for r in results) == 12
+        assert all(r.ok for r in results)
+        # One forward and one backward reference per (L, C); the backward
+        # cases reuse their forward case's context instead of a second forward.
+        assert Counter(calls) == {
+            call: n
+            for C in (32, 64)
+            for call, n in [
+                (("naive_forward", (16, C)), 1),
+                (("naive_backward", (16, C)), 1),
+                (("flash_forward", (16, C)), 3),
+            ]
+        }
+
+    @pytest.mark.parametrize("broken", ["naive_forward", "naive_backward"])
+    def test_kernel_cases_fail_when_shared_reference_fails(self, monkeypatch, broken):
+        def raising(*args, **kwargs):
+            raise NumericsError("reference failed")
+
+        monkeypatch.setattr(harness, broken, raising)
+        results = run_check_suite(seed=42, **self.KERNEL_GRID)
+        fwd = [r for r in results if r.case_id.startswith("fwd_")]
+        bwd = [r for r in results if r.case_id.startswith("bwd_")]
+        assert len(fwd) == len(bwd) == 6
+        assert all(r.traffic_ok and r.sram_ok for r in fwd + bwd)  # the kernels still ran
+        assert not any(r.ok for r in bwd)
+        assert all(r.ok for r in fwd) == (broken == "naive_backward")
+        assert all(r.ok for r in results if not r.case_id.startswith(("fwd_", "bwd_")))
 
     def test_gradient_oracle_memory_stays_bounded(self):
         # One copy's scores are 256x256: the stacked oracle must not stack many.
@@ -192,6 +236,18 @@ class TestDemo:
         text = run_demo(H=7, W=7, C=16, k=7, seed=1)
         assert "1 windows of length 49" in text
         assert "round_trip_max_abs_diff: 0" in text
+
+    def test_makes_no_tensor_copies(self, monkeypatch):
+        copies = []
+        real = DenseTensor.__init__
+
+        def counted(self, *args, **kwargs):
+            copies.append(args[0])
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DenseTensor, "__init__", counted)
+        assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)
+        assert copies == []
 
     def test_multi_window_geometry(self):
         text = run_demo(H=28, W=28, C=32, k=7, seed=1)

@@ -249,6 +249,22 @@ class TestNaiveBackward:
         with pytest.raises(ShapeError):
             naive_backward(q, k, v, cache, do)
 
+    def test_gradients_are_read_only_and_reproducible(self):
+        rng = Rng(30)
+        q, k, v, do = (rand(rng, (6, 4)) for _ in range(4))
+        dp = rand(rng, (6, 6))
+        params = AttnParams(scale=0.5)
+        _, cache = naive_forward(q, k, v, params)
+
+        def outputs():
+            return (*naive_backward(q, k, v, cache, do, params), softmax_backward(cache.P, dp))
+
+        for got, fresh in zip(outputs(), outputs()):
+            with pytest.raises(ValueError):
+                got.array[0, 0] = 1.0
+            assert np.array_equal(got.array, fresh.array)
+            assert not np.shares_memory(got.array, fresh.array)
+
     def test_cache_shape_consistency_checked(self):
         rng = Rng(24)
         q, k, v, do = (rand(rng, (4, 3)) for _ in range(4))

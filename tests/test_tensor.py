@@ -1,5 +1,7 @@
 """Tensor substrate: creation, deterministic filling, matmul, comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from flashwin import (
     max_abs_diff,
     zeros,
 )
+from flashwin.tensor import _FILL_BLOCK
 
 
 class TestZeros:
@@ -64,6 +67,39 @@ class TestFillUniform:
         expected = [rng.next_float() for _ in range(12)]
         got = fill_uniform(Rng(55), [3, 4], 0.0, 1.0)
         assert got.array.reshape(-1).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n", [_FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1, 2 * _FILL_BLOCK + 3]
+    )
+    def test_blocked_fill_matches_scalar_draws_across_block_edges(self, n):
+        lo, hi = -2.5, 4.0
+        rng = Rng(77)
+        expected = [lo + (hi - lo) * rng.next_float() for _ in range(n)]
+        assert fill_uniform(Rng(77), [n], lo, hi).array.tolist() == expected
+
+    def test_multi_block_fill_leaves_the_stream_after_n_draws(self):
+        n = 2 * _FILL_BLOCK + 3
+        filled, stepped = Rng(91), Rng(91)
+        fill_uniform(filled, [n], 0.0, 1.0)
+        for _ in range(n):
+            stepped.next_u64()
+        assert [filled.next_u64() for _ in range(3)] == [stepped.next_u64() for _ in range(3)]
+
+    def test_filled_tensor_is_read_only(self):
+        t = fill_uniform(Rng(3), [2, _FILL_BLOCK + 1], -1.0, 1.0)
+        assert not t.array.flags.writeable
+        with pytest.raises(ValueError):
+            t.array[1, -1] = 0.0
+
+    def test_large_fill_allocates_little_beyond_its_output(self):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            fill_uniform(Rng(1), [n], -1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n
 
     def test_fill_advances_the_stream(self):
         rng = Rng(55)

@@ -1,22 +1,29 @@
-"""In-process A/B timing of the wide_fwd operation: a git rev against the working tree.
+"""In-process A/B timing of a benchmark operation: a git rev against the working tree.
 
 Usage (from the repository root)::
 
     python tools/ab_interleave.py --rev HEAD~1 --pairs 200
+    python tools/ab_interleave.py --rev HEAD~1 --pairs 50 --workload verify
 
 The rev's ``src/flashwin`` is extracted with ``git archive`` into a
 temporary directory under the package name ``flashwin_base``; the working
-tree's ``src/flashwin`` is imported as ``flashwin``. Both run the
-operation ``flashbench`` calls ``wide_fwd`` (one 32x32x1024 image, 8x8
-windows, 4 heads: partition -> batched tiled forward with Q=K=V and one
-arena -> reverse), alternating which tree goes first in each pair. Every
-operation is gated as the benchmark gates it: the arena ends idle and the
-reported forward peak equals the closed form. Pairing in one process
-removes the drift between processes that dominates short separate runs.
+tree's ``src/flashwin`` is imported as ``flashwin``. Both run the same
+operation, alternating which tree goes first in each pair:
+
+* ``wide_fwd`` (default): one 32x32x1024 image, 8x8 windows, 4 heads:
+  partition -> batched tiled forward with Q=K=V and one arena -> reverse.
+  Gated as the benchmark gates it: the arena ends idle and the reported
+  forward peak equals the closed form.
+* ``verify``: one ``run_check_suite`` pass on the benchmark's verify grid.
+  Gated on every case being ok.
+
+Pairing in one process removes the drift between processes that dominates
+short separate runs.
 
 Prints, per tree, the min, p10 and median operation time in ms, then the
 median over pairs of change/base time and how many pairs had bitwise-equal
-outputs. Dev tooling only: needs git and numpy.
+outputs (the output image, or the rendered check table). Dev tooling only:
+needs git and numpy.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# The wide_fwd geometry of flashbench/workloads.py.
+# The wide_fwd geometry and the verify grid of flashbench/workloads.py.
 SIDE, CHANNELS, WINDOW, HEADS = 32, 1024, 8, 4
+VERIFY_GRID = dict(Ls=(1, 2, 8, 49, 64, 1024), Cs=(16, 32, 64), r_values=(1, 2, 4, "auto"))
 POOL, SEED = 4, 1
 WARMUP = 5  # untimed pairs first: caches, lazy imports, the heap
 
@@ -57,7 +65,7 @@ class WideForward:
         self.images = [fw.fill_uniform(rng, (SIDE, SIDE, CHANNELS), -1.0, 1.0) for _ in range(POOL)]
 
     def run(self, i: int):
-        """One gated operation on input set ``i``; returns (elapsed ns, output image)."""
+        """One gated operation on input set ``i``; returns (elapsed ns, output image bytes)."""
         fw = self.fw
         t0 = time.perf_counter_ns()
         w = fw.window_partition(self.images[i % POOL], self.win).array
@@ -74,7 +82,29 @@ class WideForward:
                 f"gate failed in {fw.__name__}: {arena.live_bytes} live bytes, "
                 f"peak {report.peak_sram_bytes} B (closed form {self.peak} B)"
             )
-        return elapsed, image.array
+        return elapsed, image.array.tobytes()
+
+
+class Verify:
+    """One check-suite pass on the verify grid, bound to one copy of the package."""
+
+    def __init__(self, fw, seed: int):
+        self.fw = fw
+        self.seed = seed
+        self.harness = importlib.import_module(f"{fw.__name__}.harness")
+
+    def run(self, i: int):
+        """One gated pass; returns (elapsed ns, rendered table)."""
+        t0 = time.perf_counter_ns()
+        results = self.harness.run_check_suite(self.seed, **VERIFY_GRID)
+        elapsed = time.perf_counter_ns() - t0
+        failed = [r.case_id for r in results if not r.ok]
+        if failed:
+            raise SystemExit(f"gate failed in {self.fw.__name__}: cases {failed} not ok")
+        return elapsed, self.harness.render_suite_table(results)
+
+
+WORKLOADS = {"wide_fwd": WideForward, "verify": Verify}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -98,6 +128,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--rev", default="HEAD", help="git rev to compare against (default HEAD)")
     p.add_argument("--pairs", type=int, default=200, help="timed pairs (default 200)")
+    p.add_argument("--workload", choices=tuple(WORKLOADS), default="wide_fwd")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -107,9 +138,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         extract(args.rev, Path(tmp))
         sys.path[:0] = [tmp, str(ROOT / "src")]
+        workload = WORKLOADS[args.workload]
         sides = (
-            ("base", WideForward(importlib.import_module("flashwin_base"), SEED)),
-            ("change", WideForward(importlib.import_module("flashwin"), SEED)),
+            ("base", workload(importlib.import_module("flashwin_base"), SEED)),
+            ("change", workload(importlib.import_module("flashwin"), SEED)),
         )
         times = {"base": [], "change": []}
         ratios, equal = [], 0
@@ -120,9 +152,9 @@ def main(argv=None) -> int:
             for name, (ns, _) in got.items():
                 times[name].append(ns)
             ratios.append(got["change"][0] / got["base"][0])
-            equal += bool((got["change"][1] == got["base"][1]).all())
+            equal += got["change"][1] == got["base"][1]
 
-    print(f"wide_fwd, {args.pairs} pairs after {WARMUP} warm-up, base = {args.rev}")
+    print(f"{args.workload}, {args.pairs} pairs after {WARMUP} warm-up, base = {args.rev}")
     for name in ("base", "change"):
         print(f"{name:<7} {summary(times[name])}")
     print(f"paired median change/base: {statistics.median(ratios):.3f}")
