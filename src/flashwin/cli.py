@@ -132,7 +132,7 @@ def cmd_traffic(args) -> int:
     summary = run_traffic(
         L=args.L,
         C=args.C,
-        r=resolve_r(args.r if args.r == "auto" else int(args.r), args.C),
+        r=resolve_r(args.r, args.C),
         elem_bytes=args.elem_bytes,
         seed=args.seed,
         capacity_bytes=args.capacity_bytes,
@@ -147,14 +147,12 @@ def cmd_traffic(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 3:
-        raise FlashwinError(f"--repeats must be >= 3, got {args.repeats}")
     rows = run_bench(
         batches=args.batch,
         heads=args.heads,
         L=args.L,
         Cs=args.C,
-        r_value=args.r if args.r == "auto" else int(args.r),
+        r_value=args.r,
         pass_=args.pass_,
         repeats=args.repeats,
         seed=args.seed,

@@ -26,14 +26,21 @@ features per chunk):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ContextError, FlashwinError, InvalidRangeError, ShapeError
+from .errors import (
+    CapacityError,
+    ContextError,
+    FlashwinError,
+    InvalidRangeError,
+    NumericsError,
+    ShapeError,
+)
 from .memory import OnChipBuffer, ScratchpadArena, TrafficReport, merge_reports
+from .reference import AttnParams, _softmax_rows
 from .tensor import DenseTensor
 
 
@@ -50,8 +57,7 @@ class TileConfig:
             raise InvalidRangeError(f"chunk count must be >= 1, got {self.r}")
         if self.elem_bytes not in (4, 8):
             raise InvalidRangeError(f"elem_bytes must be 4 or 8, got {self.elem_bytes}")
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise InvalidRangeError(f"scale must be finite and > 0, got {self.scale}")
+        AttnParams(scale=self.scale)  # validates the scale
 
     def chunk_width(self, C: int) -> int:
         """Widest chunk, ceil(C/r); validates that r chunks of C features exist."""
@@ -82,16 +88,19 @@ class FlashContext:
 
 def peak_sram_forward(L: int, C: int, cfg: TileConfig) -> int:
     """Closed-form forward scratchpad peak: (L^2 + 2*L*cw) elements in bytes."""
-    if L < 1 or C < 1:
-        raise ShapeError(f"L and C must be >= 1, got L={L}, C={C}")
-    return (L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
+    return _peak_sram(L, C, cfg, score_buffers=1)
 
 
 def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
     """Closed-form backward scratchpad peak: (2*L^2 + 2*L*cw) elements in bytes."""
+    return _peak_sram(L, C, cfg, score_buffers=2)
+
+
+def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
+    # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
     if L < 1 or C < 1:
         raise ShapeError(f"L and C must be >= 1, got L={L}, C={C}")
-    return (2 * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
+    return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
 
 
 def _check_budget(kind: str, need: int, arena: ScratchpadArena) -> None:
@@ -132,12 +141,6 @@ def _store(stores: dict[str, int], operand: str, dest: np.ndarray, src: np.ndarr
     stores[operand] += src.size
 
 
-def _softmax_rows_inplace(s: np.ndarray) -> None:
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-
-
 def _softmax_grad_inplace(p: np.ndarray, dp: np.ndarray) -> None:
     # dp becomes dS = P * (dP - rowdot). The L row dots are per-row scalars,
     # which the arena does not model; vecdot gives each the same bits as a
@@ -157,11 +160,15 @@ def flash_forward(
 
     Returns the output, a context holding the Q/K/V references needed to
     recompute the weights in backward, and the instrumented traffic report.
-    The arena's peak equals ``peak_sram_forward`` when it starts idle.
+    The report's peak is this call's, above the arena's live bytes on
+    entry, and equals ``peak_sram_forward``. Non-finite scores raise
+    :class:`NumericsError`, as in the untiled reference, and leave the
+    arena at its entry live bytes.
     """
     L, C = _check_qkv_2d(q, k, v)
     spans = cfg.chunk_spans(C)
     _check_budget("forward", peak_sram_forward(L, C, cfg), arena)
+    entry = arena.mark()
 
     # Seeded in first-touch order, which is the order reports list them in.
     loads = {"Q": 0, "K": 0, "V": 0}
@@ -178,7 +185,11 @@ def flash_forward(
         arena.free(ki)
 
     scores.array *= cfg.scale
-    _softmax_rows_inplace(scores.array)  # buffer now holds P
+    try:
+        _softmax_rows(scores.array, scores.array)  # buffer now holds P
+    except NumericsError:
+        arena.free(scores)
+        raise
 
     for lo, hi in spans:
         vi = _load(arena, loads, "V", vg[:, lo:hi], cfg.elem_bytes, "V_i")
@@ -189,7 +200,7 @@ def flash_forward(
         arena.free(oi)
     arena.free(scores)
 
-    report = TrafficReport(loads=loads, stores=stores, peak_sram_bytes=arena.peak_bytes)
+    report = TrafficReport(loads, stores, peak_sram_bytes=arena.mark_peak_bytes - entry)
     return DenseTensor._adopt(og), FlashContext(q=q, k=k, v=v, cfg=cfg), report
 
 
@@ -201,7 +212,8 @@ def flash_backward(
     """Tiled attention backward: recompute weights on chip, stream gradients out.
 
     Q and K cross the global-memory boundary twice (recompute phase and
-    gradient phase); V, dO, dQ, dK, dV once each.
+    gradient phase); V, dO, dQ, dK, dV once each. The peak and the
+    non-finite contract are those of :func:`flash_forward`.
     """
     if not isinstance(ctx, FlashContext) or not all(
         isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)
@@ -213,6 +225,7 @@ def flash_backward(
     cfg = ctx.cfg
     spans = cfg.chunk_spans(C)
     _check_budget("backward", peak_sram_backward(L, C, cfg), arena)
+    entry = arena.mark()
 
     loads = {"Q": 0, "K": 0, "dO": 0, "V": 0}
     stores = {"dV": 0, "dQ": 0, "dK": 0}
@@ -231,7 +244,12 @@ def flash_backward(
         arena.free(qi)
         arena.free(ki)
     weights.array *= cfg.scale
-    _softmax_rows_inplace(weights.array)
+    try:
+        _softmax_rows(weights.array, weights.array)
+    except NumericsError:
+        arena.free(weights)
+        arena.free(dweights)
+        raise
 
     # Phase 2: stream dV out while accumulating dP. The dP update runs
     # first so the freed V_i slot can host the dV_i tile.
@@ -266,7 +284,7 @@ def flash_backward(
         arena.free(qi)
     arena.free(dweights)
 
-    report = TrafficReport(loads=loads, stores=stores, peak_sram_bytes=arena.peak_bytes)
+    report = TrafficReport(loads, stores, peak_sram_bytes=arena.mark_peak_bytes - entry)
     dq, dk, dv = (DenseTensor._adopt(g) for g in (dqg, dkg, dvg))
     return dq, dk, dv, report
 

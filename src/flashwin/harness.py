@@ -1,9 +1,9 @@
 """Correctness suites, traffic reports, benchmark tables, and the demo walkthrough.
 
 Everything here is deterministic given a seed: per-case inputs come from
-split child streams of one master generator, and printed tables carry no
-wall-clock data (timings live in the returned records only), so identical
-seeds and grids produce identical bytes.
+split child streams of one master generator, and the check, traffic and
+demo texts carry no wall-clock data (only ``bench`` rows do), so
+identical seeds and grids produce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence, get_type_hints
 
 from .errors import CapacityError, FlashwinError
 from .flash import (
-    FlashContext,
     TileConfig,
     batched_flash_forward,
     flash_backward,
@@ -27,7 +26,7 @@ from .flash import (
     peak_sram_forward,
 )
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, TrafficReport, merge_reports
-from .reference import AttnParams, finite_diff_grad, naive_backward, naive_forward
+from .reference import finite_diff_grad, naive_backward, naive_forward
 from .tensor import DenseTensor, Rng, fill_uniform, max_abs_diff
 from .windowing import WindowConfig, window_partition, window_reverse
 
@@ -45,34 +44,22 @@ ROUNDTRIP_GEOMETRIES = [
     (224, 224, 3, 7),
 ]
 
-BENCH_COLUMNS = [
-    "batch",
-    "heads",
-    "L",
-    "C",
-    "r",
-    "impl",
-    "pass",
-    "elapsed_ns",
-    "peak_sram_bytes",
-    "total_global_elements",
-]
-
 
 @dataclass
 class SuiteResult:
-    """Outcome of one check case; timings are kept out of the printed table."""
+    """Outcome of one check case, as printed in the table."""
 
     case_id: str
     max_err: float
     traffic_ok: bool
     sram_ok: bool
-    elapsed_ns: int
     ok: bool
 
 
 @dataclass
 class BenchRow:
+    """One CSV row of ``bench``: the fields in order, ``pass_`` as column ``pass``."""
+
     batch: int
     heads: int
     L: int
@@ -84,34 +71,13 @@ class BenchRow:
     peak_sram_bytes: int
     total_global_elements: int
 
-    def as_csv_row(self) -> list:
-        return [
-            self.batch,
-            self.heads,
-            self.L,
-            self.C,
-            self.r,
-            self.impl,
-            self.pass_,
-            self.elapsed_ns,
-            self.peak_sram_bytes,
-            self.total_global_elements,
-        ]
-
     @classmethod
     def from_csv_row(cls, row: Sequence[str]) -> "BenchRow":
-        return cls(
-            batch=int(row[0]),
-            heads=int(row[1]),
-            L=int(row[2]),
-            C=int(row[3]),
-            r=int(row[4]),
-            impl=row[5],
-            pass_=row[6],
-            elapsed_ns=int(row[7]),
-            peak_sram_bytes=int(row[8]),
-            total_global_elements=int(row[9]),
-        )
+        types = get_type_hints(cls)
+        return cls(*(types[f.name](value) for f, value in zip(fields(cls), row)))
+
+
+BENCH_COLUMNS = [f.name.rstrip("_") for f in fields(BenchRow)]
 
 
 def resolve_r(value: str | int, C: int) -> int:
@@ -184,54 +150,98 @@ def run_check_suite(
     master = Rng(seed)
 
     for H, W, C, k in ROUNDTRIP_GEOMETRIES:
-        t0 = time.perf_counter_ns()
         cfg = WindowConfig(H=H, W=W, C=C, k=k)
         x = _rand(master.split(), (H, W, C))
         err = max_abs_diff(x, window_reverse(window_partition(x, cfg), cfg))
-        results.append(
-            SuiteResult(
-                case_id=f"roundtrip_{H}x{W}x{C}_k{k}",
-                max_err=err,
-                traffic_ok=True,
-                sram_ok=True,
-                elapsed_ns=time.perf_counter_ns() - t0,
-                ok=err == 0.0,
-            )
-        )
+        results.append(_result(f"roundtrip_{H}x{W}x{C}_k{k}", err, tol=0.0))
 
     for L in Ls:
         for C in Cs:
             rng = master.split()
             q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
-            rs = _valid_chunk_counts(C, r_values)
             ref = _Reference(q, k, v, do)
             fd_grads = None
-            fwd_outputs: list[DenseTensor] = []
-            bwd_grads: list[tuple[DenseTensor, DenseTensor, DenseTensor]] = []
+            # Outputs of each chunk count, for the chunk-count invariance case.
+            fwd_runs: list[Sequence[DenseTensor]] = []
+            bwd_runs: list[Sequence[DenseTensor]] = []
 
-            for r in rs:
+            for r in _valid_chunk_counts(C, r_values):
+                tag = f"L{L}_C{C}_r{r}"
                 cfg = TileConfig(r=r, elem_bytes=elem_bytes)
-                if peak_sram_forward(L, C, cfg) > capacity_bytes:
-                    results.append(_capacity_case(L, C, r, cfg, capacity_bytes, ref))
+                fwd_peak = peak_sram_forward(L, C, cfg)
+                if fwd_peak > capacity_bytes:
+                    refused = _refuses(flash_forward, q, k, v, cfg, ScratchpadArena(capacity_bytes))
+                    err = math.inf if ref.forward is None else 0.0
+                    results.append(_result(f"capacity_fwd_{tag}", err, sram_ok=refused))
                     continue
 
-                result, ctx = _forward_case(L, C, r, cfg, capacity_bytes, ref, fwd_outputs)
-                results.append(result)
-                if peak_sram_backward(L, C, cfg) > capacity_bytes:
-                    results.append(_capacity_backward_case(L, C, r, ctx, do, capacity_bytes))
+                arena = ScratchpadArena(capacity_bytes)
+                o, ctx, rep = flash_forward(q, k, v, cfg, arena)
+                fwd_runs.append((o,))
+                want = None if ref.forward is None else ref.forward[:1]
+                expected = expected_forward_traffic(L, C), fwd_peak
+                results.append(_kernel_case(f"fwd_{tag}", (o,), want, rep, arena, expected))
+
+                bwd_peak = peak_sram_backward(L, C, cfg)
+                if bwd_peak > capacity_bytes:
+                    refused = _refuses(flash_backward, ctx, do, ScratchpadArena(capacity_bytes))
+                    results.append(_result(f"capacity_bwd_{tag}", 0.0, sram_ok=refused))
                     continue
-                results.append(_backward_case(L, C, r, ctx, capacity_bytes, ref, bwd_grads))
+
+                arena = ScratchpadArena(capacity_bytes)
+                *grads, rep = flash_backward(ctx, do, arena)
+                bwd_runs.append(grads)
+                expected = expected_backward_traffic(L, C), bwd_peak
+                results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, rep, arena, expected))
                 if L * C <= 256:
                     if fd_grads is None:
                         fd_grads = _finite_diff_grads(q, k, v, do)
-                    results.append(
-                        _gradient_case(L, C, r, fd_grads, bwd_grads[-1])
-                    )
+                    err = _max_diff(grads, fd_grads)
+                    results.append(_result(f"grad_{tag}", err, tol=GRAD_TOL))
 
-            if len(fwd_outputs) >= 2:
-                results.append(_invariance_case(L, C, fwd_outputs, bwd_grads))
+            if len(fwd_runs) >= 2:
+                err = max(
+                    _max_diff(runs[0], run) for runs in (fwd_runs, bwd_runs) for run in runs[1:]
+                )
+                results.append(_result(f"chunkinv_L{L}_C{C}", err))
 
     return results
+
+
+def _result(
+    case_id: str,
+    err: float,
+    tol: float = ORACLE_TOL,
+    traffic_ok: bool = True,
+    sram_ok: bool = True,
+) -> SuiteResult:
+    return SuiteResult(case_id, err, traffic_ok, sram_ok, err <= tol and traffic_ok and sram_ok)
+
+
+def _kernel_case(case_id, got, want, report, arena, expected) -> SuiteResult:
+    """Kernel outputs against the shared reference's (None: it raised) and the closed forms."""
+    err = math.inf if want is None else _max_diff(got, want)
+    traffic_ok, peak_ok = _closed_form(report, expected)
+    return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and arena.live_bytes == 0)
+
+
+def _closed_form(report: TrafficReport, expected) -> tuple[bool, bool]:
+    """Whether a report's (loads, stores) and its peak equal ``expected``'s closed forms."""
+    traffic, peak = expected
+    return (report.loads, report.stores) == traffic, report.peak_sram_bytes == peak
+
+
+def _refuses(kernel, *args) -> bool:
+    """Whether the kernel raises CapacityError on these arguments."""
+    try:
+        kernel(*args)
+    except CapacityError:
+        return True
+    return False
+
+
+def _max_diff(got: Sequence[DenseTensor], want: Sequence[DenseTensor]) -> float:
+    return max(max_abs_diff(a, b) for a, b in zip(got, want))
 
 
 @dataclass
@@ -266,92 +276,6 @@ class _Reference:
             return None
 
 
-def _capacity_case(L, C, r, cfg, capacity_bytes, ref) -> SuiteResult:
-    """Footprint exceeds the budget: the kernel must refuse, the oracle must not."""
-    t0 = time.perf_counter_ns()
-    refused = False
-    try:
-        flash_forward(ref.q, ref.k, ref.v, cfg, ScratchpadArena(capacity_bytes))
-    except CapacityError:
-        refused = True
-    return SuiteResult(
-        case_id=f"capacity_fwd_L{L}_C{C}_r{r}",
-        max_err=0.0,
-        traffic_ok=True,
-        sram_ok=refused,
-        elapsed_ns=time.perf_counter_ns() - t0,
-        ok=refused and ref.forward is not None,
-    )
-
-
-def _capacity_backward_case(L, C, r, ctx, do, capacity_bytes) -> SuiteResult:
-    t0 = time.perf_counter_ns()
-    refused = False
-    try:
-        flash_backward(ctx, do, ScratchpadArena(capacity_bytes))
-    except CapacityError:
-        refused = True
-    return SuiteResult(
-        case_id=f"capacity_bwd_L{L}_C{C}_r{r}",
-        max_err=0.0,
-        traffic_ok=True,
-        sram_ok=refused,
-        elapsed_ns=time.perf_counter_ns() - t0,
-        ok=refused,
-    )
-
-
-def _forward_case(L, C, r, cfg, capacity_bytes, ref, fwd_outputs):
-    """The forward case's result and the kernel's context, for the backward case."""
-    t0 = time.perf_counter_ns()
-    arena = ScratchpadArena(capacity_bytes)
-    o_flash, ctx, report = flash_forward(ref.q, ref.k, ref.v, cfg, arena)
-    err = math.inf if ref.forward is None else max_abs_diff(o_flash, ref.forward[0])
-    exp_loads, exp_stores = expected_forward_traffic(L, C)
-    traffic_ok = report.loads == exp_loads and report.stores == exp_stores
-    sram_ok = (
-        report.peak_sram_bytes == peak_sram_forward(L, C, cfg)
-        and arena.live_bytes == 0
-    )
-    fwd_outputs.append(o_flash)
-    return SuiteResult(
-        case_id=f"fwd_L{L}_C{C}_r{r}",
-        max_err=err,
-        traffic_ok=traffic_ok,
-        sram_ok=sram_ok,
-        elapsed_ns=time.perf_counter_ns() - t0,
-        ok=err <= ORACLE_TOL and traffic_ok and sram_ok,
-    ), ctx
-
-
-def _backward_case(L, C, r, ctx, capacity_bytes, ref, bwd_grads) -> SuiteResult:
-    t0 = time.perf_counter_ns()
-    cfg = ctx.cfg
-    arena = ScratchpadArena(capacity_bytes)
-    dq, dk, dv, report = flash_backward(ctx, ref.do, arena)
-    grads = (dq, dk, dv)
-    err = (
-        math.inf
-        if ref.grads is None
-        else max(max_abs_diff(a, b) for a, b in zip(grads, ref.grads))
-    )
-    exp_loads, exp_stores = expected_backward_traffic(L, C)
-    traffic_ok = report.loads == exp_loads and report.stores == exp_stores
-    sram_ok = (
-        report.peak_sram_bytes == peak_sram_backward(L, C, cfg)
-        and arena.live_bytes == 0
-    )
-    bwd_grads.append(grads)
-    return SuiteResult(
-        case_id=f"bwd_L{L}_C{C}_r{r}",
-        max_err=err,
-        traffic_ok=traffic_ok,
-        sram_ok=sram_ok,
-        elapsed_ns=time.perf_counter_ns() - t0,
-        ok=err <= ORACLE_TOL and traffic_ok and sram_ok,
-    )
-
-
 def _finite_diff_grads(q, k, v, do):
     """Central differences of <dO, O> through the untiled forward pass.
 
@@ -367,37 +291,6 @@ def _finite_diff_grads(q, k, v, do):
     fd_k = finite_diff_grad(lambda t: dot((q, t, v)), k, FD_STEP)
     fd_v = finite_diff_grad(lambda t: dot((q, k, t)), v, FD_STEP)
     return fd_q, fd_k, fd_v
-
-
-def _gradient_case(L, C, r, fd_grads, flash_grads) -> SuiteResult:
-    t0 = time.perf_counter_ns()
-    err = max(max_abs_diff(a, b) for a, b in zip(flash_grads, fd_grads))
-    return SuiteResult(
-        case_id=f"grad_L{L}_C{C}_r{r}",
-        max_err=err,
-        traffic_ok=True,
-        sram_ok=True,
-        elapsed_ns=time.perf_counter_ns() - t0,
-        ok=err <= GRAD_TOL,
-    )
-
-
-def _invariance_case(L, C, fwd_outputs, bwd_grads) -> SuiteResult:
-    t0 = time.perf_counter_ns()
-    err = 0.0
-    for other in fwd_outputs[1:]:
-        err = max(err, max_abs_diff(fwd_outputs[0], other))
-    for other in bwd_grads[1:]:
-        for a, b in zip(bwd_grads[0], other):
-            err = max(err, max_abs_diff(a, b))
-    return SuiteResult(
-        case_id=f"chunkinv_L{L}_C{C}",
-        max_err=err,
-        traffic_ok=True,
-        sram_ok=True,
-        elapsed_ns=time.perf_counter_ns() - t0,
-        ok=err <= ORACLE_TOL,
-    )
 
 
 def render_suite_table(results: list[SuiteResult]) -> str:
@@ -431,16 +324,9 @@ class TrafficSummary:
 
     @property
     def consistent(self) -> bool:
-        exp_fl, exp_fs = expected_forward_traffic(self.L, self.C)
-        exp_bl, exp_bs = expected_backward_traffic(self.L, self.C)
-        return (
-            self.forward.loads == exp_fl
-            and self.forward.stores == exp_fs
-            and self.backward.loads == exp_bl
-            and self.backward.stores == exp_bs
-            and self.forward.peak_sram_bytes == self.forward_peak_formula
-            and self.backward.peak_sram_bytes == self.backward_peak_formula
-        )
+        fwd = expected_forward_traffic(self.L, self.C), self.forward_peak_formula
+        bwd = expected_backward_traffic(self.L, self.C), self.backward_peak_formula
+        return all(_closed_form(self.forward, fwd) + _closed_form(self.backward, bwd))
 
 
 def run_traffic(
@@ -529,46 +415,32 @@ def run_bench(
             shape = (batch, heads, L, C)
             q, k, v, do = (_rand(rng, shape) for _ in range(4))
 
-            flash_ns, flash_traffic, flash_peak = _time_flash(
-                q, k, v, do, cfg, pass_, repeats, capacity_bytes
-            )
+            flash_ns, merged = _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes)
             naive_ns = _time_naive(q, k, v, do, pass_, repeats)
-            rows.append(
-                BenchRow(
-                    batch=batch,
-                    heads=heads,
-                    L=L,
-                    C=C,
-                    r=r,
-                    impl="naive",
-                    pass_=pass_,
-                    elapsed_ns=naive_ns,
-                    peak_sram_bytes=0,
-                    total_global_elements=batch * heads * naive_total_elements(L, C, pass_),
-                )
-            )
-            rows.append(
-                BenchRow(
-                    batch=batch,
-                    heads=heads,
-                    L=L,
-                    C=C,
-                    r=r,
-                    impl="flash",
-                    pass_=pass_,
-                    elapsed_ns=flash_ns,
-                    peak_sram_bytes=flash_peak,
-                    total_global_elements=flash_traffic,
-                )
-            )
+            for impl, ns, peak, elements in (
+                ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
+                ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
+            ):
+                rows.append(BenchRow(batch, heads, L, C, r, impl, pass_, ns, peak, elements))
 
     rows.sort(key=lambda b: (b.batch, b.heads, b.L, b.C, b.r, b.impl, b.pass_))
     return rows
 
 
+def _median_ns(run: Callable[[], object], repeats: int) -> tuple[int, object]:
+    """Median wall time of ``repeats`` calls after one warm-up call, and the last result."""
+    result = run()  # warm-up
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter_ns()
+        result = run()
+        samples.append(time.perf_counter_ns() - t0)
+    return int(statistics.median(samples)), result
+
+
 def _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes):
+    """Median time of the tiled path, and the merged report of its last run."""
     B, h = q.shape[:2]
-    merged: TrafficReport | None = None
 
     def run() -> TrafficReport:
         arena = ScratchpadArena(capacity_bytes)
@@ -582,13 +454,7 @@ def _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes):
                     reports.append(bwd_rep)
         return merge_reports(reports)
 
-    run()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        merged = run()
-        samples.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(samples)), merged.total_elements(), merged.peak_sram_bytes
+    return _median_ns(run, repeats)
 
 
 def _time_naive(q, k, v, do, pass_, repeats):
@@ -605,20 +471,14 @@ def _time_naive(q, k, v, do, pass_, repeats):
                     sdo = DenseTensor._adopt(do.array[b, head])
                     naive_backward(sq, sk, sv, cache, sdo)
 
-    run()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        run()
-        samples.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(samples))
+    return _median_ns(run, repeats)[0]
 
 
 def write_bench_csv(rows: Sequence[BenchRow], out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for row in rows:
-        writer.writerow(row.as_csv_row())
+        writer.writerow(astuple(row))
 
 
 def run_demo(

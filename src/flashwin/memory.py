@@ -44,7 +44,11 @@ class OnChipBuffer:
 
 
 class ScratchpadArena:
-    """On-chip memory simulator tracking live bytes and peak occupancy."""
+    """On-chip memory simulator tracking live bytes and peak occupancy.
+
+    ``peak_bytes`` is the lifetime peak, ``mark_peak_bytes`` the peak since
+    the last :meth:`mark`, which a kernel uses to measure its own call.
+    """
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         if capacity_bytes < 0:
@@ -52,6 +56,12 @@ class ScratchpadArena:
         self.capacity_bytes = int(capacity_bytes)
         self.live_bytes = 0
         self.peak_bytes = 0
+        self.mark_peak_bytes = 0
+
+    def mark(self) -> int:
+        """Restart ``mark_peak_bytes`` at the live bytes now, and return them."""
+        self.mark_peak_bytes = self.live_bytes
+        return self.live_bytes
 
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> OnChipBuffer:
         """Reserve ``prod(shape) * elem_bytes`` bytes and return a zeroed workspace.
@@ -72,8 +82,10 @@ class ScratchpadArena:
         if live > self.capacity_bytes:
             raise self._overflow(name, nbytes)
         self.live_bytes = live
-        if live > self.peak_bytes:
-            self.peak_bytes = live
+        if live > self.mark_peak_bytes:  # never above the lifetime mark
+            self.mark_peak_bytes = live
+            if live > self.peak_bytes:
+                self.peak_bytes = live
         return OnChipBuffer(name, array, nbytes)
 
     def _overflow(self, name: str, nbytes: int) -> CapacityError:

@@ -63,13 +63,21 @@ def softmax_rows(S: DenseTensor) -> DenseTensor:
     """
     if S.ndim < 2:
         raise ShapeError(f"softmax_rows needs at least 2 axes, got {S.shape}")
-    s = S.array
-    if not np.isfinite(s).all():
+    return DenseTensor._adopt(_softmax_rows(S.array, np.empty_like(S.array)))
+
+
+def _softmax_rows(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row softmax of ``src`` written to ``out``, which may be ``src`` itself.
+
+    The reference and the tiled kernels share it, so both refuse
+    non-finite scores with :class:`NumericsError` before writing ``out``.
+    """
+    if not np.isfinite(src).all():
         raise NumericsError("softmax input contains non-finite entries")
-    e = s - s.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return DenseTensor._adopt(e)
+    np.subtract(src, src.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from flashwin import (
     DenseTensor,
     FlashContext,
     InvalidRangeError,
+    NumericsError,
     Rng,
     ScratchpadArena,
     ShapeError,
@@ -313,6 +314,40 @@ class TestFlashBackward:
                 run(arena)
             assert arena.live_bytes == 4
             assert arena.peak_bytes == 4
+
+    def test_nan_in_q_raises_like_the_reference_and_frees_the_scores(self):
+        q, k, v = make_qkv(58, 8, 16)
+        bad = q.array.copy()
+        bad[3, 5] = np.nan
+        q = DenseTensor(q.shape, bad)
+        cfg = TileConfig(r=2)
+        with pytest.raises(NumericsError):
+            naive_forward(q, k, v)
+        ctx = FlashContext(q=q, k=k, v=v, cfg=cfg)
+        for run in (
+            lambda a: flash_forward(q, k, v, cfg, a),
+            lambda a: flash_backward(ctx, zeros([8, 16]), a),
+        ):
+            arena = ScratchpadArena()
+            arena.allocate("held", (1,), 4)
+            with pytest.raises(NumericsError, match="non-finite"):
+                run(arena)
+            assert arena.live_bytes == 4
+
+    def test_report_peak_is_the_calls_own_on_a_reused_arena(self):
+        arena = ScratchpadArena()
+        flash_forward(*make_qkv(59, 64, 64), TileConfig(r=4), arena)
+        q, k, v = make_qkv(60, 8, 16)
+        cfg = TileConfig(r=2)
+        _, ctx, rep = flash_forward(q, k, v, cfg, arena)
+        assert rep.peak_sram_bytes == peak_sram_forward(8, 16, cfg) == 768
+        *_, rep = flash_backward(ctx, zeros([8, 16]), arena)
+        assert rep.peak_sram_bytes == peak_sram_backward(8, 16, cfg)
+        assert arena.peak_bytes == 24576  # the lifetime mark stays
+        arena.allocate("held", (1,), 4)
+        _, _, rep = flash_forward(q, k, v, cfg, arena)
+        assert rep.peak_sram_bytes == 768  # measured above the live bytes on entry
+        assert arena.peak_bytes == 24576
 
 
 class TestChunkCountInvariance:

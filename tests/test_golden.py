@@ -1,0 +1,35 @@
+"""CLI output pinned byte for byte: refactors must leave these stdout bytes unchanged.
+
+Each file under ``tests/golden/`` is the stdout of one ``flashwin``
+invocation. A change that alters a count, a peak, a case list or the last
+digit of an oracle error shows up here as a diff against the file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from flashwin.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("check_seed42.txt", ["check"], 0),
+    (
+        "demo_28x28x32_k7_seed3.txt",
+        ["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7", "--seed", "3"],
+        0,
+    ),
+    ("traffic_L64_C64_r4.txt", ["traffic", "--L", "64", "--C", "64", "--r", "4"], 0),
+    (
+        "traffic_L49_C32_rauto_e8.txt",
+        ["traffic", "--L", "49", "--C", "32", "--r", "auto", "--elem-bytes", "8"],
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_cli_stdout_and_exit_code_match_golden_file(capsys, name, argv, code):
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")

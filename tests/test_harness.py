@@ -81,6 +81,7 @@ class TestCheckSuite:
         assert len(capacity) == 6
         assert not any(r.ok for r in capacity)
         assert all(r.sram_ok for r in capacity)  # the kernel still refused
+        assert all(r.max_err == float("inf") for r in capacity)
 
     # L*C > 256 keeps the finite-difference oracle, which also runs the
     # untiled forward, out of these grids.
@@ -187,6 +188,9 @@ class TestBench:
         write_bench_csv(rows, buf)
         parsed = list(csv.reader(io.StringIO(buf.getvalue())))
         assert parsed[0] == BENCH_COLUMNS
+        assert ",".join(BENCH_COLUMNS) == (
+            "batch,heads,L,C,r,impl,pass,elapsed_ns,peak_sram_bytes,total_global_elements"
+        )
         assert len(parsed) == 3
         for raw, row in zip(parsed[1:], rows):
             assert BenchRow.from_csv_row(raw) == row
@@ -302,6 +306,11 @@ class TestCli:
     def test_bench_rejects_too_few_repeats(self, capsys):
         assert main(["bench", "--repeats", "2", "--batch", "2", "--C", "16", "--L", "8"]) == 2
         assert "repeats" in capsys.readouterr().err
+
+    def test_check_rejects_negative_capacity(self, capsys):
+        # Not a grid of capacity refusals that all pass: a usage error.
+        assert main(["check", "--L", "1024", "--C", "16", "--capacity-bytes", "-1"]) == 2
+        assert "capacity must be >= 0" in capsys.readouterr().err
 
     def test_traffic_rejects_invalid_shape(self, capsys):
         assert main(["traffic", "--L", "8", "--C", "4", "--r", "64"]) == 2

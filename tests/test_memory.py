@@ -37,6 +37,16 @@ def test_peak_is_a_high_water_mark():
     assert arena.live_bytes == 0
 
 
+def test_mark_restarts_the_marked_peak_but_not_the_lifetime_peak():
+    arena = ScratchpadArena(capacity_bytes=1024)
+    arena.allocate("a", (10,), 8)
+    arena.free(arena.allocate("b", (20,), 8))
+    assert arena.mark() == 80
+    assert arena.mark_peak_bytes == 80
+    arena.allocate("c", (5,), 8)
+    assert (arena.mark_peak_bytes, arena.peak_bytes) == (120, 240)
+
+
 def test_over_capacity_allocation_names_required_and_available():
     arena = ScratchpadArena(capacity_bytes=100)
     arena.allocate("base", (10,), 8)
