@@ -7,7 +7,8 @@ Q, K, V, O crosses the global-memory boundary exactly once. The backward
 kernel recomputes the attention weights on chip from Q and K (they are
 deliberately reloaded, never cached across phases), streams dV and the dP
 accumulation in a second pass, converts dP to dS in place, and streams dQ
-and dK in a third pass.
+and dK in a third pass. Both build the weights through one score path
+(``_weights``) and write every output tile through one step (``_emit``).
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
@@ -31,14 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ContextError,
-    FlashwinError,
-    InvalidRangeError,
-    NumericsError,
-    ShapeError,
-)
+from .errors import ContextError, FlashwinError, InvalidRangeError, ShapeError
 from .memory import OnChipBuffer, ScratchpadArena, TrafficReport, merge_reports
 from .reference import AttnParams, _softmax_rows
 from .tensor import DenseTensor
@@ -103,42 +97,35 @@ def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
     return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
 
 
-def _check_budget(kind: str, need: int, arena: ScratchpadArena) -> None:
-    # Checked against what is free now, so a busy arena is refused before
-    # the kernel allocates anything rather than overflowing partway through.
-    available = arena.capacity_bytes - arena.live_bytes
-    if need > available:
-        raise CapacityError(
-            f"{kind} pass needs {need} bytes of scratchpad, "
-            f"arena has {available} of {arena.capacity_bytes} available"
-        )
-
-
-def _load(
-    arena: ScratchpadArena,
-    loads: dict[str, int],
-    operand: str,
-    view: np.ndarray,
-    elem_bytes: int,
-    tag: str,
-) -> OnChipBuffer:
-    """Copy a global-memory slice into a fresh on-chip buffer, counting elements.
-
-    ``loads`` is pre-seeded with every operand the kernel reads.
-    """
+def _load(arena, loads, operand, view, elem_bytes, tag) -> OnChipBuffer:
+    """Copy a global slice into a fresh on-chip buffer; count it in the pre-seeded ``loads``."""
     buf = arena.allocate(tag, view.shape, elem_bytes)
     buf.array[...] = view
     loads[operand] += view.size
     return buf
 
 
-def _store(stores: dict[str, int], operand: str, dest: np.ndarray, src: np.ndarray) -> None:
-    """Copy an on-chip tile out to a global-memory slice, counting elements.
+def _emit(arena, stores, operand, dest, a, b, elem_bytes, tag) -> None:
+    """Compute the tile ``a @ b`` on chip, store it to ``dest`` (counted), then free it."""
+    tile = arena.allocate(tag, dest.shape, elem_bytes)
+    np.matmul(a, b, out=tile.array)
+    dest[...] = tile.array
+    stores[operand] += tile.array.size
+    arena.free(tile)
 
-    ``stores`` is pre-seeded with every operand the kernel writes.
-    """
-    dest[...] = src
-    stores[operand] += src.size
+
+def _weights(arena, loads, qg, kg, spans, cfg, tag) -> OnChipBuffer:
+    """Weights on chip: sum_i Q_i K_i^T, scaled, softmaxed in place (non-finite scores raise)."""
+    weights = arena.allocate(tag, (qg.shape[0], kg.shape[0]), cfg.elem_bytes)
+    for lo, hi in spans:
+        qi = _load(arena, loads, "Q", qg[:, lo:hi], cfg.elem_bytes, "Q_i")
+        ki = _load(arena, loads, "K", kg[:, lo:hi], cfg.elem_bytes, "K_i")
+        weights.array += qi.array @ ki.array.T
+        arena.free(qi)
+        arena.free(ki)
+    weights.array *= cfg.scale
+    _softmax_rows(weights.array, weights.array)
+    return weights
 
 
 def _softmax_grad_inplace(p: np.ndarray, dp: np.ndarray) -> None:
@@ -160,47 +147,34 @@ def flash_forward(
 
     Returns the output, a context holding the Q/K/V references needed to
     recompute the weights in backward, and the instrumented traffic report.
-    The report's peak is this call's, above the arena's live bytes on
-    entry, and equals ``peak_sram_forward``. Non-finite scores raise
-    :class:`NumericsError`, as in the untiled reference, and leave the
-    arena at its entry live bytes.
+    The call is one :meth:`ScratchpadArena.kernel_call` scope: it is refused
+    up front when ``peak_sram_forward`` exceeds the arena's free bytes, its
+    report's peak is its own and equals that formula, and any exception
+    leaves the arena at its entry live bytes.
+
+    Only the scores are checked for finiteness: a NaN or infinity in Q or
+    K, or an overflowing scale, raises :class:`NumericsError`, as in the
+    untiled reference. A NaN in V reaches O in the same positions as in
+    ``naive_forward``.
     """
     L, C = _check_qkv_2d(q, k, v)
     spans = cfg.chunk_spans(C)
-    _check_budget("forward", peak_sram_forward(L, C, cfg), arena)
-    entry = arena.mark()
-
+    eb = cfg.elem_bytes
     # Seeded in first-touch order, which is the order reports list them in.
     loads = {"Q": 0, "K": 0, "V": 0}
     stores = {"O": 0}
-    qg, kg, vg = q.array, k.array, v.array
+    vg = v.array
     og = np.empty((L, C), dtype=np.float64)
 
-    scores = arena.allocate("S", (L, L), cfg.elem_bytes)
-    for lo, hi in spans:
-        qi = _load(arena, loads, "Q", qg[:, lo:hi], cfg.elem_bytes, "Q_i")
-        ki = _load(arena, loads, "K", kg[:, lo:hi], cfg.elem_bytes, "K_i")
-        scores.array += qi.array @ ki.array.T
-        arena.free(qi)
-        arena.free(ki)
+    with arena.kernel_call("forward", peak_sram_forward(L, C, cfg)) as call_peak:
+        weights = _weights(arena, loads, q.array, k.array, spans, cfg, "S")
+        for lo, hi in spans:
+            vi = _load(arena, loads, "V", vg[:, lo:hi], eb, "V_i")
+            _emit(arena, stores, "O", og[:, lo:hi], weights.array, vi.array, eb, "O_i")
+            arena.free(vi)
+        arena.free(weights)
 
-    scores.array *= cfg.scale
-    try:
-        _softmax_rows(scores.array, scores.array)  # buffer now holds P
-    except NumericsError:
-        arena.free(scores)
-        raise
-
-    for lo, hi in spans:
-        vi = _load(arena, loads, "V", vg[:, lo:hi], cfg.elem_bytes, "V_i")
-        oi = arena.allocate("O_i", (L, hi - lo), cfg.elem_bytes)
-        np.matmul(scores.array, vi.array, out=oi.array)
-        _store(stores, "O", og[:, lo:hi], oi.array)
-        arena.free(vi)
-        arena.free(oi)
-    arena.free(scores)
-
-    report = TrafficReport(loads, stores, peak_sram_bytes=arena.mark_peak_bytes - entry)
+    report = TrafficReport(loads, stores, peak_sram_bytes=call_peak())
     return DenseTensor._adopt(og), FlashContext(q=q, k=k, v=v, cfg=cfg), report
 
 
@@ -212,8 +186,10 @@ def flash_backward(
     """Tiled attention backward: recompute weights on chip, stream gradients out.
 
     Q and K cross the global-memory boundary twice (recompute phase and
-    gradient phase); V, dO, dQ, dK, dV once each. The peak and the
-    non-finite contract are those of :func:`flash_forward`.
+    gradient phase); V, dO, dQ, dK, dV once each. Scope, refusal and peak
+    are as in :func:`flash_forward`, with ``peak_sram_backward``. Only the
+    recomputed scores are checked for finiteness: a NaN in V or dO reaches
+    dQ, dK and dV in the same positions as in ``naive_backward``.
     """
     if not isinstance(ctx, FlashContext) or not all(
         isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)
@@ -224,67 +200,42 @@ def flash_backward(
         raise ShapeError(f"dO shape {dO.shape} does not match forward shape {(L, C)}")
     cfg = ctx.cfg
     spans = cfg.chunk_spans(C)
-    _check_budget("backward", peak_sram_backward(L, C, cfg), arena)
-    entry = arena.mark()
-
+    eb = cfg.elem_bytes
     loads = {"Q": 0, "K": 0, "dO": 0, "V": 0}
     stores = {"dV": 0, "dQ": 0, "dK": 0}
     qg, kg, vg, dog = ctx.q.array, ctx.k.array, ctx.v.array, dO.array
-    dqg = np.empty((L, C), dtype=np.float64)
-    dkg = np.empty((L, C), dtype=np.float64)
-    dvg = np.empty((L, C), dtype=np.float64)
+    dqg, dkg, dvg = (np.empty((L, C), dtype=np.float64) for _ in range(3))
 
-    # Phase 1: rebuild the attention weights from Q, K.
-    weights = arena.allocate("P", (L, L), cfg.elem_bytes)
-    dweights = arena.allocate("dP", (L, L), cfg.elem_bytes)
-    for lo, hi in spans:
-        qi = _load(arena, loads, "Q", qg[:, lo:hi], cfg.elem_bytes, "Q_i")
-        ki = _load(arena, loads, "K", kg[:, lo:hi], cfg.elem_bytes, "K_i")
-        weights.array += qi.array @ ki.array.T
-        arena.free(qi)
-        arena.free(ki)
-    weights.array *= cfg.scale
-    try:
-        _softmax_rows(weights.array, weights.array)
-    except NumericsError:
+    with arena.kernel_call("backward", peak_sram_backward(L, C, cfg)) as call_peak:
+        # Phase 1: rebuild the attention weights from Q, K.
+        weights = _weights(arena, loads, qg, kg, spans, cfg, "P")
+        dweights = arena.allocate("dP", (L, L), eb)
+
+        # Phase 2: stream dV out while accumulating dP. The dP update runs
+        # first so the freed V_i slot can host the dV_i tile.
+        for lo, hi in spans:
+            doi = _load(arena, loads, "dO", dog[:, lo:hi], eb, "dO_i")
+            vi = _load(arena, loads, "V", vg[:, lo:hi], eb, "V_i")
+            dweights.array += doi.array @ vi.array.T
+            arena.free(vi)
+            _emit(arena, stores, "dV", dvg[:, lo:hi], weights.array.T, doi.array, eb, "dV_i")
+            arena.free(doi)
+
+        # Phase 3: dP -> dS in place; the weights buffer is dead afterwards.
+        _softmax_grad_inplace(weights.array, dweights.array)
+        dweights.array *= cfg.scale
         arena.free(weights)
+
+        for lo, hi in spans:
+            ki = _load(arena, loads, "K", kg[:, lo:hi], eb, "K_i")
+            _emit(arena, stores, "dQ", dqg[:, lo:hi], dweights.array, ki.array, eb, "dQ_i")
+            arena.free(ki)
+            qi = _load(arena, loads, "Q", qg[:, lo:hi], eb, "Q_i")
+            _emit(arena, stores, "dK", dkg[:, lo:hi], dweights.array.T, qi.array, eb, "dK_i")
+            arena.free(qi)
         arena.free(dweights)
-        raise
 
-    # Phase 2: stream dV out while accumulating dP. The dP update runs
-    # first so the freed V_i slot can host the dV_i tile.
-    for lo, hi in spans:
-        doi = _load(arena, loads, "dO", dog[:, lo:hi], cfg.elem_bytes, "dO_i")
-        vi = _load(arena, loads, "V", vg[:, lo:hi], cfg.elem_bytes, "V_i")
-        dweights.array += doi.array @ vi.array.T
-        arena.free(vi)
-        dvi = arena.allocate("dV_i", (L, hi - lo), cfg.elem_bytes)
-        np.matmul(weights.array.T, doi.array, out=dvi.array)
-        _store(stores, "dV", dvg[:, lo:hi], dvi.array)
-        arena.free(doi)
-        arena.free(dvi)
-
-    # Phase 3: dP -> dS in place; the weights buffer is dead afterwards.
-    _softmax_grad_inplace(weights.array, dweights.array)
-    dweights.array *= cfg.scale
-    arena.free(weights)
-
-    for lo, hi in spans:
-        ki = _load(arena, loads, "K", kg[:, lo:hi], cfg.elem_bytes, "K_i")
-        dqi = arena.allocate("dQ_i", (L, hi - lo), cfg.elem_bytes)
-        np.matmul(dweights.array, ki.array, out=dqi.array)
-        _store(stores, "dQ", dqg[:, lo:hi], dqi.array)
-        arena.free(dqi)
-        arena.free(ki)
-        qi = _load(arena, loads, "Q", qg[:, lo:hi], cfg.elem_bytes, "Q_i")
-        dki = arena.allocate("dK_i", (L, hi - lo), cfg.elem_bytes)
-        np.matmul(dweights.array.T, qi.array, out=dki.array)
-        _store(stores, "dK", dkg[:, lo:hi], dki.array)
-        arena.free(dki)
-        arena.free(qi)
-    arena.free(dweights)
-
-    report = TrafficReport(loads, stores, peak_sram_bytes=arena.mark_peak_bytes - entry)
+    report = TrafficReport(loads, stores, peak_sram_bytes=call_peak())
     dq, dk, dv = (DenseTensor._adopt(g) for g in (dqg, dkg, dvg))
     return dq, dk, dv, report
 

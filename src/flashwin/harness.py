@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from typing import IO, Callable, Sequence, get_type_hints
 
-from .errors import CapacityError, FlashwinError
+from .errors import CapacityError, FlashwinError, ShapeError
 from .flash import (
     TileConfig,
     batched_flash_forward,
@@ -113,19 +113,28 @@ def _rand(rng: Rng, shape: Sequence[int]) -> DenseTensor:
     return fill_uniform(rng, shape, -1.0, 1.0)
 
 
-def _valid_chunk_counts(C: int, r_values: Sequence[str | int]) -> list[int]:
-    """Resolve and de-duplicate chunk counts that tile C features cleanly."""
-    out: list[int] = []
+def _chunk_counts(Cs: Sequence[int], r_values: Sequence[str | int]) -> dict[int, list[int]]:
+    """Per feature count, the resolved, de-duplicated chunk counts that tile it.
+
+    A requested chunk count that tiles none of ``Cs`` raises
+    :class:`ShapeError` naming it, so a grid cannot pass without running
+    the kernels it asked for; one that tiles only some is skipped for the rest.
+    """
+    counts: dict[int, list[int]] = {C: [] for C in Cs}
     for value in r_values:
-        r = resolve_r(value, C)
-        if r in out:
-            continue
-        try:
-            TileConfig(r=r).chunk_width(C)
-        except FlashwinError:
-            continue
-        out.append(r)
-    return out
+        tiles_any = False
+        for C, valid in counts.items():
+            r = resolve_r(value, C)
+            try:
+                TileConfig(r=r).chunk_width(C)
+            except FlashwinError:
+                continue
+            tiles_any = True
+            if r not in valid:
+                valid.append(r)
+        if not tiles_any:
+            raise ShapeError(f"chunk count {value} tiles none of the feature counts {list(Cs)}")
+    return counts
 
 
 def run_check_suite(
@@ -146,6 +155,7 @@ def run_check_suite(
     if not Ls or not Cs or not r_values:
         return []
 
+    chunk_counts = _chunk_counts(Cs, r_values)
     results: list[SuiteResult] = []
     master = Rng(seed)
 
@@ -165,7 +175,7 @@ def run_check_suite(
             fwd_runs: list[Sequence[DenseTensor]] = []
             bwd_runs: list[Sequence[DenseTensor]] = []
 
-            for r in _valid_chunk_counts(C, r_values):
+            for r in chunk_counts[C]:
                 tag = f"L{L}_C{C}_r{r}"
                 cfg = TileConfig(r=r, elem_bytes=elem_bytes)
                 fwd_peak = peak_sram_forward(L, C, cfg)

@@ -7,6 +7,10 @@ at element granularity, and may only hold working data in buffers
 allocated from a :class:`ScratchpadArena`, which enforces its byte budget
 on every allocation and records the high-water mark.
 
+Each kernel call runs in one :meth:`ScratchpadArena.kernel_call` scope,
+which checks the call's budget, measures its peak and leaves the arena at
+its entry live bytes when the call fails.
+
 Accounting granularity matches the claims being checked: named kernel
 buffers only. Per-row scalar temporaries (softmax row max/sum and the
 dS row dot products) are not modeled, and byte accounting uses the
@@ -21,8 +25,9 @@ arena's own bookkeeping is part of what a wall-clock benchmark measures;
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,8 +51,8 @@ class OnChipBuffer:
 class ScratchpadArena:
     """On-chip memory simulator tracking live bytes and peak occupancy.
 
-    ``peak_bytes`` is the lifetime peak, ``mark_peak_bytes`` the peak since
-    the last :meth:`mark`, which a kernel uses to measure its own call.
+    ``peak_bytes`` is the lifetime peak; a :meth:`kernel_call` scope
+    measures the peak of one call.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
@@ -56,12 +61,30 @@ class ScratchpadArena:
         self.capacity_bytes = int(capacity_bytes)
         self.live_bytes = 0
         self.peak_bytes = 0
-        self.mark_peak_bytes = 0
+        self._call_peak = 0  # peak since the current kernel call began
 
-    def mark(self) -> int:
-        """Restart ``mark_peak_bytes`` at the live bytes now, and return them."""
-        self.mark_peak_bytes = self.live_bytes
-        return self.live_bytes
+    @contextmanager
+    def kernel_call(self, kind: str, need: int) -> Iterator[Callable[[], int]]:
+        """Scope of one kernel call that needs ``need`` bytes at its peak.
+
+        Raises :class:`CapacityError` before anything is allocated when
+        ``need`` exceeds the bytes free on entry. Yields a function giving
+        the call's peak so far above its entry live bytes. On any exception,
+        live bytes go back to their entry value and the buffers allocated
+        inside are abandoned. One call runs on an arena at a time.
+        """
+        entry = self.live_bytes
+        if need > self.capacity_bytes - entry:
+            raise CapacityError(
+                f"{kind} pass needs {need} bytes of scratchpad, "
+                f"arena has {self.capacity_bytes - entry} of {self.capacity_bytes} available"
+            )
+        self._call_peak = entry
+        try:
+            yield lambda: self._call_peak - entry
+        except BaseException:
+            self.live_bytes = entry
+            raise
 
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> OnChipBuffer:
         """Reserve ``prod(shape) * elem_bytes`` bytes and return a zeroed workspace.
@@ -82,8 +105,8 @@ class ScratchpadArena:
         if live > self.capacity_bytes:
             raise self._overflow(name, nbytes)
         self.live_bytes = live
-        if live > self.mark_peak_bytes:  # never above the lifetime mark
-            self.mark_peak_bytes = live
+        if live > self._call_peak:  # never above the lifetime peak
+            self._call_peak = live
             if live > self.peak_bytes:
                 self.peak_bytes = live
         return OnChipBuffer(name, array, nbytes)

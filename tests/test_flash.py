@@ -1,5 +1,7 @@
 """Tiled kernels: oracle equivalence, traffic exactness, occupancy, batching."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from flashwin import (
     batched_flash_forward,
     fill_uniform,
     finite_diff_grad,
+    flash,
     flash_backward,
     flash_forward,
     max_abs_diff,
@@ -348,6 +351,110 @@ class TestFlashBackward:
         _, _, rep = flash_forward(q, k, v, cfg, arena)
         assert rep.peak_sram_bytes == 768  # measured above the live bytes on entry
         assert arena.peak_bytes == 24576
+
+
+class _Poisoned(np.ndarray):
+    """An array whose ufunc calls, matmul included, raise."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise RuntimeError("injected matmul failure")
+
+
+def _inject(monkeypatch, step, n):
+    """Make the n-th call of one kernel step fail partway through the kernel.
+
+    ``_load``, ``_emit`` and ``_softmax_grad_inplace`` raise on entry;
+    ``score`` poisons the n-th loaded Q_i so that the score matmul raises;
+    ``tile`` poisons the n-th ``_emit``'s left operand so that its matmul
+    raises after the tile is allocated.
+    """
+    name = {"score": "_load", "tile": "_emit"}.get(step, step)
+    orig = getattr(flash, name)
+    calls = itertools.count(1)
+
+    def failing(*args):
+        if step == "score":
+            buf = orig(*args)
+            if args[2] == "Q" and next(calls) == n:
+                buf.array = buf.array.view(_Poisoned)
+            return buf
+        if next(calls) != n:
+            return orig(*args)
+        if step == "tile":
+            return orig(*args[:4], args[4].view(_Poisoned), *args[5:])
+        raise RuntimeError(f"injected failure in {name}")
+
+    monkeypatch.setattr(flash, name, failing)
+
+
+# At L=8, C=16, r=2 the forward loads Q,K,Q,K then V,V and emits O twice;
+# the backward loads Q,K,Q,K | dO,V,dO,V | K,Q,K,Q and emits dV,dV then
+# dQ,dK,dQ,dK. Every phase of both kernels gets a failure.
+INJECTED = [
+    ("forward", "_load", 1),
+    ("forward", "_load", 4),
+    ("forward", "score", 2),
+    ("forward", "_load", 5),
+    ("forward", "_emit", 2),
+    ("forward", "tile", 1),
+    ("backward", "_load", 2),
+    ("backward", "score", 1),
+    ("backward", "_load", 6),
+    ("backward", "_emit", 1),
+    ("backward", "tile", 2),
+    ("backward", "_softmax_grad_inplace", 1),
+    ("backward", "_load", 9),
+    ("backward", "_emit", 3),
+    ("backward", "tile", 6),
+    ("backward", "_load", 12),
+]
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("kernel, step, n", INJECTED)
+    def test_injected_failure_leaves_the_entry_live_bytes(self, monkeypatch, kernel, step, n):
+        q, k, v, do = make_qkv(61, 8, 16, n=4)
+        cfg = TileConfig(r=2)
+        _, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena())
+        _inject(monkeypatch, step, n)
+        arena = ScratchpadArena()
+        arena.allocate("held", (1,), 4)
+        with pytest.raises(RuntimeError, match="injected"):
+            if kernel == "forward":
+                flash_forward(q, k, v, cfg, arena)
+            else:
+                flash_backward(ctx, do, arena)
+        assert arena.live_bytes == 4
+
+    def test_nan_in_v_or_do_reaches_the_same_positions_as_the_reference(self):
+        # Only the scores are checked; a NaN elsewhere propagates, identically.
+        q, k, v, do = make_qkv(62, 8, 16, n=4)
+        cfg = TileConfig(r=2)
+
+        def nan_masks(v, do):
+            o, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena())
+            o_ref, cache = naive_forward(q, k, v)
+            got = (o, *flash_backward(ctx, do, ScratchpadArena())[:3])
+            want = (o_ref, *naive_backward(q, k, v, cache, do))
+            for g, w in zip(got, want):
+                nan = np.isnan(w.array)
+                assert np.array_equal(np.isnan(g.array), nan)
+                assert np.allclose(g.array[~nan], w.array[~nan], rtol=0, atol=TOL)
+            return [np.isnan(t.array) for t in got]
+
+        def with_nan(t, i, j):
+            a = t.array.copy()
+            a[i, j] = np.nan
+            return DenseTensor(t.shape, a)
+
+        o, dq, dk, dv = nan_masks(with_nan(v, 3, 5), do)
+        assert o[:, 5].all() and o.sum() == 8
+        assert dq.all() and dk.all() and not dv.any()
+        o, dq, dk, dv = nan_masks(v, with_nan(do, 2, 9))
+        assert not o.any()
+        assert dq[2].all() and dq.sum() == 16
+        assert dv[:, 9].all() and dv.sum() == 8
+        assert dk.all()
 
 
 class TestChunkCountInvariance:

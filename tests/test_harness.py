@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from flashwin import DenseTensor, NumericsError, harness
+from flashwin import DenseTensor, NumericsError, ShapeError, harness
 from flashwin.cli import main
 from flashwin.harness import (
     BENCH_COLUMNS,
@@ -147,10 +147,17 @@ class TestCheckSuite:
         assert not any(i.startswith("grad_L64") for i in ids)
 
     def test_invalid_chunk_counts_are_skipped(self):
-        results = run_check_suite(seed=42, Ls=[4], Cs=[4], r_values=[1, 3, 64])
+        # 3 and 8 chunks tile C=16 but not C=4: skipped for C=4 only.
+        results = run_check_suite(seed=42, Ls=[4], Cs=[4, 16], r_values=[1, 3, 8])
         ids = {r.case_id for r in results}
-        assert "fwd_L4_C4_r1" in ids
-        assert not any("r3" in i or "r64" in i for i in ids)
+        assert {"fwd_L4_C4_r1", "fwd_L4_C16_r3", "fwd_L4_C16_r8"} <= ids
+        assert not any("C4_r3" in i or "C4_r8" in i for i in ids)
+
+    @pytest.mark.parametrize("r_values, bad", [([1, 3, 64], "3"), ([64], "64"), ([2, 0], "0")])
+    def test_chunk_count_that_tiles_no_feature_count_is_an_error(self, r_values, bad):
+        msg = rf"^chunk count {bad} tiles none of the feature counts \[4\]$"
+        with pytest.raises(ShapeError, match=msg):
+            run_check_suite(seed=42, Ls=[4], Cs=[4], r_values=r_values)
 
 
 class TestTraffic:

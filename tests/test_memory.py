@@ -37,14 +37,55 @@ def test_peak_is_a_high_water_mark():
     assert arena.live_bytes == 0
 
 
-def test_mark_restarts_the_marked_peak_but_not_the_lifetime_peak():
+def _busy_arena():
+    # 80 B live, lifetime peak 240 B.
     arena = ScratchpadArena(capacity_bytes=1024)
     arena.allocate("a", (10,), 8)
     arena.free(arena.allocate("b", (20,), 8))
-    assert arena.mark() == 80
-    assert arena.mark_peak_bytes == 80
-    arena.allocate("c", (5,), 8)
-    assert (arena.mark_peak_bytes, arena.peak_bytes) == (120, 240)
+    return arena
+
+
+def test_kernel_call_measures_its_peak_above_the_entry_bytes():
+    arena = _busy_arena()
+    with arena.kernel_call("forward", 100) as call_peak:
+        assert call_peak() == 0
+        c = arena.allocate("c", (5,), 8)
+        arena.free(arena.allocate("d", (2,), 8))
+        arena.free(c)
+        assert call_peak() == 56
+    assert call_peak() == 56
+    assert (arena.live_bytes, arena.peak_bytes) == (80, 240)  # lifetime peak kept
+    with arena.kernel_call("forward", 100) as call_peak:
+        arena.free(arena.allocate("e", (1,), 8))
+    assert call_peak() == 8  # restarted by the next call
+
+
+def test_kernel_call_refuses_before_any_allocation():
+    arena = _busy_arena()
+    entered = []
+    with pytest.raises(
+        CapacityError,
+        match=r"^backward pass needs 945 bytes of scratchpad, arena has 944 of 1024 available$",
+    ):
+        with arena.kernel_call("backward", 945):
+            entered.append(arena.allocate("c", (1,), 8))
+    assert entered == []
+    assert (arena.live_bytes, arena.peak_bytes) == (80, 240)
+    with arena.kernel_call("backward", 944):  # exactly what is free fits
+        pass
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, CapacityError, KeyboardInterrupt])
+def test_kernel_call_restores_the_entry_bytes_on_any_exception(exc):
+    arena = _busy_arena()
+    with pytest.raises(exc):
+        with arena.kernel_call("forward", 944):
+            arena.allocate("c", (50,), 8)
+            arena.free(arena.allocate("d", (10,), 8))
+            arena.allocate("e", (3,), 8)
+            raise exc("injected")
+    assert arena.live_bytes == 80
+    assert arena.peak_bytes == 560  # the failed call's peak still counts for the lifetime
 
 
 def test_over_capacity_allocation_names_required_and_available():
