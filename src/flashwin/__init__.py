@@ -33,7 +33,6 @@ from .memory import (
     merge_reports,
 )
 from .reference import (
-    AttnIntermediates,
     AttnParams,
     finite_diff_grad,
     naive_backward,
@@ -47,7 +46,6 @@ from .windowing import WindowConfig, window_partition, window_reverse
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttnIntermediates",
     "AttnParams",
     "CapacityError",
     "ContextError",

@@ -138,8 +138,9 @@ def cmd_traffic(args) -> int:
         capacity_bytes=args.capacity_bytes,
     )
     sys.stdout.write(render_traffic_text(summary))
-    with _open_out(args) as out:
-        write_traffic_csv(summary, out)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as out:
+            write_traffic_csv(summary, out)
     if not summary.consistent:
         print("instrumented traffic or peaks differ from the closed forms", file=sys.stderr)
         return 1

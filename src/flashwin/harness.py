@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from typing import IO, Callable, Sequence, get_type_hints
+from typing import IO, Callable, Sequence
 
 from .errors import CapacityError, FlashwinError, ShapeError
 from .flash import (
@@ -71,11 +71,6 @@ class BenchRow:
     peak_sram_bytes: int
     total_global_elements: int
 
-    @classmethod
-    def from_csv_row(cls, row: Sequence[str]) -> "BenchRow":
-        types = get_type_hints(cls)
-        return cls(*(types[f.name](value) for f, value in zip(fields(cls), row)))
-
 
 BENCH_COLUMNS = [f.name.rstrip("_") for f in fields(BenchRow)]
 
@@ -113,10 +108,14 @@ def _rand(rng: Rng, shape: Sequence[int]) -> DenseTensor:
     return fill_uniform(rng, shape, -1.0, 1.0)
 
 
-def _chunk_counts(Cs: Sequence[int], r_values: Sequence[str | int]) -> dict[int, list[int]]:
-    """Per feature count, the resolved, de-duplicated chunk counts that tile it.
+def _grid(
+    Ls: Sequence[int], Cs: Sequence[int], r_values: Sequence[str | int]
+) -> list[tuple[int, int, list[int]]]:
+    """The (L, C, chunk counts) points of a check grid, in the order asked for.
 
-    A requested chunk count that tiles none of ``Cs`` raises
+    Each L and each C appears once, and each C carries its resolved,
+    de-duplicated chunk counts that tile it, so no case runs twice. A
+    requested chunk count that tiles none of ``Cs`` raises
     :class:`ShapeError` naming it, so a grid cannot pass without running
     the kernels it asked for; one that tiles only some is skipped for the rest.
     """
@@ -134,7 +133,7 @@ def _chunk_counts(Cs: Sequence[int], r_values: Sequence[str | int]) -> dict[int,
                 valid.append(r)
         if not tiles_any:
             raise ShapeError(f"chunk count {value} tiles none of the feature counts {list(Cs)}")
-    return counts
+    return [(L, C, rs) for L in dict.fromkeys(Ls) for C, rs in counts.items()]
 
 
 def run_check_suite(
@@ -155,7 +154,6 @@ def run_check_suite(
     if not Ls or not Cs or not r_values:
         return []
 
-    chunk_counts = _chunk_counts(Cs, r_values)
     results: list[SuiteResult] = []
     master = Rng(seed)
 
@@ -165,55 +163,54 @@ def run_check_suite(
         err = max_abs_diff(x, window_reverse(window_partition(x, cfg), cfg))
         results.append(_result(f"roundtrip_{H}x{W}x{C}_k{k}", err, tol=0.0))
 
-    for L in Ls:
-        for C in Cs:
-            rng = master.split()
-            q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
-            ref = _Reference(q, k, v, do)
-            fd_grads = None
-            # Outputs of each chunk count, for the chunk-count invariance case.
-            fwd_runs: list[Sequence[DenseTensor]] = []
-            bwd_runs: list[Sequence[DenseTensor]] = []
+    for L, C, rs in _grid(Ls, Cs, r_values):
+        rng = master.split()
+        q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
+        ref = _Reference(q, k, v, do)
+        fd_grads = None
+        # Outputs of each chunk count, for the chunk-count invariance case.
+        fwd_runs: list[Sequence[DenseTensor]] = []
+        bwd_runs: list[Sequence[DenseTensor]] = []
 
-            for r in chunk_counts[C]:
-                tag = f"L{L}_C{C}_r{r}"
-                cfg = TileConfig(r=r, elem_bytes=elem_bytes)
-                fwd_peak = peak_sram_forward(L, C, cfg)
-                if fwd_peak > capacity_bytes:
-                    refused = _refuses(flash_forward, q, k, v, cfg, ScratchpadArena(capacity_bytes))
-                    err = math.inf if ref.forward is None else 0.0
-                    results.append(_result(f"capacity_fwd_{tag}", err, sram_ok=refused))
-                    continue
+        for r in rs:
+            tag = f"L{L}_C{C}_r{r}"
+            cfg = TileConfig(r=r, elem_bytes=elem_bytes)
+            fwd_peak = peak_sram_forward(L, C, cfg)
+            if fwd_peak > capacity_bytes:
+                refused = _refuses(flash_forward, q, k, v, cfg, ScratchpadArena(capacity_bytes))
+                err = math.inf if ref.forward is None else 0.0
+                results.append(_result(f"capacity_fwd_{tag}", err, sram_ok=refused))
+                continue
 
-                arena = ScratchpadArena(capacity_bytes)
-                o, ctx, rep = flash_forward(q, k, v, cfg, arena)
-                fwd_runs.append((o,))
-                want = None if ref.forward is None else ref.forward[:1]
-                expected = expected_forward_traffic(L, C), fwd_peak
-                results.append(_kernel_case(f"fwd_{tag}", (o,), want, rep, arena, expected))
+            arena = ScratchpadArena(capacity_bytes)
+            o, ctx, rep = flash_forward(q, k, v, cfg, arena)
+            fwd_runs.append((o,))
+            want = None if ref.forward is None else ref.forward[:1]
+            expected = expected_forward_traffic(L, C), fwd_peak
+            results.append(_kernel_case(f"fwd_{tag}", (o,), want, rep, arena, expected))
 
-                bwd_peak = peak_sram_backward(L, C, cfg)
-                if bwd_peak > capacity_bytes:
-                    refused = _refuses(flash_backward, ctx, do, ScratchpadArena(capacity_bytes))
-                    results.append(_result(f"capacity_bwd_{tag}", 0.0, sram_ok=refused))
-                    continue
+            bwd_peak = peak_sram_backward(L, C, cfg)
+            if bwd_peak > capacity_bytes:
+                refused = _refuses(flash_backward, ctx, do, ScratchpadArena(capacity_bytes))
+                results.append(_result(f"capacity_bwd_{tag}", 0.0, sram_ok=refused))
+                continue
 
-                arena = ScratchpadArena(capacity_bytes)
-                *grads, rep = flash_backward(ctx, do, arena)
-                bwd_runs.append(grads)
-                expected = expected_backward_traffic(L, C), bwd_peak
-                results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, rep, arena, expected))
-                if L * C <= 256:
-                    if fd_grads is None:
-                        fd_grads = _finite_diff_grads(q, k, v, do)
-                    err = _max_diff(grads, fd_grads)
-                    results.append(_result(f"grad_{tag}", err, tol=GRAD_TOL))
+            arena = ScratchpadArena(capacity_bytes)
+            *grads, rep = flash_backward(ctx, do, arena)
+            bwd_runs.append(grads)
+            expected = expected_backward_traffic(L, C), bwd_peak
+            results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, rep, arena, expected))
+            if L * C <= 256:
+                if fd_grads is None:
+                    fd_grads = _finite_diff_grads(q, k, v, do)
+                err = _max_diff(grads, fd_grads)
+                results.append(_result(f"grad_{tag}", err, tol=GRAD_TOL))
 
-            if len(fwd_runs) >= 2:
-                err = max(
-                    _max_diff(runs[0], run) for runs in (fwd_runs, bwd_runs) for run in runs[1:]
-                )
-                results.append(_result(f"chunkinv_L{L}_C{C}", err))
+        if len(fwd_runs) >= 2:
+            err = max(
+                _max_diff(runs[0], run) for runs in (fwd_runs, bwd_runs) for run in runs[1:]
+            )
+            results.append(_result(f"chunkinv_L{L}_C{C}", err))
 
     return results
 
@@ -269,7 +266,7 @@ class _Reference:
 
     @cached_property
     def forward(self):
-        """(O, cache) of ``naive_forward``, or None."""
+        """(O, P) of ``naive_forward``, or None."""
         try:
             return naive_forward(self.q, self.k, self.v)
         except FlashwinError:
@@ -476,10 +473,10 @@ def _time_naive(q, k, v, do, pass_, repeats):
                 sq = DenseTensor._adopt(q.array[b, head])
                 sk = DenseTensor._adopt(k.array[b, head])
                 sv = DenseTensor._adopt(v.array[b, head])
-                _, cache = naive_forward(sq, sk, sv)
+                _, p = naive_forward(sq, sk, sv)
                 if pass_ == "fwd_bwd":
                     sdo = DenseTensor._adopt(do.array[b, head])
-                    naive_backward(sq, sk, sv, cache, sdo)
+                    naive_backward(sq, sk, sv, p, sdo)
 
     return _median_ns(run, repeats)[0]
 
@@ -516,15 +513,9 @@ def run_demo(
         stacked, stacked, stacked, tile, [ScratchpadArena(capacity_bytes)]
     )
 
-    oracle_err = 0.0
-    for n in range(N):
-        w = DenseTensor._adopt(windows.array[n])
-        o_ref, _ = naive_forward(w, w, w)
-        oracle_err = max(
-            oracle_err, max_abs_diff(DenseTensor._adopt(out.array[n, 0]), o_ref)
-        )
-
-    image = window_reverse(DenseTensor._adopt(out.array.reshape(N, L, C)), cfg)
+    o = DenseTensor._adopt(out.array.reshape(N, L, C))
+    oracle_err = max_abs_diff(o, naive_forward(windows, windows, windows)[0])
+    image = window_reverse(o, cfg)
     lines = [
         f"image {H}x{W}x{C}, window {k}x{k} -> {N} windows of length {L}",
         f"round_trip_max_abs_diff: {roundtrip:g}",

@@ -4,11 +4,12 @@ The forward pass is the plain three-step pipeline
 
     S = scale * Q K^T,   P = softmax_rows(S),   O = P V
 
-with every intermediate materialized, and the backward pass is its
-analytic derivative. Both serve as the correctness yardstick for the
-tiled kernels, so nothing here models memory traffic. Leading axes of
-the operands are a stack of independent problems, which lets the
-finite-difference oracle evaluate many perturbed copies in one call.
+with the softmax computed in place over the scores, so it returns O and
+P; the backward pass is its analytic derivative and needs only P. Both
+serve as the correctness yardstick for the tiled kernels, so nothing here
+models memory traffic. Leading axes of the operands are a stack of
+independent problems, which lets the finite-difference oracle evaluate
+many perturbed copies in one call.
 """
 
 from __future__ import annotations
@@ -32,21 +33,6 @@ class AttnParams:
     def __post_init__(self):
         if not math.isfinite(self.scale) or self.scale <= 0:
             raise InvalidRangeError(f"scale must be finite and > 0, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class AttnIntermediates:
-    """Pre-softmax scores S and attention weights P cached by the forward pass."""
-
-    S: DenseTensor
-    P: DenseTensor
-
-    def __post_init__(self):
-        if self.S.ndim < 2 or self.S.shape != self.P.shape:
-            raise ShapeError(
-                f"S and P must be equal shapes of at least 2 axes, "
-                f"got {self.S.shape} and {self.P.shape}"
-            )
 
 
 # Largest number of float64 elements in one stacked array of the
@@ -96,20 +82,20 @@ def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, ...
 
 def naive_forward(
     q: DenseTensor, k: DenseTensor, v: DenseTensor, params: AttnParams = AttnParams()
-) -> tuple[DenseTensor, AttnIntermediates]:
-    """Standard attention forward; returns the output and cached S, P.
+) -> tuple[DenseTensor, DenseTensor]:
+    """Standard attention forward; returns (O, P), both read-only.
 
     Q, K and V are (..., L, C). Leading axes are a stack of independent
     problems and broadcast against each other, so one perturbed operand
     can be stacked while the other two stay 2-D; each stacked result
-    equals the 2-D call on that problem.
+    equals the 2-D call on that problem. The softmax overwrites the
+    scaled scores, so one (..., L, L) array is allocated per call.
     """
     _check_qkv(q, k, v)
     s = q.array @ k.array.swapaxes(-1, -2)
     s *= params.scale
-    S = DenseTensor._adopt(s)
-    P = softmax_rows(S)
-    return DenseTensor._adopt(P.array @ v.array), AttnIntermediates(S=S, P=P)
+    p = _softmax_rows(s, s)
+    return DenseTensor._adopt(p @ v.array), DenseTensor._adopt(p)
 
 
 def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
@@ -130,13 +116,14 @@ def naive_backward(
     q: DenseTensor,
     k: DenseTensor,
     v: DenseTensor,
-    cache: AttnIntermediates,
+    P: DenseTensor,
     dO: DenseTensor,
     params: AttnParams = AttnParams(),
 ) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
     """Analytic gradients (dQ, dK, dV) of standard attention.
 
-    dV = P^T dO; dP = dO V^T; dS via :func:`softmax_backward`;
+    ``P`` is the softmax output returned by :func:`naive_forward` on the
+    same operands. dV = P^T dO; dP = dO V^T; dS via :func:`softmax_backward`;
     dQ = scale * dS K; dK = scale * dS^T Q. Q, K, V and dO must have one
     shape (..., L, C); leading axes are a stack of independent problems.
     Stacks do not broadcast here, since a broadcast operand would need
@@ -149,14 +136,12 @@ def naive_backward(
         )
     if dO.shape != shape:
         raise ShapeError(f"dO shape {dO.shape} does not match Q/K/V shape {shape}")
-    if cache.P.shape != shape[:-1] + (shape[-2],):
-        raise ShapeError(
-            f"cache shape {cache.P.shape} inconsistent with Q/K/V shape {shape}"
-        )
-    p = cache.P.array
+    if P.shape != shape[:-1] + (shape[-2],):
+        raise ShapeError(f"P shape {P.shape} inconsistent with Q/K/V shape {shape}")
+    p = P.array
     dv = p.swapaxes(-1, -2) @ dO.array
     dp = dO.array @ v.array.swapaxes(-1, -2)
-    ds = softmax_backward(cache.P, DenseTensor._adopt(dp)).array
+    ds = softmax_backward(P, DenseTensor._adopt(dp)).array
     dq = ds @ k.array
     dq *= params.scale
     dk = ds.swapaxes(-1, -2) @ q.array

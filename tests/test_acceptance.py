@@ -63,8 +63,8 @@ def grid_runs():
         for C in GRID_CS:
             rng = Rng(9000 + 100 * L + C)
             q, k, v, do = (rand(rng, (L, C)) for _ in range(4))
-            o_ref, cache = naive_forward(q, k, v)
-            oracle[(L, C)] = (o_ref, naive_backward(q, k, v, cache, do))
+            o_ref, p = naive_forward(q, k, v)
+            oracle[(L, C)] = (o_ref, naive_backward(q, k, v, p, do))
             for r in grid_rs(C):
                 cfg = TileConfig(r=r, elem_bytes=4)
                 fwd_arena = ScratchpadArena()
@@ -104,8 +104,8 @@ def test_criterion_02_gradient_correctness():
             q, k, v, do = (rand(rng, (L, C)) for _ in range(4))
             _, ctx, _ = flash_forward(q, k, v, TileConfig(r=2), ScratchpadArena())
             flash_grads = flash_backward(ctx, do, ScratchpadArena())[:3]
-            _, cache = naive_forward(q, k, v)
-            naive_grads = naive_backward(q, k, v, cache, do)
+            _, p = naive_forward(q, k, v)
+            naive_grads = naive_backward(q, k, v, p, do)
 
             def of(qq, kk, vv):
                 return (do.array * naive_forward(qq, kk, vv)[0].array).sum(axis=(-2, -1))

@@ -197,8 +197,8 @@ class TestFlashBackward:
         _, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena())
         arena = ScratchpadArena()
         dq, dk, dv, report = flash_backward(ctx, do, arena)
-        _, cache = naive_forward(q, k, v)
-        ndq, ndk, ndv = naive_backward(q, k, v, cache, do)
+        _, p = naive_forward(q, k, v)
+        ndq, ndk, ndv = naive_backward(q, k, v, p, do)
         assert max_abs_diff(dq, ndq) <= TOL
         assert max_abs_diff(dk, ndk) <= TOL
         assert max_abs_diff(dv, ndv) <= TOL
@@ -433,9 +433,9 @@ class TestFailureContract:
 
         def nan_masks(v, do):
             o, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena())
-            o_ref, cache = naive_forward(q, k, v)
+            o_ref, p = naive_forward(q, k, v)
             got = (o, *flash_backward(ctx, do, ScratchpadArena())[:3])
-            want = (o_ref, *naive_backward(q, k, v, cache, do))
+            want = (o_ref, *naive_backward(q, k, v, p, do))
             for g, w in zip(got, want):
                 nan = np.isnan(w.array)
                 assert np.array_equal(np.isnan(g.array), nan)

@@ -1,8 +1,9 @@
 """CLI output pinned byte for byte: refactors must leave these stdout bytes unchanged.
 
-Each file under ``tests/golden/`` is the stdout of one ``flashwin``
-invocation. A change that alters a count, a peak, a case list or the last
-digit of an oracle error shows up here as a diff against the file.
+Each ``.txt`` file under ``tests/golden/`` is the stdout of one
+``flashwin`` invocation, and each ``.csv`` file the ``--out`` file of one.
+A change that alters a count, a peak, a case list or the last digit of an
+oracle error shows up here as a diff against the file.
 """
 
 from pathlib import Path
@@ -31,7 +32,26 @@ CASES = [
 ]
 
 
+# Files written through --out; stdout still equals the .txt file of the same name.
+OUT_CASES = [
+    ("traffic_L64_C64_r4.csv", ["traffic", "--L", "64", "--C", "64", "--r", "4"]),
+    (
+        "traffic_L49_C32_rauto_e8.csv",
+        ["traffic", "--L", "49", "--C", "32", "--r", "auto", "--elem-bytes", "8"],
+    ),
+]
+
+
 @pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
 def test_cli_stdout_and_exit_code_match_golden_file(capsys, name, argv, code):
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv", OUT_CASES, ids=[c[0] for c in OUT_CASES])
+def test_cli_out_file_matches_golden_file(tmp_path, capsys, name, argv):
+    path = tmp_path / name
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == (GOLDEN / name).read_text(encoding="utf-8")
+    stdout = GOLDEN / name.replace(".csv", ".txt")
+    assert capsys.readouterr().out == stdout.read_text(encoding="utf-8")

@@ -4,6 +4,7 @@ import csv
 import io
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
@@ -11,7 +12,6 @@ from flashwin import DenseTensor, NumericsError, ShapeError, harness
 from flashwin.cli import main
 from flashwin.harness import (
     BENCH_COLUMNS,
-    BenchRow,
     naive_total_elements,
     render_suite_table,
     render_traffic_text,
@@ -153,6 +153,17 @@ class TestCheckSuite:
         assert {"fwd_L4_C4_r1", "fwd_L4_C16_r3", "fwd_L4_C16_r8"} <= ids
         assert not any("C4_r3" in i or "C4_r8" in i for i in ids)
 
+    def test_repeated_lengths_and_feature_counts_run_once(self, capsys):
+        assert main(["check", "--L", "2", "--C", "16,16", "--r", "1,1"]) == 0
+        repeated = capsys.readouterr().out
+        assert main(["check", "--L", "2,2", "--C", "16", "--r", "1"]) == 0
+        assert capsys.readouterr().out == repeated
+        assert main(["check", "--L", "2", "--C", "16", "--r", "1"]) == 0
+        assert capsys.readouterr().out == repeated
+        ids = [line.split()[0] for line in repeated.splitlines()[1:-1]]
+        assert len(ids) == len(set(ids)) == 8
+        assert repeated.endswith("8/8 cases passed\n")
+
     @pytest.mark.parametrize("r_values, bad", [([1, 3, 64], "3"), ([64], "64"), ([2, 0], "0")])
     def test_chunk_count_that_tiles_no_feature_count_is_an_error(self, r_values, bad):
         msg = rf"^chunk count {bad} tiles none of the feature counts \[4\]$"
@@ -200,7 +211,7 @@ class TestBench:
         )
         assert len(parsed) == 3
         for raw, row in zip(parsed[1:], rows):
-            assert BenchRow.from_csv_row(raw) == row
+            assert raw == [str(x) for x in astuple(row)]
 
     def test_flash_forward_traffic_is_4lc_per_slice(self):
         rows = run_bench(batches=[3], heads=2, L=8, Cs=[16], repeats=3)
@@ -260,6 +271,18 @@ class TestDemo:
         assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)
         assert copies == []
 
+    def test_checks_all_windows_in_one_reference_call(self, monkeypatch):
+        calls = []
+        real = harness.naive_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "naive_forward", counted)
+        assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)
+        assert calls == [(16, 4, 4)]
+
     def test_multi_window_geometry(self):
         text = run_demo(H=28, W=28, C=32, k=7, seed=1)
         assert "16 windows" in text
@@ -282,10 +305,11 @@ class TestCli:
         main(["check", "--L", "2", "--C", "16", "--r", "2", "--seed", "5"])
         assert capsys.readouterr().out == first
 
-    def test_traffic_prints_text_and_csv(self, capsys):
+    def test_traffic_prints_text_only(self, capsys):
         assert main(["traffic", "--L", "64", "--C", "64", "--r", "4"]) == 0
         out = capsys.readouterr().out
-        assert "24576" in out and "pass,operand,loads,stores" in out
+        assert "24576" in out and "pass,operand,loads,stores" not in out
+        assert out == render_traffic_text(run_traffic(L=64, C=64, r=4, elem_bytes=4))
 
     def test_traffic_mismatch_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(harness.TrafficSummary, "consistent", property(lambda self: False))
@@ -298,6 +322,7 @@ class TestCli:
         path = tmp_path / "traffic.csv"
         assert main(["traffic", "--L", "8", "--C", "16", "--out", str(path)]) == 0
         assert path.read_text().startswith("pass,operand,loads,stores")
+        assert "pass,operand" not in capsys.readouterr().out
 
     def test_bench_emits_csv(self, tmp_path):
         path = tmp_path / "bench.csv"

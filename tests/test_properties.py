@@ -79,14 +79,14 @@ def test_kernels_match_the_reference_and_the_closed_forms(problem):
     params = AttnParams(scale=cfg.scale)
 
     o, ctx, rep = flash_forward(q, k, v, cfg, arena)
-    o_ref, cache = naive_forward(q, k, v, params)
+    o_ref, p = naive_forward(q, k, v, params)
     assert _max_err([o], [o_ref]) <= ORACLE_TOL
     assert (rep.loads, rep.stores) == expected_forward_traffic(L, C)
     assert rep.peak_sram_bytes == fwd_peak
     assert arena.live_bytes == held
 
     *grads, rep = flash_backward(ctx, do, arena)
-    assert _max_err(grads, naive_backward(q, k, v, cache, do, params)) <= ORACLE_TOL
+    assert _max_err(grads, naive_backward(q, k, v, p, do, params)) <= ORACLE_TOL
     assert (rep.loads, rep.stores) == expected_backward_traffic(L, C)
     assert rep.peak_sram_bytes == bwd_peak
     assert arena.live_bytes == held

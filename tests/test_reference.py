@@ -88,15 +88,15 @@ class TestNaiveForward:
     def test_zero_keys_give_column_means(self):
         rng = Rng(13)
         q, v = rand(rng, (5, 3)), rand(rng, (5, 3))
-        o, cache = naive_forward(q, zeros([5, 3]), v)
+        o, p = naive_forward(q, zeros([5, 3]), v)
         assert np.allclose(o.array, np.tile(v.array.mean(axis=0), (5, 1)), atol=1e-15)
-        assert np.allclose(cache.P.array, 0.2, atol=1e-15)
+        assert np.allclose(p.array, 0.2, atol=1e-15)
 
     def test_length_one_sequence(self):
         rng = Rng(14)
         q, k, v = (rand(rng, (1, 4)) for _ in range(3))
-        o, cache = naive_forward(q, k, v)
-        assert cache.P.array.tolist() == [[1.0]]
+        o, p = naive_forward(q, k, v)
+        assert p.array.tolist() == [[1.0]]
         assert np.array_equal(o.array, v.array)
 
     def test_output_columns_inside_value_hull(self):
@@ -110,8 +110,10 @@ class TestNaiveForward:
     def test_scale_is_applied_before_softmax(self):
         rng = Rng(16)
         q, k, v = (rand(rng, (4, 4)) for _ in range(3))
-        _, cache = naive_forward(q, k, v, AttnParams(scale=0.5))
-        assert np.allclose(cache.S.array, 0.5 * (q.array @ k.array.T), atol=1e-15)
+        _, p = naive_forward(q, k, v, AttnParams(scale=0.5))
+        want = softmax_rows(DenseTensor((4, 4), 0.5 * (q.array @ k.array.T)))
+        assert np.allclose(p.array, want.array, atol=1e-15)
+        assert not np.allclose(p.array, softmax_rows(DenseTensor((4, 4), q.array @ k.array.T)).array)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -124,21 +126,34 @@ class TestNaiveForward:
         stack = rand(rng, (3, 6, 4))
         operands = list(qkv)
         operands[stacked] = stack
-        o, cache = naive_forward(*operands, AttnParams(scale=0.5))
+        o, p = naive_forward(*operands, AttnParams(scale=0.5))
         assert o.shape == (3, 6, 4)
         for i in range(3):
             operands[stacked] = DenseTensor((6, 4), stack.array[i])
-            o_i, cache_i = naive_forward(*operands, AttnParams(scale=0.5))
+            o_i, p_i = naive_forward(*operands, AttnParams(scale=0.5))
             assert np.array_equal(o.array[i], o_i.array)
             if stacked < 2:  # V does not enter the scores
-                assert np.array_equal(cache.P.array[i], cache_i.P.array)
+                assert np.array_equal(p.array[i], p_i.array)
 
     def test_outputs_are_read_only(self):
         rng = Rng(32)
-        o, cache = naive_forward(*(rand(rng, (4, 3)) for _ in range(3)))
-        for t in (o, cache.S, cache.P):
+        for t in naive_forward(*(rand(rng, (4, 3)) for _ in range(3))):
             with pytest.raises(ValueError):
                 t.array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 5, 3)])
+    def test_p_is_read_only_softmax_of_scaled_scores(self, shape):
+        rng = Rng(33)
+        q, k, v = (rand(rng, shape) for _ in range(3))
+        _, p = naive_forward(q, k, v, AttnParams(scale=0.25))
+        s = 0.25 * (q.array @ k.array.swapaxes(-1, -2))
+        assert np.array_equal(p.array, softmax_rows(DenseTensor(s.shape, s)).array)
+        with pytest.raises(ValueError):
+            p.array[..., 0, 0] = 1.0
+        bad = k.array.copy()
+        bad[..., 1, 0] = np.inf  # non-finite scores in column 1
+        with pytest.raises(NumericsError):
+            naive_forward(q, DenseTensor(shape, bad), v)
 
     def test_stack_axes_must_broadcast(self):
         with pytest.raises(ShapeError):
@@ -191,15 +206,15 @@ class TestNaiveBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = Rng(21)
         q, k, v = (rand(rng, (5, 3)) for _ in range(3))
-        _, cache = naive_forward(q, k, v)
-        for g in naive_backward(q, k, v, cache, zeros([5, 3])):
+        _, p = naive_forward(q, k, v)
+        for g in naive_backward(q, k, v, p, zeros([5, 3])):
             assert np.array_equal(g.array, np.zeros((5, 3)))
 
     def test_length_one_sequence(self):
         rng = Rng(22)
         q, k, v, do = (rand(rng, (1, 4)) for _ in range(4))
-        _, cache = naive_forward(q, k, v)
-        dq, dk, dv = naive_backward(q, k, v, cache, do)
+        _, p = naive_forward(q, k, v)
+        dq, dk, dv = naive_backward(q, k, v, p, do)
         assert np.array_equal(dv.array, do.array)
         assert np.abs(dq.array).max() <= 1e-15
         assert np.abs(dk.array).max() <= 1e-15
@@ -207,8 +222,8 @@ class TestNaiveBackward:
     def test_matches_finite_differences(self):
         rng = Rng(23)
         q, k, v, do = (rand(rng, (8, 4)) for _ in range(4))
-        _, cache = naive_forward(q, k, v)
-        dq, dk, dv = naive_backward(q, k, v, cache, do)
+        _, p = naive_forward(q, k, v)
+        dq, dk, dv = naive_backward(q, k, v, p, do)
         of = loss_fn(do)
         assert max_abs_diff(dq, finite_diff_grad(lambda t: of(t, k, v), q, FD_STEP)) <= 1e-6
         assert max_abs_diff(dk, finite_diff_grad(lambda t: of(q, t, v), k, FD_STEP)) <= 1e-6
@@ -219,8 +234,8 @@ class TestNaiveBackward:
     def test_oracle_closure_across_shapes(self, L, C):
         rng = Rng(1000 + 64 * L + C)
         q, k, v, do = (rand(rng, (L, C)) for _ in range(4))
-        _, cache = naive_forward(q, k, v)
-        dq, dk, dv = naive_backward(q, k, v, cache, do)
+        _, p = naive_forward(q, k, v)
+        dq, dk, dv = naive_backward(q, k, v, p, do)
         of = loss_fn(do)
         assert max_abs_diff(dq, finite_diff_grad(lambda t: of(t, k, v), q, FD_STEP)) <= 1e-5
         assert max_abs_diff(dk, finite_diff_grad(lambda t: of(q, t, v), k, FD_STEP)) <= 1e-5
@@ -229,13 +244,13 @@ class TestNaiveBackward:
     def test_stacked_problems_equal_per_slice_calls(self):
         rng = Rng(28)
         q, k, v, do = (rand(rng, (2, 3, 5, 4)) for _ in range(4))
-        _, cache = naive_forward(q, k, v, AttnParams(scale=0.5))
-        grads = naive_backward(q, k, v, cache, do, AttnParams(scale=0.5))
+        _, p = naive_forward(q, k, v, AttnParams(scale=0.5))
+        grads = naive_backward(q, k, v, p, do, AttnParams(scale=0.5))
         for b in range(2):
             for h in range(3):
                 sl = lambda t: DenseTensor((5, 4), t.array[b, h])
-                _, cache_bh = naive_forward(sl(q), sl(k), sl(v), AttnParams(scale=0.5))
-                want = naive_backward(sl(q), sl(k), sl(v), cache_bh, sl(do), AttnParams(scale=0.5))
+                _, p_bh = naive_forward(sl(q), sl(k), sl(v), AttnParams(scale=0.5))
+                want = naive_backward(sl(q), sl(k), sl(v), p_bh, sl(do), AttnParams(scale=0.5))
                 for g, w in zip(grads, want):
                     assert np.array_equal(g.array[b, h], w.array)
 
@@ -245,19 +260,19 @@ class TestNaiveBackward:
         rng = Rng(29)
         q, do = rand(rng, (3, 5, 4)), rand(rng, (3, 5, 4))
         k, v = rand(rng, (5, 4)), rand(rng, (5, 4))
-        _, cache = naive_forward(q, k, v)
+        _, p = naive_forward(q, k, v)
         with pytest.raises(ShapeError):
-            naive_backward(q, k, v, cache, do)
+            naive_backward(q, k, v, p, do)
 
     def test_gradients_are_read_only_and_reproducible(self):
         rng = Rng(30)
         q, k, v, do = (rand(rng, (6, 4)) for _ in range(4))
         dp = rand(rng, (6, 6))
         params = AttnParams(scale=0.5)
-        _, cache = naive_forward(q, k, v, params)
+        _, p = naive_forward(q, k, v, params)
 
         def outputs():
-            return (*naive_backward(q, k, v, cache, do, params), softmax_backward(cache.P, dp))
+            return (*naive_backward(q, k, v, p, do, params), softmax_backward(p, dp))
 
         for got, fresh in zip(outputs(), outputs()):
             with pytest.raises(ValueError):
@@ -265,7 +280,7 @@ class TestNaiveBackward:
             assert np.array_equal(got.array, fresh.array)
             assert not np.shares_memory(got.array, fresh.array)
 
-    def test_cache_shape_consistency_checked(self):
+    def test_p_shape_consistency_checked(self):
         rng = Rng(24)
         q, k, v, do = (rand(rng, (4, 3)) for _ in range(4))
         _, wrong = naive_forward(*(rand(rng, (5, 3)) for _ in range(3)))

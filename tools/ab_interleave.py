@@ -4,6 +4,7 @@ Usage (from the repository root)::
 
     python tools/ab_interleave.py --rev HEAD~1 --pairs 200
     python tools/ab_interleave.py --rev HEAD~1 --pairs 50 --workload verify
+    python tools/ab_interleave.py --rev HEAD~1 --pairs 200 --workload wide_naive
 
 The rev's ``src/flashwin`` is extracted with ``git archive`` into a
 temporary directory under the package name ``flashwin_base``; the working
@@ -14,6 +15,10 @@ operation, alternating which tree goes first in each pair:
   partition -> batched tiled forward with Q=K=V and one arena -> reverse.
   Gated as the benchmark gates it: the arena ends idle and the reported
   forward peak equals the closed form.
+* ``wide_naive``: the untiled half of wide_fwd on the same image, timed
+  as the benchmark's ``naive_batch_ms_min``: partition -> ``naive_forward``
+  per (window, head) slice with scale ``C**-0.5`` -> reverse. Its check
+  is the comparison of the two trees' output images.
 * ``verify``: one ``run_check_suite`` pass on the benchmark's verify grid.
   Gated on every case being ok.
 
@@ -39,6 +44,8 @@ import tempfile
 import time
 import zipfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -85,6 +92,28 @@ class WideForward:
         return elapsed, image.array.tobytes()
 
 
+class WideNaive(WideForward):
+    """The untiled half of wide_fwd, bound to one copy of the package."""
+
+    def run(self, i: int):
+        """One operation on input set ``i``; returns (elapsed ns, output image bytes)."""
+        fw = self.fw
+        params = fw.AttnParams(scale=self.tile.scale)
+        t0 = time.perf_counter_ns()
+        w = fw.window_partition(self.images[i % POOL], self.win).array
+        n = w.shape[0]
+        heads = w.reshape(n, self.L, HEADS, self.C).transpose(0, 2, 1, 3)
+        qkv = fw.DenseTensor(heads.shape, heads)
+        out = np.empty(heads.shape)
+        for b in range(n):
+            for h in range(HEADS):
+                sq, sk, sv = (fw.DenseTensor((self.L, self.C), qkv.array[b, h]) for _ in range(3))
+                out[b, h] = fw.naive_forward(sq, sk, sv, params)[0].array
+        o = out.transpose(0, 2, 1, 3).reshape(n, self.L, CHANNELS)
+        image = fw.window_reverse(fw.DenseTensor(o.shape, o), self.win)
+        return time.perf_counter_ns() - t0, image.array.tobytes()
+
+
 class Verify:
     """One check-suite pass on the verify grid, bound to one copy of the package."""
 
@@ -104,7 +133,7 @@ class Verify:
         return elapsed, self.harness.render_suite_table(results)
 
 
-WORKLOADS = {"wide_fwd": WideForward, "verify": Verify}
+WORKLOADS = {"wide_fwd": WideForward, "wide_naive": WideNaive, "verify": Verify}
 
 
 def extract(rev: str, dest: Path) -> None:
