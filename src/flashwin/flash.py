@@ -9,6 +9,7 @@ deliberately reloaded, never cached across phases), streams dV and the dP
 accumulation in a second pass, converts dP to dS in place, and streams dQ
 and dK in a third pass. Both build the weights through one score path
 (``_weights``) and write every output tile through one step (``_emit``).
+They only compute: the arena allocates, loads, stores and reports.
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
@@ -97,29 +98,20 @@ def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
     return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
 
 
-def _load(arena, loads, operand, view, elem_bytes, tag) -> OnChipBuffer:
-    """Copy a global slice into a fresh on-chip buffer; count it in the pre-seeded ``loads``."""
-    buf = arena.allocate(tag, view.shape, elem_bytes)
-    buf.array[...] = view
-    loads[operand] += view.size
-    return buf
-
-
-def _emit(arena, stores, operand, dest, a, b, elem_bytes, tag) -> None:
-    """Compute the tile ``a @ b`` on chip, store it to ``dest`` (counted), then free it."""
-    tile = arena.allocate(tag, dest.shape, elem_bytes)
+def _emit(arena, operand, dest, a, b, elem_bytes) -> None:
+    """Compute the tile ``a @ b`` on chip, store it to ``dest``, then free it."""
+    tile = arena.allocate(operand, dest.shape, elem_bytes)
     np.matmul(a, b, out=tile.array)
-    dest[...] = tile.array
-    stores[operand] += tile.array.size
+    arena.store(operand, dest, tile)
     arena.free(tile)
 
 
-def _weights(arena, loads, qg, kg, spans, cfg, tag) -> OnChipBuffer:
+def _weights(arena, qg, kg, spans, cfg) -> OnChipBuffer:
     """Weights on chip: sum_i Q_i K_i^T, scaled, softmaxed in place (non-finite scores raise)."""
-    weights = arena.allocate(tag, (qg.shape[0], kg.shape[0]), cfg.elem_bytes)
+    weights = arena.allocate("P", (qg.shape[0], kg.shape[0]), cfg.elem_bytes)
     for lo, hi in spans:
-        qi = _load(arena, loads, "Q", qg[:, lo:hi], cfg.elem_bytes, "Q_i")
-        ki = _load(arena, loads, "K", kg[:, lo:hi], cfg.elem_bytes, "K_i")
+        qi = arena.load("Q", qg[:, lo:hi], cfg.elem_bytes)
+        ki = arena.load("K", kg[:, lo:hi], cfg.elem_bytes)
         weights.array += qi.array @ ki.array.T
         arena.free(qi)
         arena.free(ki)
@@ -160,22 +152,18 @@ def flash_forward(
     L, C = _check_qkv_2d(q, k, v)
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
-    # Seeded in first-touch order, which is the order reports list them in.
-    loads = {"Q": 0, "K": 0, "V": 0}
-    stores = {"O": 0}
     vg = v.array
     og = np.empty((L, C), dtype=np.float64)
 
-    with arena.kernel_call("forward", peak_sram_forward(L, C, cfg)) as call_peak:
-        weights = _weights(arena, loads, q.array, k.array, spans, cfg, "S")
+    with arena.kernel_call("forward", peak_sram_forward(L, C, cfg)) as report:
+        weights = _weights(arena, q.array, k.array, spans, cfg)
         for lo, hi in spans:
-            vi = _load(arena, loads, "V", vg[:, lo:hi], eb, "V_i")
-            _emit(arena, stores, "O", og[:, lo:hi], weights.array, vi.array, eb, "O_i")
+            vi = arena.load("V", vg[:, lo:hi], eb)
+            _emit(arena, "O", og[:, lo:hi], weights.array, vi.array, eb)
             arena.free(vi)
         arena.free(weights)
 
-    report = TrafficReport(loads, stores, peak_sram_bytes=call_peak())
-    return DenseTensor._adopt(og), FlashContext(q=q, k=k, v=v, cfg=cfg), report
+    return DenseTensor._adopt(og), FlashContext(q=q, k=k, v=v, cfg=cfg), report()
 
 
 def flash_backward(
@@ -201,24 +189,22 @@ def flash_backward(
     cfg = ctx.cfg
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
-    loads = {"Q": 0, "K": 0, "dO": 0, "V": 0}
-    stores = {"dV": 0, "dQ": 0, "dK": 0}
     qg, kg, vg, dog = ctx.q.array, ctx.k.array, ctx.v.array, dO.array
     dqg, dkg, dvg = (np.empty((L, C), dtype=np.float64) for _ in range(3))
 
-    with arena.kernel_call("backward", peak_sram_backward(L, C, cfg)) as call_peak:
+    with arena.kernel_call("backward", peak_sram_backward(L, C, cfg)) as report:
         # Phase 1: rebuild the attention weights from Q, K.
-        weights = _weights(arena, loads, qg, kg, spans, cfg, "P")
+        weights = _weights(arena, qg, kg, spans, cfg)
         dweights = arena.allocate("dP", (L, L), eb)
 
         # Phase 2: stream dV out while accumulating dP. The dP update runs
         # first so the freed V_i slot can host the dV_i tile.
         for lo, hi in spans:
-            doi = _load(arena, loads, "dO", dog[:, lo:hi], eb, "dO_i")
-            vi = _load(arena, loads, "V", vg[:, lo:hi], eb, "V_i")
+            doi = arena.load("dO", dog[:, lo:hi], eb)
+            vi = arena.load("V", vg[:, lo:hi], eb)
             dweights.array += doi.array @ vi.array.T
             arena.free(vi)
-            _emit(arena, stores, "dV", dvg[:, lo:hi], weights.array.T, doi.array, eb, "dV_i")
+            _emit(arena, "dV", dvg[:, lo:hi], weights.array.T, doi.array, eb)
             arena.free(doi)
 
         # Phase 3: dP -> dS in place; the weights buffer is dead afterwards.
@@ -227,17 +213,16 @@ def flash_backward(
         arena.free(weights)
 
         for lo, hi in spans:
-            ki = _load(arena, loads, "K", kg[:, lo:hi], eb, "K_i")
-            _emit(arena, stores, "dQ", dqg[:, lo:hi], dweights.array, ki.array, eb, "dQ_i")
+            ki = arena.load("K", kg[:, lo:hi], eb)
+            _emit(arena, "dQ", dqg[:, lo:hi], dweights.array, ki.array, eb)
             arena.free(ki)
-            qi = _load(arena, loads, "Q", qg[:, lo:hi], eb, "Q_i")
-            _emit(arena, stores, "dK", dkg[:, lo:hi], dweights.array.T, qi.array, eb, "dK_i")
+            qi = arena.load("Q", qg[:, lo:hi], eb)
+            _emit(arena, "dK", dkg[:, lo:hi], dweights.array.T, qi.array, eb)
             arena.free(qi)
         arena.free(dweights)
 
-    report = TrafficReport(loads, stores, peak_sram_bytes=call_peak())
     dq, dk, dv = (DenseTensor._adopt(g) for g in (dqg, dkg, dvg))
-    return dq, dk, dv, report
+    return dq, dk, dv, report()
 
 
 def batched_flash_forward(

@@ -411,13 +411,15 @@ def run_bench(
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
+    cfgs = {}  # each C once, every chunk count checked before any input is made
+    for C in dict.fromkeys(Cs):
+        cfgs[C] = TileConfig(r=resolve_r(r_value, C), elem_bytes=elem_bytes)
+        cfgs[C].chunk_width(C)
     master = Rng(seed)
     rows: list[BenchRow] = []
 
-    for batch in batches:
-        for C in Cs:
-            r = resolve_r(r_value, C)
-            cfg = TileConfig(r=r, elem_bytes=elem_bytes)
+    for batch in dict.fromkeys(batches):
+        for C, cfg in cfgs.items():
             rng = master.split()
             shape = (batch, heads, L, C)
             q, k, v, do = (_rand(rng, shape) for _ in range(4))
@@ -428,7 +430,7 @@ def run_bench(
                 ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
                 ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
             ):
-                rows.append(BenchRow(batch, heads, L, C, r, impl, pass_, ns, peak, elements))
+                rows.append(BenchRow(batch, heads, L, C, cfg.r, impl, pass_, ns, peak, elements))
 
     rows.sort(key=lambda b: (b.batch, b.heads, b.L, b.C, b.r, b.impl, b.pass_))
     return rows

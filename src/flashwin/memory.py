@@ -1,15 +1,14 @@
 """Two-level memory model: a capacity-bounded scratchpad and traffic counts.
 
 The simulated machine has a large global memory (the DenseTensor operands)
-and a small on-chip scratchpad. Kernels may only touch global operands
-through explicit chunk loads/stores, each of which is counted per operand
-at element granularity, and may only hold working data in buffers
-allocated from a :class:`ScratchpadArena`, which enforces its byte budget
-on every allocation and records the high-water mark.
+and a small on-chip scratchpad, modeled by :class:`ScratchpadArena`.
+Kernels hold working data only in buffers from its ``allocate``, which
+enforces the byte budget, and cross the global-memory boundary only
+through its ``load`` and ``store``, which count elements per operand.
 
 Each kernel call runs in one :meth:`ScratchpadArena.kernel_call` scope,
-which checks the call's budget, measures its peak and leaves the arena at
-its entry live bytes when the call fails.
+which checks the call's budget, yields the call's :class:`TrafficReport`
+and leaves the arena at its entry live bytes when the call fails.
 
 Accounting granularity matches the claims being checked: named kernel
 buffers only. Per-row scalar temporaries (softmax row max/sum and the
@@ -49,29 +48,27 @@ class OnChipBuffer:
 
 
 class ScratchpadArena:
-    """On-chip memory simulator tracking live bytes and peak occupancy.
-
-    ``peak_bytes`` is the lifetime peak; a :meth:`kernel_call` scope
-    measures the peak of one call.
-    """
+    """On-chip memory simulator: live bytes, global transfers and per-call reports."""
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         if capacity_bytes < 0:
             raise CapacityError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = int(capacity_bytes)
         self.live_bytes = 0
-        self.peak_bytes = 0
-        self._call_peak = 0  # peak since the current kernel call began
+        # The current call's ledger: its peak and, in first-touch order, its counts.
+        self._call_peak, self._loads, self._stores = 0, {}, {}
 
     @contextmanager
-    def kernel_call(self, kind: str, need: int) -> Iterator[Callable[[], int]]:
+    def kernel_call(self, kind: str, need: int) -> Iterator[Callable[[], TrafficReport | None]]:
         """Scope of one kernel call that needs ``need`` bytes at its peak.
 
         Raises :class:`CapacityError` before anything is allocated when
         ``need`` exceeds the bytes free on entry. Yields a function giving
-        the call's peak so far above its entry live bytes. On any exception,
-        live bytes go back to their entry value and the buffers allocated
-        inside are abandoned. One call runs on an arena at a time.
+        the call's report once the call has ended (None before): its loads
+        and stores, and its peak above the entry live bytes. On any
+        exception, live bytes go back to their entry value, the buffers
+        allocated inside are abandoned and no report is made. One call runs
+        on an arena at a time.
         """
         entry = self.live_bytes
         if need > self.capacity_bytes - entry:
@@ -79,19 +76,34 @@ class ScratchpadArena:
                 f"{kind} pass needs {need} bytes of scratchpad, "
                 f"arena has {self.capacity_bytes - entry} of {self.capacity_bytes} available"
             )
-        self._call_peak = entry
+        self._call_peak, self._loads, self._stores = entry, {}, {}
+        final = None
         try:
-            yield lambda: self._call_peak - entry
+            yield lambda: final
         except BaseException:
             self.live_bytes = entry
             raise
+        final = TrafficReport(self._loads, self._stores, self._call_peak - entry)
+        self._loads, self._stores = {}, {}  # later transfers cannot reach the report
+
+    def load(self, operand: str, view: np.ndarray, elem_bytes: int) -> OnChipBuffer:
+        """Copy the global slice ``view`` into a fresh buffer and count its elements."""
+        buf = self.allocate(operand, view.shape, elem_bytes)
+        buf.array[...] = view
+        self._loads[operand] = self._loads.get(operand, 0) + view.size
+        return buf
+
+    def store(self, operand: str, dest: np.ndarray, buf: OnChipBuffer) -> None:
+        """Copy ``buf`` out to the global slice ``dest`` and count the elements written."""
+        dest[...] = buf.array
+        self._stores[operand] = self._stores.get(operand, 0) + dest.size
 
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> OnChipBuffer:
         """Reserve ``prod(shape) * elem_bytes`` bytes and return a zeroed workspace.
 
         Raises :class:`ShapeError` for a negative extent and
         :class:`CapacityError` when the request does not fit; in both cases
-        live and peak bytes are left as they were.
+        live bytes and the call's peak are left as they were.
         """
         try:
             array = np.zeros(shape)  # float64, numpy's default
@@ -105,10 +117,8 @@ class ScratchpadArena:
         if live > self.capacity_bytes:
             raise self._overflow(name, nbytes)
         self.live_bytes = live
-        if live > self._call_peak:  # never above the lifetime peak
+        if live > self._call_peak:
             self._call_peak = live
-            if live > self.peak_bytes:
-                self.peak_bytes = live
         return OnChipBuffer(name, array, nbytes)
 
     def _overflow(self, name: str, nbytes: int) -> CapacityError:
@@ -128,9 +138,9 @@ class ScratchpadArena:
 class TrafficReport:
     """Per-operand global-memory element counts plus the scratchpad peak.
 
-    Every global load and store performed by an instrumented kernel is
-    recorded here, so the key sets double as proof of which operands were
-    touched at all.
+    Every global load and store of a kernel call is recorded here, keyed in
+    first-touch order, so the key sets double as proof of which operands
+    were touched at all.
     """
 
     loads: dict[str, int] = field(default_factory=dict)

@@ -14,6 +14,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import flashwin as fw
 from flashwin import harness
 
@@ -60,6 +62,26 @@ def test_package_names_used_by_the_workloads_exist():
 
 def test_harness_keeps_the_globals_the_benchmark_reads():
     assert [name for name in HARNESS_GLOBALS if name not in vars(harness)] == []
+
+
+@pytest.mark.parametrize("L, C, r", [(64, 256, 16), (49, 32, 2)])
+def test_an_arena_subclass_sees_every_kernel_buffer(L, C, r):
+    # The benchmark's memory.allocs comes from an allocate override: 65 per
+    # wide_fwd slice, 29 per swin_train slice. Chunk loads must reach it.
+    class Counted(fw.ScratchpadArena):
+        allocs = 0
+
+        def allocate(self, name, shape, elem_bytes):
+            self.allocs += 1
+            return super().allocate(name, shape, elem_bytes)
+
+    rng = fw.Rng(3)
+    q, k, v, do = (fw.fill_uniform(rng, (L, C), -1.0, 1.0) for _ in range(4))
+    arena = Counted()
+    _, ctx, _ = fw.flash_forward(q, k, v, fw.TileConfig(r=r), arena)
+    forward = arena.allocs
+    fw.flash_backward(ctx, do, arena)
+    assert (forward, arena.allocs - forward) == (1 + 4 * r, 2 + 9 * r)
 
 
 def test_check_suite_builds_every_kernel_arena_through_the_module_global(monkeypatch):

@@ -37,6 +37,18 @@ from flashwin.harness import FD_STEP, GRAD_TOL
 TOL = 1e-10
 
 
+class _CountingArena(ScratchpadArena):
+    """An arena that records the name of every allocation."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.names = []
+
+    def allocate(self, name, shape, elem_bytes):
+        self.names.append(name)
+        return super().allocate(name, shape, elem_bytes)
+
+
 def rand(rng, shape):
     return fill_uniform(rng, shape, -1.0, 1.0)
 
@@ -135,11 +147,12 @@ class TestFlashForward:
 
     def test_no_global_intermediates(self):
         # every global access is counted per operand, so the key sets prove
-        # no score/weight matrix ever crosses the global-memory boundary
+        # no score/weight matrix ever crosses the global-memory boundary;
+        # the keys are listed in first-touch order
         q, k, v = make_qkv(41, 16, 16)
         _, _, report = flash_forward(q, k, v, TileConfig(r=2), ScratchpadArena())
-        assert set(report.loads) == {"Q", "K", "V"}
-        assert set(report.stores) == {"O"}
+        assert list(report.loads) == ["Q", "K", "V"]
+        assert list(report.stores) == ["O"]
 
     def test_traffic_counts_at_benchmark_shape(self):
         q, k, v = make_qkv(42, 64, 64)
@@ -236,6 +249,14 @@ class TestFlashBackward:
         assert report.loads == {"Q": 8192, "K": 8192, "V": 4096, "dO": 4096}
         assert report.stores == {"dQ": 4096, "dK": 4096, "dV": 4096}
 
+    def test_no_global_intermediates(self):
+        # first-touch order: recompute (Q, K), dV/dP stream (dO, V), dQ/dK stream
+        q, k, v, do = make_qkv(41, 16, 16, n=4)
+        _, ctx, _ = flash_forward(q, k, v, TileConfig(r=2), ScratchpadArena())
+        *_, report = flash_backward(ctx, do, ScratchpadArena())
+        assert list(report.loads) == ["Q", "K", "dO", "V"]
+        assert list(report.stores) == ["dV", "dQ", "dK"]
+
     def test_zero_upstream_gradient_keeps_traffic(self):
         q, k, v = make_qkv(53, 8, 16)
         _, ctx, _ = flash_forward(q, k, v, TileConfig(r=2), ScratchpadArena())
@@ -311,12 +332,12 @@ class TestFlashBackward:
             (peak_sram_forward(8, 8, cfg), lambda a: flash_forward(q, k, v, cfg, a)),
             (peak_sram_backward(8, 8, cfg), lambda a: flash_backward(ctx, zeros([8, 8]), a)),
         ):
-            arena = ScratchpadArena(peak)
+            arena = _CountingArena(peak)
             arena.allocate("held", (1,), 4)
             with pytest.raises(CapacityError, match=f"has {peak - 4} of {peak} available"):
                 run(arena)
             assert arena.live_bytes == 4
-            assert arena.peak_bytes == 4
+            assert arena.names == ["held"]
 
     def test_nan_in_q_raises_like_the_reference_and_frees_the_scores(self):
         q, k, v = make_qkv(58, 8, 16)
@@ -346,11 +367,11 @@ class TestFlashBackward:
         assert rep.peak_sram_bytes == peak_sram_forward(8, 16, cfg) == 768
         *_, rep = flash_backward(ctx, zeros([8, 16]), arena)
         assert rep.peak_sram_bytes == peak_sram_backward(8, 16, cfg)
-        assert arena.peak_bytes == 24576  # the lifetime mark stays
+        assert arena.live_bytes == 0
         arena.allocate("held", (1,), 4)
         _, _, rep = flash_forward(q, k, v, cfg, arena)
         assert rep.peak_sram_bytes == 768  # measured above the live bytes on entry
-        assert arena.peak_bytes == 24576
+        assert arena.live_bytes == 4
 
 
 class _Poisoned(np.ndarray):
@@ -363,50 +384,52 @@ class _Poisoned(np.ndarray):
 def _inject(monkeypatch, step, n):
     """Make the n-th call of one kernel step fail partway through the kernel.
 
-    ``_load``, ``_emit`` and ``_softmax_grad_inplace`` raise on entry;
-    ``score`` poisons the n-th loaded Q_i so that the score matmul raises;
-    ``tile`` poisons the n-th ``_emit``'s left operand so that its matmul
-    raises after the tile is allocated.
+    ``load`` (:meth:`ScratchpadArena.load`), ``_emit`` and
+    ``_softmax_grad_inplace`` raise on entry; ``score`` poisons the n-th
+    loaded Q chunk so that the score matmul raises; ``tile`` poisons the
+    n-th ``_emit``'s left operand so that its matmul raises after the tile
+    is allocated.
     """
-    name = {"score": "_load", "tile": "_emit"}.get(step, step)
-    orig = getattr(flash, name)
+    owner = ScratchpadArena if step in ("load", "score") else flash
+    name = {"score": "load", "tile": "_emit"}.get(step, step)
+    orig = getattr(owner, name)
     calls = itertools.count(1)
 
     def failing(*args):
         if step == "score":
             buf = orig(*args)
-            if args[2] == "Q" and next(calls) == n:
+            if args[1] == "Q" and next(calls) == n:
                 buf.array = buf.array.view(_Poisoned)
             return buf
         if next(calls) != n:
             return orig(*args)
         if step == "tile":
-            return orig(*args[:4], args[4].view(_Poisoned), *args[5:])
+            return orig(*args[:3], args[3].view(_Poisoned), *args[4:])
         raise RuntimeError(f"injected failure in {name}")
 
-    monkeypatch.setattr(flash, name, failing)
+    monkeypatch.setattr(owner, name, failing)
 
 
 # At L=8, C=16, r=2 the forward loads Q,K,Q,K then V,V and emits O twice;
 # the backward loads Q,K,Q,K | dO,V,dO,V | K,Q,K,Q and emits dV,dV then
 # dQ,dK,dQ,dK. Every phase of both kernels gets a failure.
 INJECTED = [
-    ("forward", "_load", 1),
-    ("forward", "_load", 4),
+    ("forward", "load", 1),
+    ("forward", "load", 4),
     ("forward", "score", 2),
-    ("forward", "_load", 5),
+    ("forward", "load", 5),
     ("forward", "_emit", 2),
     ("forward", "tile", 1),
-    ("backward", "_load", 2),
+    ("backward", "load", 2),
     ("backward", "score", 1),
-    ("backward", "_load", 6),
+    ("backward", "load", 6),
     ("backward", "_emit", 1),
     ("backward", "tile", 2),
     ("backward", "_softmax_grad_inplace", 1),
-    ("backward", "_load", 9),
+    ("backward", "load", 9),
     ("backward", "_emit", 3),
     ("backward", "tile", 6),
-    ("backward", "_load", 12),
+    ("backward", "load", 12),
 ]
 
 

@@ -335,6 +335,27 @@ class TestCli:
         assert lines[0] == ",".join(BENCH_COLUMNS)
         assert len(lines) == 3
 
+    def test_bench_runs_each_repeated_batch_and_feature_count_once(self, tmp_path):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        common = ["--heads", "1", "--L", "8", "--repeats", "3"]
+        assert main(["bench", "--batch", "2", "--C", "16", *common, "--out", str(once)]) == 0
+        assert main(["bench", "--batch", "2,2", "--C", "16,16", *common, "--out", str(twice)]) == 0
+        untimed = lambda path: [
+            row[:7] + row[8:] for row in csv.reader(path.read_text().splitlines())
+        ]
+        assert untimed(twice) == untimed(once)
+        assert len(untimed(twice)) == 3
+
+    def test_bench_checks_every_chunk_count_before_making_inputs(self, monkeypatch, capsys):
+        def no_inputs(*args):
+            raise AssertionError("inputs made before the grid was checked")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        args = ["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "32,16", "--r", "32"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: chunk count 32 exceeds feature count 16\n")
+
     def test_bench_rejects_too_few_repeats(self, capsys):
         assert main(["bench", "--repeats", "2", "--batch", "2", "--C", "16", "--L", "8"]) == 2
         assert "repeats" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Scratchpad arena bookkeeping and traffic-report merging."""
+"""Scratchpad arena bookkeeping, per-call reports and traffic-report merging."""
 
+import numpy as np
 import pytest
 
 from flashwin import (
@@ -26,19 +27,19 @@ def test_allocate_and_free_track_live_bytes():
 
 def test_peak_is_a_high_water_mark():
     arena = ScratchpadArena(capacity_bytes=1024)
-    a = arena.allocate("a", (10,), 8)
-    b = arena.allocate("b", (20,), 8)
-    arena.free(b)
-    c = arena.allocate("c", (5,), 8)
-    assert arena.peak_bytes == 240
-    arena.free(a)
-    arena.free(c)
-    assert arena.peak_bytes == 240
+    with arena.kernel_call("forward", 1024) as report:
+        a = arena.allocate("a", (10,), 8)
+        b = arena.allocate("b", (20,), 8)
+        arena.free(b)
+        c = arena.allocate("c", (5,), 8)
+        arena.free(a)
+        arena.free(c)
+    assert report().peak_sram_bytes == 240
     assert arena.live_bytes == 0
 
 
 def _busy_arena():
-    # 80 B live, lifetime peak 240 B.
+    # 80 B live, after reaching 240 B.
     arena = ScratchpadArena(capacity_bytes=1024)
     arena.allocate("a", (10,), 8)
     arena.free(arena.allocate("b", (20,), 8))
@@ -47,17 +48,64 @@ def _busy_arena():
 
 def test_kernel_call_measures_its_peak_above_the_entry_bytes():
     arena = _busy_arena()
-    with arena.kernel_call("forward", 100) as call_peak:
-        assert call_peak() == 0
+    with arena.kernel_call("forward", 100) as report:
         c = arena.allocate("c", (5,), 8)
         arena.free(arena.allocate("d", (2,), 8))
         arena.free(c)
-        assert call_peak() == 56
-    assert call_peak() == 56
-    assert (arena.live_bytes, arena.peak_bytes) == (80, 240)  # lifetime peak kept
-    with arena.kernel_call("forward", 100) as call_peak:
+        assert report() is None  # made when the call ends
+    first = report()
+    assert first.peak_sram_bytes == 56
+    assert arena.live_bytes == 80
+    with arena.kernel_call("forward", 100) as report:
         arena.free(arena.allocate("e", (1,), 8))
-    assert call_peak() == 8  # restarted by the next call
+    assert report().peak_sram_bytes == 8  # restarted by the next call
+    assert first.peak_sram_bytes == 56
+
+
+def test_load_and_store_copy_through_buffers_and_count_in_first_touch_order():
+    arena = ScratchpadArena(capacity_bytes=1024)
+    src = np.arange(12.0).reshape(3, 4)
+    dest = np.zeros((3, 4))
+    with arena.kernel_call("forward", 1024) as report:
+        k = arena.load("K", src[:, 2:], 4)
+        assert (k.name, k.nbytes, arena.live_bytes) == ("K", 24, 24)
+        assert np.array_equal(k.array, src[:, 2:])
+        q = arena.load("Q", src[:, :2], 8)
+        arena.free(arena.load("K", src[:, :1], 4))
+        arena.store("O", dest[:, :2], q)
+        arena.store("dK", dest[:, 2:], k)
+        arena.store("O", np.empty((2, 3, 2)), k)  # a broadcast counts what it writes
+        arena.free(q)
+        arena.free(k)
+    assert np.array_equal(dest, src[:, [0, 1, 2, 3]])
+    rep = report()
+    assert list(rep.loads.items()) == [("K", 9), ("Q", 6)]
+    assert list(rep.stores.items()) == [("O", 6 + 12), ("dK", 6)]
+    assert rep.peak_sram_bytes == 24 + 48 + 12
+    assert arena.live_bytes == 0
+
+
+def test_a_report_is_frozen_when_its_call_ends():
+    arena = _busy_arena()
+    with arena.kernel_call("forward", 200) as report:
+        q = arena.load("Q", np.ones((2, 3)), 8)
+        arena.store("O", np.empty((2, 3)), q)
+        arena.free(q)
+    frozen = report()
+    want = TrafficReport({"Q": 6}, {"O": 6}, 48)
+    assert frozen == want
+    with arena.kernel_call("backward", 200) as later:
+        arena.free(arena.load("Q", np.ones(20), 8))
+        k = arena.load("K", np.ones(1), 8)
+        arena.store("dQ", np.empty(1), k)
+        arena.free(k)
+    k = arena.load("K", np.ones(5), 8)  # outside any call
+    arena.store("O", np.empty(5), k)
+    arena.free(k)
+    assert report() is frozen
+    assert frozen == want
+    assert later() == TrafficReport({"Q": 20, "K": 1}, {"dQ": 1}, 160)
+    assert arena.live_bytes == 80
 
 
 def test_kernel_call_refuses_before_any_allocation():
@@ -70,9 +118,10 @@ def test_kernel_call_refuses_before_any_allocation():
         with arena.kernel_call("backward", 945):
             entered.append(arena.allocate("c", (1,), 8))
     assert entered == []
-    assert (arena.live_bytes, arena.peak_bytes) == (80, 240)
-    with arena.kernel_call("backward", 944):  # exactly what is free fits
+    assert arena.live_bytes == 80
+    with arena.kernel_call("backward", 944) as report:  # exactly what is free fits
         pass
+    assert report() == TrafficReport({}, {}, 0)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, CapacityError, KeyboardInterrupt])
@@ -82,10 +131,13 @@ def test_kernel_call_restores_the_entry_bytes_on_any_exception(exc):
         with arena.kernel_call("forward", 944):
             arena.allocate("c", (50,), 8)
             arena.free(arena.allocate("d", (10,), 8))
-            arena.allocate("e", (3,), 8)
+            arena.load("Q", np.ones(3), 8)
+            arena.store("O", np.empty(3), arena.allocate("e", (3,), 8))
             raise exc("injected")
     assert arena.live_bytes == 80
-    assert arena.peak_bytes == 560  # the failed call's peak still counts for the lifetime
+    with arena.kernel_call("forward", 944) as report:  # no partial traffic carried over
+        arena.free(arena.allocate("f", (1,), 8))
+    assert report() == TrafficReport({}, {}, 8)
 
 
 def test_over_capacity_allocation_names_required_and_available():
@@ -100,18 +152,20 @@ def test_over_capacity_allocation_names_required_and_available():
 
 def test_request_too_large_for_the_host_is_still_a_capacity_error():
     arena = ScratchpadArena(capacity_bytes=100)
-    with pytest.raises(CapacityError, match="4000000000000000 bytes requested"):
-        arena.allocate("huge", (10**15,), 4)
-    assert arena.live_bytes == 0 and arena.peak_bytes == 0
+    with arena.kernel_call("forward", 0) as report:
+        with pytest.raises(CapacityError, match="4000000000000000 bytes requested"):
+            arena.allocate("huge", (10**15,), 4)
+    assert arena.live_bytes == 0 and report().peak_sram_bytes == 0
 
 
 def test_negative_extent_is_a_shape_error_and_leaves_occupancy_untouched():
     arena = ScratchpadArena(capacity_bytes=100)
-    arena.allocate("base", (2,), 8)
-    with pytest.raises(ShapeError, match="'x'"):
-        arena.allocate("x", (-2,), 4)
+    with arena.kernel_call("forward", 16) as report:
+        arena.allocate("base", (2,), 8)
+        with pytest.raises(ShapeError, match="'x'"):
+            arena.allocate("x", (-2,), 4)
     assert arena.live_bytes == 16
-    assert arena.peak_bytes == 16
+    assert report().peak_sram_bytes == 16
 
 
 def test_buffer_workspace_is_zeroed_and_writable():

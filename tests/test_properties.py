@@ -21,7 +21,6 @@ from flashwin import (
     ShapeError,
     TileConfig,
     fill_uniform,
-    flash,
     flash_backward,
     flash_forward,
     naive_backward,
@@ -131,9 +130,9 @@ def test_a_failed_load_leaves_the_entry_live_bytes(problem, kernel, data):
             raise RuntimeError("injected load failure")
         return buf
 
-    orig = flash._load
+    orig = ScratchpadArena.load
     with pytest.MonkeyPatch.context() as mp, pytest.raises(RuntimeError, match="injected"):
-        mp.setattr(flash, "_load", load)
+        mp.setattr(ScratchpadArena, "load", load)
         if kernel == "forward":
             flash_forward(q, k, v, cfg, arena)
         else:

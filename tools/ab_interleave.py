@@ -13,8 +13,9 @@ operation, alternating which tree goes first in each pair:
 
 * ``wide_fwd`` (default): one 32x32x1024 image, 8x8 windows, 4 heads:
   partition -> batched tiled forward with Q=K=V and one arena -> reverse.
-  Gated as the benchmark gates it: the arena ends idle and the reported
-  forward peak equals the closed form.
+  Gated as the benchmark gates it: the arena ends idle, and the merged
+  loads, stores and peak equal the slice count times the closed-form
+  traffic and the closed-form peak.
 * ``wide_naive``: the untiled half of wide_fwd on the same image, timed
   as the benchmark's ``naive_batch_ms_min``: partition -> ``naive_forward``
   per (window, head) slice with scale ``C**-0.5`` -> reverse. Its check
@@ -68,6 +69,11 @@ class WideForward:
         harness = importlib.import_module(f"{fw.__name__}.harness")
         self.tile = fw.TileConfig(r=harness.resolve_r("auto", self.C), scale=self.C**-0.5)
         self.peak = fw.peak_sram_forward(self.L, self.C, self.tile)
+        slices = self.win.num_windows * HEADS
+        self.traffic = tuple(
+            {name: slices * n for name, n in counts.items()}
+            for counts in harness.expected_forward_traffic(self.L, self.C)
+        )
         rng = fw.Rng(seed)
         self.images = [fw.fill_uniform(rng, (SIDE, SIDE, CHANNELS), -1.0, 1.0) for _ in range(POOL)]
 
@@ -84,10 +90,12 @@ class WideForward:
         o = out.array.transpose(0, 2, 1, 3).reshape(n, self.L, CHANNELS)
         image = fw.window_reverse(fw.DenseTensor(o.shape, o), self.win)
         elapsed = time.perf_counter_ns() - t0
-        if arena.live_bytes != 0 or report.peak_sram_bytes != self.peak:
+        traffic = (report.loads, report.stores)
+        if arena.live_bytes != 0 or report.peak_sram_bytes != self.peak or traffic != self.traffic:
             raise SystemExit(
                 f"gate failed in {fw.__name__}: {arena.live_bytes} live bytes, "
-                f"peak {report.peak_sram_bytes} B (closed form {self.peak} B)"
+                f"peak {report.peak_sram_bytes} B (closed form {self.peak} B), "
+                f"traffic {traffic} (closed form {self.traffic})"
             )
         return elapsed, image.array.tobytes()
 
