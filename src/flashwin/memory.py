@@ -35,15 +35,26 @@ from .errors import CapacityError, FlashwinError, ShapeError
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
 
 
+class _Scope:
+    """Where buffers are allocated: an arena outside any call, or one kernel call on it."""
+
+    __slots__ = ("arena", "abandoned")
+
+    def __init__(self, arena: ScratchpadArena):
+        self.arena = arena
+        self.abandoned = False  # set when the call fails and its bytes are written off
+
+
 class OnChipBuffer:
     """A named scratchpad allocation holding a writable float64 workspace."""
 
-    __slots__ = ("name", "array", "nbytes", "_live")
+    __slots__ = ("name", "array", "nbytes", "_scope", "_live")
 
-    def __init__(self, name: str, array: np.ndarray, nbytes: int):
+    def __init__(self, name: str, array: np.ndarray, nbytes: int, scope: _Scope):
         self.name = name
         self.array = array
         self.nbytes = nbytes
+        self._scope = scope
         self._live = True
 
 
@@ -55,6 +66,8 @@ class ScratchpadArena:
             raise CapacityError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = int(capacity_bytes)
         self.live_bytes = 0
+        # The scope new buffers belong to: _outside, or the running call's own.
+        self._outside = self._scope = _Scope(self)
         # The current call's ledger: its peak and, in first-touch order, its counts.
         self._call_peak, self._loads, self._stores = 0, {}, {}
 
@@ -67,9 +80,13 @@ class ScratchpadArena:
         the call's report once the call has ended (None before): its loads
         and stores, and its peak above the entry live bytes. On any
         exception, live bytes go back to their entry value, the buffers
-        allocated inside are abandoned and no report is made. One call runs
-        on an arena at a time.
+        allocated inside are abandoned (freeing one raises) and no report is
+        made. One call runs on an arena at a time: entering a second one
+        raises :class:`FlashwinError`, with the running call's ledger and
+        the live bytes untouched.
         """
+        if self._scope is not self._outside:
+            raise FlashwinError(f"{kind} pass entered while another kernel call runs on the arena")
         entry = self.live_bytes
         if need > self.capacity_bytes - entry:
             raise CapacityError(
@@ -77,12 +94,16 @@ class ScratchpadArena:
                 f"arena has {self.capacity_bytes - entry} of {self.capacity_bytes} available"
             )
         self._call_peak, self._loads, self._stores = entry, {}, {}
+        scope = self._scope = _Scope(self)
         final = None
         try:
             yield lambda: final
         except BaseException:
             self.live_bytes = entry
+            scope.abandoned = True
             raise
+        finally:
+            self._scope = self._outside
         final = TrafficReport(self._loads, self._stores, self._call_peak - entry)
         self._loads, self._stores = {}, {}  # later transfers cannot reach the report
 
@@ -119,7 +140,7 @@ class ScratchpadArena:
         self.live_bytes = live
         if live > self._call_peak:
             self._call_peak = live
-        return OnChipBuffer(name, array, nbytes)
+        return OnChipBuffer(name, array, nbytes, self._scope)
 
     def _overflow(self, name: str, nbytes: int) -> CapacityError:
         return CapacityError(
@@ -128,6 +149,17 @@ class ScratchpadArena:
         )
 
     def free(self, buf: OnChipBuffer) -> None:
+        """Release ``buf``'s bytes.
+
+        Raises :class:`FlashwinError`, leaving live bytes as they were, for
+        a buffer of another arena, one abandoned by a failed kernel call
+        (its bytes were already written off) and one freed before.
+        """
+        scope = buf._scope
+        if scope.arena is not self:
+            raise FlashwinError(f"on-chip buffer '{buf.name}' belongs to another arena")
+        if scope.abandoned:
+            raise FlashwinError(f"on-chip buffer '{buf.name}' was abandoned by a failed kernel call")
         if not buf._live:
             raise FlashwinError(f"double free of on-chip buffer '{buf.name}'")
         buf._live = False

@@ -156,6 +156,9 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
     _validate_shape(shape)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidRangeError(f"need lo < hi, got lo={lo}, hi={hi}")
+    width = hi - lo
+    if not math.isfinite(width):
+        raise InvalidRangeError(f"width hi - lo overflows, got lo={lo}, hi={hi}")
     n = math.prod(shape)
     out = np.empty(n, dtype=np.float64)
     # Vectorized SplitMix64: the state for draw i (from 1) is seed + i*GOLDEN
@@ -180,7 +183,7 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
         zb >>= np.uint64(11)
         block = out[start : start + size]
         np.multiply(zb, 2.0**-53, out=block)
-        block *= hi - lo
+        block *= width
         block += lo
     rng._state = (rng._state + n * _GOLDEN) & _MASK
     return DenseTensor._adopt(out.reshape(shape))

@@ -271,7 +271,7 @@ class TestDemo:
         assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)
         assert copies == []
 
-    def test_checks_all_windows_in_one_reference_call(self, monkeypatch):
+    def test_checks_windows_in_bounded_reference_stacks(self, monkeypatch):
         calls = []
         real = harness.naive_forward
 
@@ -280,8 +280,24 @@ class TestDemo:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "naive_forward", counted)
-        assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)
+        text = run_demo(H=8, W=8, C=4, k=2, seed=1)
+        assert "16 windows" in text
         assert calls == [(16, 4, 4)]
+        calls.clear()
+        monkeypatch.setattr(harness, "FD_STACK_ELEMS", 5 * 4 * 4)  # 5 windows of 4x4 weights
+        assert run_demo(H=8, W=8, C=4, k=2, seed=1) == text
+        assert calls == [(5, 4, 4)] * 3 + [(1, 4, 4)]
+
+    def test_never_holds_every_windows_weights_at_once(self):
+        # 64 windows of L = 121: their (64, 121, 121) weights alone take 7.5 MB.
+        n, L = 64, 121
+        tracemalloc.start()
+        try:
+            run_demo(H=88, W=88, C=8, k=11, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * L * L
 
     def test_multi_window_geometry(self):
         text = run_demo(H=28, W=28, C=32, k=7, seed=1)

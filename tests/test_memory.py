@@ -184,6 +184,47 @@ def test_double_free_is_an_error():
         arena.free(buf)
 
 
+def test_free_refuses_a_buffer_of_another_arena():
+    a, b = ScratchpadArena(), ScratchpadArena()
+    buf = a.allocate("x", (4,), 4)
+    with pytest.raises(FlashwinError, match="'x' belongs to another arena"):
+        b.free(buf)
+    assert (a.live_bytes, b.live_bytes) == (16, 0)
+    a.free(buf)
+    assert a.live_bytes == 0
+
+
+def test_free_refuses_a_buffer_abandoned_by_a_failed_call():
+    arena = ScratchpadArena()
+    held = arena.allocate("held", (2,), 4)  # outside any call: not abandoned
+    with pytest.raises(RuntimeError):
+        with arena.kernel_call("forward", 16):
+            buf = arena.allocate("x", (4,), 4)
+            raise RuntimeError("injected")
+    with pytest.raises(FlashwinError, match="'x' was abandoned by a failed kernel call"):
+        arena.free(buf)
+    assert arena.live_bytes == 8
+    arena.free(held)
+    assert arena.live_bytes == 0
+
+
+def test_a_kernel_call_refuses_to_nest():
+    arena = ScratchpadArena(capacity_bytes=1024)
+    with arena.kernel_call("forward", 1024) as outer:
+        arena.free(arena.load("Q", np.ones(4), 8))
+        held = arena.allocate("S", (2,), 8)
+        with pytest.raises(FlashwinError, match="^backward pass entered while another"):
+            with arena.kernel_call("backward", 0):
+                arena.load("K", np.ones(9), 8)
+        assert arena.live_bytes == 16
+        arena.free(arena.load("V", np.ones(4), 8))
+        arena.free(held)
+    assert outer() == TrafficReport({"Q": 4, "V": 4}, {}, 48)
+    with arena.kernel_call("backward", 1024) as later:  # the refusal left no call running
+        arena.free(arena.load("K", np.ones(9), 8))
+    assert later() == TrafficReport({"K": 9}, {}, 72)
+
+
 def test_merge_reports_sums_counts_and_keeps_per_worker_peak():
     a = TrafficReport(loads={"Q": 10, "K": 5}, stores={"O": 10}, peak_sram_bytes=128)
     b = TrafficReport(loads={"Q": 10, "V": 7}, stores={"O": 10}, peak_sram_bytes=96)

@@ -115,7 +115,9 @@ class TestFillUniform:
         ]
         assert parent_a.next_u64() != child_a.next_u64()
 
-    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, -2.0), (float("nan"), 1.0)])
+    @pytest.mark.parametrize(
+        "lo,hi", [(1.0, 1.0), (2.0, -2.0), (float("nan"), 1.0), (-1e308, 1e308)]
+    )
     def test_invalid_range_rejected(self, lo, hi):
         with pytest.raises(InvalidRangeError):
             fill_uniform(Rng(0), [2], lo, hi)
