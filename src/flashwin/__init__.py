@@ -27,7 +27,6 @@ from .flash import (
 )
 from .memory import (
     DEFAULT_CAPACITY_BYTES,
-    OnChipBuffer,
     ScratchpadArena,
     TrafficReport,
     merge_reports,
@@ -55,7 +54,6 @@ __all__ = [
     "FlashwinError",
     "InvalidRangeError",
     "NumericsError",
-    "OnChipBuffer",
     "OracleError",
     "PartitionError",
     "Rng",

@@ -9,7 +9,9 @@ deliberately reloaded, never cached across phases), streams dV and the dP
 accumulation in a second pass, converts dP to dS in place, and streams dQ
 and dK in a third pass. Both build the weights through one score path
 (``_weights``) and write every output tile through one step (``_emit``).
-They only compute: the arena allocates, loads, stores and reports.
+They only compute: the arena allocates, loads, stores and reports, and
+every on-chip buffer is a plain float64 array that the arena holds from
+``allocate`` or ``load`` until ``free``.
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContextError, FlashwinError, InvalidRangeError, ShapeError
-from .memory import OnChipBuffer, ScratchpadArena, TrafficReport, merge_reports
+from .memory import ScratchpadArena, TrafficReport, merge_reports
 from .reference import AttnParams, _softmax_rows
 from .tensor import DenseTensor
 
@@ -101,22 +103,22 @@ def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
 def _emit(arena, operand, dest, a, b, elem_bytes) -> None:
     """Compute the tile ``a @ b`` on chip, store it to ``dest``, then free it."""
     tile = arena.allocate(operand, dest.shape, elem_bytes)
-    np.matmul(a, b, out=tile.array)
+    np.matmul(a, b, out=tile)
     arena.store(operand, dest, tile)
     arena.free(tile)
 
 
-def _weights(arena, qg, kg, spans, cfg) -> OnChipBuffer:
+def _weights(arena, qg, kg, spans, cfg) -> np.ndarray:
     """Weights on chip: sum_i Q_i K_i^T, scaled, softmaxed in place (non-finite scores raise)."""
     weights = arena.allocate("P", (qg.shape[0], kg.shape[0]), cfg.elem_bytes)
     for lo, hi in spans:
         qi = arena.load("Q", qg[:, lo:hi], cfg.elem_bytes)
         ki = arena.load("K", kg[:, lo:hi], cfg.elem_bytes)
-        weights.array += qi.array @ ki.array.T
+        weights += qi @ ki.T
         arena.free(qi)
         arena.free(ki)
-    weights.array *= cfg.scale
-    _softmax_rows(weights.array, weights.array)
+    weights *= cfg.scale
+    _softmax_rows(weights, weights)
     return weights
 
 
@@ -142,7 +144,7 @@ def flash_forward(
     The call is one :meth:`ScratchpadArena.kernel_call` scope: it is refused
     up front when ``peak_sram_forward`` exceeds the arena's free bytes, its
     report's peak is its own and equals that formula, and any exception
-    leaves the arena at its entry live bytes.
+    leaves the arena exactly as it was on entry.
 
     Only the scores are checked for finiteness: a NaN or infinity in Q or
     K, or an overflowing scale, raises :class:`NumericsError`, as in the
@@ -159,7 +161,7 @@ def flash_forward(
         weights = _weights(arena, q.array, k.array, spans, cfg)
         for lo, hi in spans:
             vi = arena.load("V", vg[:, lo:hi], eb)
-            _emit(arena, "O", og[:, lo:hi], weights.array, vi.array, eb)
+            _emit(arena, "O", og[:, lo:hi], weights, vi, eb)
             arena.free(vi)
         arena.free(weights)
 
@@ -202,22 +204,22 @@ def flash_backward(
         for lo, hi in spans:
             doi = arena.load("dO", dog[:, lo:hi], eb)
             vi = arena.load("V", vg[:, lo:hi], eb)
-            dweights.array += doi.array @ vi.array.T
+            dweights += doi @ vi.T
             arena.free(vi)
-            _emit(arena, "dV", dvg[:, lo:hi], weights.array.T, doi.array, eb)
+            _emit(arena, "dV", dvg[:, lo:hi], weights.T, doi, eb)
             arena.free(doi)
 
         # Phase 3: dP -> dS in place; the weights buffer is dead afterwards.
-        _softmax_grad_inplace(weights.array, dweights.array)
-        dweights.array *= cfg.scale
+        _softmax_grad_inplace(weights, dweights)
+        dweights *= cfg.scale
         arena.free(weights)
 
         for lo, hi in spans:
             ki = arena.load("K", kg[:, lo:hi], eb)
-            _emit(arena, "dQ", dqg[:, lo:hi], dweights.array, ki.array, eb)
+            _emit(arena, "dQ", dqg[:, lo:hi], dweights, ki, eb)
             arena.free(ki)
             qi = arena.load("Q", qg[:, lo:hi], eb)
-            _emit(arena, "dK", dkg[:, lo:hi], dweights.array.T, qi.array, eb)
+            _emit(arena, "dK", dkg[:, lo:hi], dweights.T, qi, eb)
             arena.free(qi)
         arena.free(dweights)
 

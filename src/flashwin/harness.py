@@ -405,16 +405,26 @@ def run_bench(
     """Median-of-repeats timings for the untiled and tiled paths.
 
     One warm-up run precedes the timed repeats. Timings are informational:
-    nothing here asserts a speedup.
+    nothing here asserts a speedup. Every chunk count, and every footprint
+    against ``capacity_bytes``, is checked before any input is made.
     """
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
-    cfgs = {}  # each C once, every chunk count checked before any input is made
+    # The backward peak is the larger, so it bounds a fwd_bwd run.
+    kind, peak = ("forward", peak_sram_forward)
+    if pass_ == "fwd_bwd":
+        kind, peak = "backward", peak_sram_backward
+    cfgs = {}  # each C once
     for C in dict.fromkeys(Cs):
         cfgs[C] = TileConfig(r=resolve_r(r_value, C), elem_bytes=elem_bytes)
-        cfgs[C].chunk_width(C)
+        need = peak(L, C, cfgs[C])  # validates the chunk count too
+        if need > capacity_bytes:
+            raise CapacityError(
+                f"{kind} pass at L={L}, C={C} needs {need} bytes of scratchpad, "
+                f"capacity is {capacity_bytes}"
+            )
     master = Rng(seed)
     rows: list[BenchRow] = []
 

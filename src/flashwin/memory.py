@@ -2,13 +2,16 @@
 
 The simulated machine has a large global memory (the DenseTensor operands)
 and a small on-chip scratchpad, modeled by :class:`ScratchpadArena`.
-Kernels hold working data only in buffers from its ``allocate``, which
-enforces the byte budget, and cross the global-memory boundary only
-through its ``load`` and ``store``, which count elements per operand.
+Kernels hold working data only in buffers from its ``allocate`` (or
+``load``): plain zeroed float64 arrays that the arena holds until they are
+passed to ``free``, charged against the byte budget. They cross the
+global-memory boundary only through ``load`` and ``store``, which count
+elements per operand. ``store`` and ``free`` accept only a buffer the arena
+holds, and refuse any other array with one error that changes nothing.
 
 Each kernel call runs in one :meth:`ScratchpadArena.kernel_call` scope,
 which checks the call's budget, yields the call's :class:`TrafficReport`
-and leaves the arena at its entry live bytes when the call fails.
+and, when the call fails, leaves the arena exactly as it was on entry.
 
 Accounting granularity matches the claims being checked: named kernel
 buffers only. Per-row scalar temporaries (softmax row max/sum and the
@@ -30,44 +33,23 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FlashwinError, ShapeError
+from .errors import CapacityError, FlashwinError, InvalidRangeError, ShapeError
 
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
 
 
-class _Scope:
-    """Where buffers are allocated: an arena outside any call, or one kernel call on it."""
-
-    __slots__ = ("arena", "abandoned")
-
-    def __init__(self, arena: ScratchpadArena):
-        self.arena = arena
-        self.abandoned = False  # set when the call fails and its bytes are written off
-
-
-class OnChipBuffer:
-    """A named scratchpad allocation holding a writable float64 workspace."""
-
-    __slots__ = ("name", "array", "nbytes", "_scope", "_live")
-
-    def __init__(self, name: str, array: np.ndarray, nbytes: int, scope: _Scope):
-        self.name = name
-        self.array = array
-        self.nbytes = nbytes
-        self._scope = scope
-        self._live = True
-
-
 class ScratchpadArena:
-    """On-chip memory simulator: live bytes, global transfers and per-call reports."""
+    """On-chip memory simulator: held buffers, live bytes, transfers and per-call reports."""
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         if capacity_bytes < 0:
             raise CapacityError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = int(capacity_bytes)
         self.live_bytes = 0
-        # The scope new buffers belong to: _outside, or the running call's own.
-        self._outside = self._scope = _Scope(self)
+        # Every buffer the arena holds, by id: (the array, its charged bytes).
+        # The map keeps each held array alive, so no other object shares its id.
+        self._held: dict[int, tuple[np.ndarray, int]] = {}
+        self._in_call = False
         # The current call's ledger: its peak and, in first-touch order, its counts.
         self._call_peak, self._loads, self._stores = 0, {}, {}
 
@@ -78,14 +60,15 @@ class ScratchpadArena:
         Raises :class:`CapacityError` before anything is allocated when
         ``need`` exceeds the bytes free on entry. Yields a function giving
         the call's report once the call has ended (None before): its loads
-        and stores, and its peak above the entry live bytes. On any
-        exception, live bytes go back to their entry value, the buffers
-        allocated inside are abandoned (freeing one raises) and no report is
-        made. One call runs on an arena at a time: entering a second one
-        raises :class:`FlashwinError`, with the running call's ledger and
-        the live bytes untouched.
+        and stores, and its peak above the entry live bytes. A failed call
+        leaves the arena exactly as it was on entry: on any exception the
+        live bytes and the held buffers go back to their entry state (a
+        buffer allocated inside is no longer held; one freed inside is held
+        again) and no report is made. One call runs on an arena at a time:
+        entering a second one raises :class:`FlashwinError`, with the
+        running call's ledger and the live bytes untouched.
         """
-        if self._scope is not self._outside:
+        if self._in_call:
             raise FlashwinError(f"{kind} pass entered while another kernel call runs on the arena")
         entry = self.live_bytes
         if need > self.capacity_bytes - entry:
@@ -94,38 +77,42 @@ class ScratchpadArena:
                 f"arena has {self.capacity_bytes - entry} of {self.capacity_bytes} available"
             )
         self._call_peak, self._loads, self._stores = entry, {}, {}
-        scope = self._scope = _Scope(self)
+        held = dict(self._held)
+        self._in_call = True
         final = None
         try:
             yield lambda: final
         except BaseException:
-            self.live_bytes = entry
-            scope.abandoned = True
+            self.live_bytes, self._held = entry, held
             raise
         finally:
-            self._scope = self._outside
+            self._in_call = False
         final = TrafficReport(self._loads, self._stores, self._call_peak - entry)
         self._loads, self._stores = {}, {}  # later transfers cannot reach the report
 
-    def load(self, operand: str, view: np.ndarray, elem_bytes: int) -> OnChipBuffer:
+    def load(self, operand: str, view: np.ndarray, elem_bytes: int) -> np.ndarray:
         """Copy the global slice ``view`` into a fresh buffer and count its elements."""
         buf = self.allocate(operand, view.shape, elem_bytes)
-        buf.array[...] = view
+        buf[...] = view
         self._loads[operand] = self._loads.get(operand, 0) + view.size
         return buf
 
-    def store(self, operand: str, dest: np.ndarray, buf: OnChipBuffer) -> None:
-        """Copy ``buf`` out to the global slice ``dest`` and count the elements written."""
-        dest[...] = buf.array
+    def store(self, operand: str, dest: np.ndarray, buf: np.ndarray) -> None:
+        """Copy the held buffer ``buf`` out to the global slice ``dest``; count what it writes."""
+        self._key(buf, "store")
+        dest[...] = buf
         self._stores[operand] = self._stores.get(operand, 0) + dest.size
 
-    def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> OnChipBuffer:
-        """Reserve ``prod(shape) * elem_bytes`` bytes and return a zeroed workspace.
+    def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> np.ndarray:
+        """Charge ``prod(shape) * elem_bytes`` bytes and return a zeroed float64 buffer.
 
-        Raises :class:`ShapeError` for a negative extent and
-        :class:`CapacityError` when the request does not fit; in both cases
-        live bytes and the call's peak are left as they were.
+        Raises :class:`InvalidRangeError` for ``elem_bytes < 1``,
+        :class:`ShapeError` for a negative extent and :class:`CapacityError`
+        when the request does not fit; in all three cases the arena is left
+        as it was.
         """
+        if elem_bytes < 1:
+            raise InvalidRangeError(f"elem_bytes must be >= 1 for '{name}', got {elem_bytes}")
         try:
             array = np.zeros(shape)  # float64, numpy's default
         except ValueError as exc:
@@ -140,7 +127,8 @@ class ScratchpadArena:
         self.live_bytes = live
         if live > self._call_peak:
             self._call_peak = live
-        return OnChipBuffer(name, array, nbytes, self._scope)
+        self._held[id(array)] = (array, nbytes)
+        return array
 
     def _overflow(self, name: str, nbytes: int) -> CapacityError:
         return CapacityError(
@@ -148,22 +136,21 @@ class ScratchpadArena:
             f"{self.capacity_bytes - self.live_bytes} of {self.capacity_bytes} available"
         )
 
-    def free(self, buf: OnChipBuffer) -> None:
-        """Release ``buf``'s bytes.
+    def free(self, buf: np.ndarray) -> None:
+        """Release the held buffer ``buf`` and its bytes."""
+        self.live_bytes -= self._held.pop(self._key(buf, "free"))[1]
 
-        Raises :class:`FlashwinError`, leaving live bytes as they were, for
-        a buffer of another arena, one abandoned by a failed kernel call
-        (its bytes were already written off) and one freed before.
+    def _key(self, buf: np.ndarray, action: str) -> int:
+        """The held-map key of ``buf``.
+
+        Raises :class:`FlashwinError`, changing nothing, for a buffer the
+        arena does not hold: one already freed, one a failed call allocated,
+        a view of a buffer and a buffer of another arena.
         """
-        scope = buf._scope
-        if scope.arena is not self:
-            raise FlashwinError(f"on-chip buffer '{buf.name}' belongs to another arena")
-        if scope.abandoned:
-            raise FlashwinError(f"on-chip buffer '{buf.name}' was abandoned by a failed kernel call")
-        if not buf._live:
-            raise FlashwinError(f"double free of on-chip buffer '{buf.name}'")
-        buf._live = False
-        self.live_bytes -= buf.nbytes
+        key = id(buf)
+        if key not in self._held:
+            raise FlashwinError(f"cannot {action} a buffer the arena does not hold")
+        return key
 
 
 @dataclass(frozen=True)

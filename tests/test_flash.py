@@ -385,10 +385,11 @@ def _inject(monkeypatch, step, n):
     """Make the n-th call of one kernel step fail partway through the kernel.
 
     ``load`` (:meth:`ScratchpadArena.load`), ``_emit`` and
-    ``_softmax_grad_inplace`` raise on entry; ``score`` poisons the n-th
-    loaded Q chunk so that the score matmul raises; ``tile`` poisons the
-    n-th ``_emit``'s left operand so that its matmul raises after the tile
-    is allocated.
+    ``_softmax_grad_inplace`` raise on entry; ``score`` raises right after
+    the n-th K chunk is loaded, with the scores and the n-th Q/K pair on
+    chip, where the score matmul would run; ``tile`` poisons the n-th
+    ``_emit``'s left operand so that its matmul raises after the tile is
+    allocated.
     """
     owner = ScratchpadArena if step in ("load", "score") else flash
     name = {"score": "load", "tile": "_emit"}.get(step, step)
@@ -398,8 +399,8 @@ def _inject(monkeypatch, step, n):
     def failing(*args):
         if step == "score":
             buf = orig(*args)
-            if args[1] == "Q" and next(calls) == n:
-                buf.array = buf.array.view(_Poisoned)
+            if args[1] == "K" and next(calls) == n:
+                raise RuntimeError("injected failure before the score matmul")
             return buf
         if next(calls) != n:
             return orig(*args)
@@ -441,13 +442,15 @@ class TestFailureContract:
         _, ctx, _ = flash_forward(q, k, v, cfg, ScratchpadArena())
         _inject(monkeypatch, step, n)
         arena = ScratchpadArena()
-        arena.allocate("held", (1,), 4)
+        held = arena.allocate("held", (1,), 4)
         with pytest.raises(RuntimeError, match="injected"):
             if kernel == "forward":
                 flash_forward(q, k, v, cfg, arena)
             else:
                 flash_backward(ctx, do, arena)
         assert arena.live_bytes == 4
+        arena.free(held)  # the entry buffer is all the arena holds
+        assert arena.live_bytes == 0
 
     def test_nan_in_v_or_do_reaches_the_same_positions_as_the_reference(self):
         # Only the scores are checked; a NaN elsewhere propagates, identically.

@@ -372,6 +372,26 @@ class TestCli:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: chunk count 32 exceeds feature count 16\n")
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--L", "1024"], "forward pass at L=1024, C=16 needs 4325376 bytes of scratchpad, "
+             "capacity is 131072"),
+            # The forward (11172 B) fits; the backward does not.
+            (["--L", "49", "--pass", "fwd_bwd", "--capacity-bytes", "20000"],
+             "backward pass at L=49, C=16 needs 25480 bytes of scratchpad, capacity is 20000"),
+        ],
+    )
+    def test_bench_checks_every_footprint_before_making_inputs(
+        self, monkeypatch, capsys, extra, message
+    ):
+        def no_inputs(*args):
+            raise AssertionError("inputs made before the footprint was checked")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        assert main(["bench", "--batch", "4", "--heads", "1", "--C", "16", *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bench_rejects_too_few_repeats(self, capsys):
         assert main(["bench", "--repeats", "2", "--batch", "2", "--C", "16", "--L", "8"]) == 2
         assert "repeats" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from flashwin import (
     CapacityError,
     FlashwinError,
+    InvalidRangeError,
     ScratchpadArena,
     ShapeError,
     TrafficReport,
@@ -68,9 +69,11 @@ def test_load_and_store_copy_through_buffers_and_count_in_first_touch_order():
     dest = np.zeros((3, 4))
     with arena.kernel_call("forward", 1024) as report:
         k = arena.load("K", src[:, 2:], 4)
-        assert (k.name, k.nbytes, arena.live_bytes) == ("K", 24, 24)
-        assert np.array_equal(k.array, src[:, 2:])
+        assert arena.live_bytes == 24  # 6 elements at 4 B
+        assert type(k) is np.ndarray and k.dtype == np.float64
+        assert np.array_equal(k, src[:, 2:]) and not np.shares_memory(k, src)
         q = arena.load("Q", src[:, :2], 8)
+        assert arena.live_bytes == 24 + 48
         arena.free(arena.load("K", src[:, :1], 4))
         arena.store("O", dest[:, :2], q)
         arena.store("dK", dest[:, 2:], k)
@@ -171,9 +174,10 @@ def test_negative_extent_is_a_shape_error_and_leaves_occupancy_untouched():
 def test_buffer_workspace_is_zeroed_and_writable():
     arena = ScratchpadArena()
     buf = arena.allocate("s", (3, 3), 4)
-    assert buf.array.sum() == 0.0
-    buf.array[1, 1] = 7.0
-    assert buf.array[1, 1] == 7.0
+    assert type(buf) is np.ndarray and buf.dtype == np.float64 and buf.shape == (3, 3)
+    assert buf.sum() == 0.0
+    buf[1, 1] = 7.0
+    assert buf[1, 1] == 7.0
 
 
 def test_double_free_is_an_error():
@@ -187,7 +191,7 @@ def test_double_free_is_an_error():
 def test_free_refuses_a_buffer_of_another_arena():
     a, b = ScratchpadArena(), ScratchpadArena()
     buf = a.allocate("x", (4,), 4)
-    with pytest.raises(FlashwinError, match="'x' belongs to another arena"):
+    with pytest.raises(FlashwinError, match="^cannot free a buffer the arena does not hold$"):
         b.free(buf)
     assert (a.live_bytes, b.live_bytes) == (16, 0)
     a.free(buf)
@@ -201,11 +205,86 @@ def test_free_refuses_a_buffer_abandoned_by_a_failed_call():
         with arena.kernel_call("forward", 16):
             buf = arena.allocate("x", (4,), 4)
             raise RuntimeError("injected")
-    with pytest.raises(FlashwinError, match="'x' was abandoned by a failed kernel call"):
+    with pytest.raises(FlashwinError, match="^cannot free a buffer the arena does not hold$"):
         arena.free(buf)
     assert arena.live_bytes == 8
     arena.free(held)
     assert arena.live_bytes == 0
+
+
+def test_store_refuses_a_buffer_of_another_arena():
+    a, b = ScratchpadArena(), ScratchpadArena()
+    buf = a.allocate("x", (4,), 4)
+    dest = np.full(4, 5.0)
+    with b.kernel_call("forward", 64) as report:
+        with pytest.raises(FlashwinError, match="^cannot store a buffer the arena does not hold$"):
+            b.store("O", dest, buf)
+    assert report() == TrafficReport({}, {}, 0)
+    assert np.array_equal(dest, np.full(4, 5.0))  # nothing was written
+    assert (a.live_bytes, b.live_bytes) == (16, 0)
+
+
+def test_store_refuses_a_freed_buffer():
+    arena = ScratchpadArena()
+    dest = np.full(4, 5.0)
+    with arena.kernel_call("forward", 64) as report:
+        buf = arena.allocate("x", (4,), 4)
+        arena.free(buf)
+        with pytest.raises(FlashwinError, match="^cannot store a buffer the arena does not hold$"):
+            arena.store("O", dest, buf)
+    assert report() == TrafficReport({}, {}, 16)
+    assert np.array_equal(dest, np.full(4, 5.0))
+    assert arena.live_bytes == 0
+
+
+def test_store_and_free_refuse_a_view_of_a_held_buffer():
+    arena = ScratchpadArena()
+    buf = arena.allocate("x", (2, 2), 4)
+    with arena.kernel_call("forward", 0) as report:
+        with pytest.raises(FlashwinError, match="^cannot store a buffer"):
+            arena.store("O", np.empty(2), buf[0])
+        with pytest.raises(FlashwinError, match="^cannot free a buffer"):
+            arena.free(buf.T)
+    assert report() == TrafficReport({}, {}, 0)
+    assert arena.live_bytes == 16
+    arena.free(buf)
+    assert arena.live_bytes == 0
+
+
+def test_a_failed_call_leaves_the_held_buffers_as_on_entry():
+    # A buffer held on entry and freed inside the failed call is held again,
+    # so its bytes can still be released; one allocated inside is not.
+    arena = ScratchpadArena()
+    held = arena.allocate("held", (4,), 4)
+    with pytest.raises(RuntimeError, match="injected"):
+        with arena.kernel_call("forward", 64):
+            arena.free(held)
+            inner = arena.allocate("x", (2,), 4)
+            raise RuntimeError("injected")
+    assert arena.live_bytes == 16
+    with arena.kernel_call("forward", 0) as report:
+        arena.store("O", np.empty(4), held)
+    assert report() == TrafficReport({}, {"O": 4}, 0)
+    arena.free(held)
+    assert arena.live_bytes == 0
+    with pytest.raises(FlashwinError, match="does not hold"):
+        arena.free(inner)
+    assert arena.live_bytes == 0
+
+
+@pytest.mark.parametrize("elem_bytes", [0, -4])
+def test_a_non_positive_element_size_is_refused_and_changes_nothing(elem_bytes):
+    arena = ScratchpadArena(capacity_bytes=64)
+    with arena.kernel_call("forward", 64) as report:
+        msg = f"^elem_bytes must be >= 1 for 'neg', got {elem_bytes}$"
+        with pytest.raises(InvalidRangeError, match=msg):
+            arena.allocate("neg", (4,), elem_bytes)
+        with pytest.raises(InvalidRangeError, match="elem_bytes"):
+            arena.load("Q", np.ones(4), elem_bytes)
+        assert arena.live_bytes == 0
+        with pytest.raises(CapacityError):  # the budget is still 64 B
+            arena.allocate("big", (10,), 8)
+    assert report() == TrafficReport({}, {}, 0)
 
 
 def test_a_kernel_call_refuses_to_nest():

@@ -1,9 +1,11 @@
-"""Property tests of the tiled kernels over the inputs the API accepts.
+"""Property tests of the tiled kernels and the arena over the inputs the API accepts.
 
 Hypothesis draws L and C up to 64, any chunk count r that tiles C, a scale
 in (0, 2], both accounting element sizes, the bytes already held in the
-arena and its capacity. Examples are derandomized and bounded, so the
-suite draws the same cases on every run.
+arena and its capacity; and, for the arena alone, programs of allocations,
+loads, stores and frees in and out of kernel calls that may fail. Examples
+are derandomized and bounded, so the suite draws the same cases on every
+run.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from flashwin import (
     CapacityError,
     FlashContext,
+    FlashwinError,
     Rng,
     ScratchpadArena,
     ShapeError,
@@ -138,3 +141,103 @@ def test_a_failed_load_leaves_the_entry_live_bytes(problem, kernel, data):
         else:
             flash_backward(FlashContext(q, k, v, cfg), do, arena)
     assert arena.live_bytes == held
+
+
+class _Injected(Exception):
+    """The failure a generated kernel call raises at its drawn step."""
+
+
+_MAKE = st.tuples(
+    st.sampled_from(["allocate", "load", "foreign"]), st.integers(0, 6), st.sampled_from([4, 8])
+)
+_USE = st.tuples(st.sampled_from(["store", "free"]), st.integers(0, 31))
+_STEP = _MAKE | _USE
+# A call runs its steps and, when its drawn step index is in range, raises there.
+_CALL = st.tuples(st.just("call"), st.lists(_STEP, max_size=8), st.none() | st.integers(0, 8))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(_STEP | _CALL, max_size=10))
+def test_the_arena_holds_exactly_the_buffers_made_and_not_freed(program):
+    """A model of the held set against every step, in and out of kernel calls.
+
+    ``store`` and ``free`` are applied to any buffer made so far, held or
+    not: this arena's (live, freed or dropped by a failed call) and another
+    arena's. A held one is accepted; any other is refused and changes
+    nothing. Live bytes always equal the charges of the held buffers, a
+    failed call restores the held set and live bytes of its entry, and a
+    call that ends reports exactly its transfers and peak.
+    """
+    arena, other = ScratchpadArena(96), ScratchpadArena()
+    made = []  # (buffer, elements, charged bytes) for every buffer of either arena
+    held = {}  # index into made -> charged bytes, for the buffers arena holds
+
+    def step(op, ledger):
+        if op[0] == "foreign":
+            _, n, eb = op
+            made.append((other.allocate("f", (n,), eb), n, n * eb))
+        elif op[0] in ("allocate", "load"):
+            kind, n, eb = op
+            if kind == "allocate":
+                make = lambda: arena.allocate("x", (n,), eb)
+            else:
+                make = lambda: arena.load("L", np.ones(n), eb)
+            if arena.live_bytes + n * eb > arena.capacity_bytes:
+                with pytest.raises(CapacityError):
+                    make()
+                return
+            buf = make()
+            if kind == "load":
+                ledger["loads"]["L"] = ledger["loads"].get("L", 0) + n
+            held[len(made)] = n * eb
+            made.append((buf, n, n * eb))
+            ledger["peak"] = max(ledger["peak"], arena.live_bytes)
+        elif made:
+            kind, i = op
+            i %= len(made)
+            buf, n, _ = made[i]
+            use = lambda: arena.store("S", np.empty(n), buf) if kind == "store" else arena.free(buf)
+            if i not in held:
+                live = arena.live_bytes
+                with pytest.raises(FlashwinError, match=f"^cannot {kind} a buffer the arena does"):
+                    use()
+                assert arena.live_bytes == live
+                return
+            use()
+            if kind == "store":
+                ledger["stores"]["S"] = ledger["stores"].get("S", 0) + n
+            else:
+                del held[i]
+
+    for op in program:
+        if op[0] != "call":
+            step(op, {"loads": {}, "stores": {}, "peak": 0})  # outside a call: no report
+        else:
+            _, steps, fail_at = op
+            entry_live, entry_held = arena.live_bytes, dict(held)
+            ledger = {"loads": {}, "stores": {}, "peak": entry_live}
+            try:
+                with arena.kernel_call("generated", 0) as report:
+                    for j, inner in enumerate(steps):
+                        if j == fail_at:
+                            raise _Injected
+                        step(inner, ledger)
+                        assert arena.live_bytes == sum(held.values())
+                    if fail_at == len(steps):
+                        raise _Injected
+            except _Injected:
+                assert report() is None
+                assert arena.live_bytes == entry_live
+                held.clear()
+                held.update(entry_held)
+                for i in range(len(made)):  # a store outside a call probes the held set
+                    step(("store", i), {"loads": {}, "stores": {}, "peak": 0})
+            else:
+                rep = report()
+                assert (rep.loads, rep.stores) == (ledger["loads"], ledger["stores"])
+                assert rep.peak_sram_bytes == ledger["peak"] - entry_live
+        assert arena.live_bytes == sum(held.values())
+
+    for i in list(held):
+        arena.free(made[i][0])
+    assert arena.live_bytes == 0
