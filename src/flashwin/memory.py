@@ -106,13 +106,15 @@ class ScratchpadArena:
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> np.ndarray:
         """Charge ``prod(shape) * elem_bytes`` bytes and return a zeroed float64 buffer.
 
-        Raises :class:`InvalidRangeError` for ``elem_bytes < 1``,
-        :class:`ShapeError` for a negative extent and :class:`CapacityError`
-        when the request does not fit; in all three cases the arena is left
-        as it was.
+        Raises :class:`InvalidRangeError` unless ``elem_bytes`` is an
+        integer >= 1, :class:`ShapeError` for a negative extent and
+        :class:`CapacityError` when the request does not fit; in all three
+        cases the arena is left as it was.
         """
-        if elem_bytes < 1:
-            raise InvalidRangeError(f"elem_bytes must be >= 1 for '{name}', got {elem_bytes}")
+        if not (elem_bytes >= 1 and elem_bytes % 1 == 0):
+            raise InvalidRangeError(
+                f"elem_bytes must be an integer >= 1 for '{name}', got {elem_bytes}"
+            )
         try:
             array = np.zeros(shape)  # float64, numpy's default
         except ValueError as exc:

@@ -1,7 +1,7 @@
 """Dense-tensor substrate: creation, deterministic filling, and comparison.
 
-Tensors are immutable row-major float64 buffers with an explicit shape of
-up to 4 axes. All arithmetic here is backed by numpy; accumulation stays
+A tensor is one read-only row-major float64 array with an explicit shape
+of up to 4 axes. All arithmetic here is backed by numpy; accumulation stays
 in 64-bit throughout.
 """
 
@@ -31,69 +31,66 @@ _FILL_BLOCK = 1 << 15
 class DenseTensor:
     """Immutable row-major array with explicit shape.
 
-    The backing buffer is flat float64; views handed out through
-    :attr:`array` are marked read-only so shared tensors and views into
-    them stay safe to pass around. The constructor copies its input,
-    so later writes to that input never reach the tensor.
+    The tensor holds one read-only, C-contiguous float64 array in its
+    declared shape; :attr:`array` and :attr:`data` hand out views of it,
+    so shared tensors and views into them stay safe to pass around. The
+    constructor copies its input once, so later writes to that input
+    never reach the tensor.
     """
 
-    __slots__ = ("_shape", "_data")
+    __slots__ = ("_array",)
 
     def __init__(self, shape: Sequence[int], data: np.ndarray):
-        shape = tuple(int(e) for e in shape)
-        _validate_shape(shape)
-        flat = np.asarray(data, dtype=np.float64).reshape(-1).copy()
-        if flat.size != math.prod(shape):
+        shape = _validated(tuple(int(e) for e in shape))
+        array = np.array(data, dtype=np.float64, order="C")
+        if array.size != math.prod(shape):
             raise ShapeError(
-                f"buffer holds {flat.size} elements, shape {shape} needs {math.prod(shape)}"
+                f"buffer holds {array.size} elements, shape {shape} needs {math.prod(shape)}"
             )
-        flat.setflags(write=False)
-        self._shape = shape
-        self._data = flat
+        array.setflags(write=False)
+        self._array = array.reshape(shape)
 
     @classmethod
     def _adopt(cls, array: np.ndarray) -> "DenseTensor":
         """Wrap an array without copying it, taking its shape.
 
         Only for arrays the package has just created and never writes
-        again, or for read-only views into another tensor's buffer (which
-        is immutable too): the buffer is marked read-only and shared, not
+        again, or for read-only views into another tensor's array (which
+        is immutable too): the array is marked read-only and shared, not
         copied. A non-contiguous input is copied into contiguous order.
         Everything else goes through the copying constructor.
         """
-        shape = tuple(array.shape)
-        _validate_shape(shape)
-        flat = np.ascontiguousarray(array, dtype=np.float64).reshape(-1)
-        flat.setflags(write=False)
+        _validated(array.shape)
+        array = np.ascontiguousarray(array, dtype=np.float64)
+        array.setflags(write=False)
         tensor = object.__new__(cls)
-        tensor._shape = shape
-        tensor._data = flat
+        tensor._array = array
         return tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._shape
+        return self._array.shape
 
     @property
     def data(self) -> np.ndarray:
-        """Flat row-major buffer (read-only)."""
-        return self._data
+        """Flat row-major view (read-only)."""
+        return self._array.reshape(-1)
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only view of the buffer in its declared shape."""
-        return self._data.reshape(self._shape)
+        """Read-only view in the declared shape."""
+        return self._array.view()
 
     @property
     def size(self) -> int:
-        return self._data.size
+        return self._array.size
 
     @property
     def ndim(self) -> int:
-        return len(self._shape)
+        return self._array.ndim
 
     def __repr__(self) -> str:
-        return f"DenseTensor(shape={self._shape})"
+        return f"DenseTensor(shape={self.shape})"
 
 
 class Rng:
@@ -126,18 +123,19 @@ class Rng:
         return Rng(self.next_u64())
 
 
-def _validate_shape(shape: tuple[int, ...]) -> None:
+def _validated(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape`` itself, once it has 1..4 axes and every extent is >= 1."""
     if not shape or len(shape) > _MAX_AXES:
         raise ShapeError(f"shape must have 1..{_MAX_AXES} axes, got {shape}")
     if any(e < 1 for e in shape):
         raise ShapeError(f"all extents must be >= 1, got {shape}")
+    return shape
 
 
 def zeros(shape: Sequence[int]) -> DenseTensor:
     """All-zero tensor of the given shape."""
-    shape = tuple(int(e) for e in shape)
-    _validate_shape(shape)
-    return DenseTensor(shape, np.zeros(math.prod(shape), dtype=np.float64))
+    shape = _validated(tuple(int(e) for e in shape))
+    return DenseTensor._adopt(np.zeros(shape))
 
 
 def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseTensor:
@@ -152,8 +150,7 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
     tensor adopts without a copy; so peak memory is the output plus two
     blocks, whatever the size.
     """
-    shape = tuple(int(e) for e in shape)
-    _validate_shape(shape)
+    shape = _validated(tuple(int(e) for e in shape))
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidRangeError(f"need lo < hi, got lo={lo}, hi={hi}")
     width = hi - lo
@@ -195,8 +192,7 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner extents differ: {a.shape} x {b.shape}")
-    out = a.array @ b.array
-    return DenseTensor(out.shape, out)
+    return DenseTensor._adopt(a.array @ b.array)
 
 
 def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:

@@ -5,7 +5,8 @@ wraps the functions named in its ``TRACED`` table and swaps the module
 global ``harness.ScratchpadArena`` for a traced subclass, and
 ``flashbench/workloads.py`` calls the package through ``fw.<name>`` and
 ``harness.<name>``. Its own tests are not part of this suite, so these
-checks keep a rename in the package from breaking the benchmark silently.
+checks keep a rename or a storage change in the package from breaking the
+benchmark silently.
 The benchmark files are only read here.
 """
 
@@ -14,6 +15,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flashwin as fw
@@ -62,6 +64,17 @@ def test_package_names_used_by_the_workloads_exist():
 
 def test_harness_keeps_the_globals_the_benchmark_reads():
     assert [name for name in HARNESS_GLOBALS if name not in vars(harness)] == []
+
+
+def test_the_head_split_constructor_copies_a_view_into_a_read_only_array():
+    # workloads._to_slices wraps a transposed (windows, heads, L, C) view.
+    windows = np.arange(2 * 8 * 3 * 4, dtype=np.float64).reshape(2, 8, 3 * 4)
+    heads = windows.reshape(2, 8, 3, 4).transpose(0, 2, 1, 3)
+    assert not heads.flags.c_contiguous
+    got = fw.DenseTensor(heads.shape, heads).array
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert np.array_equal(got, heads)
+    assert not np.shares_memory(got, heads)
 
 
 @pytest.mark.parametrize("L, C, r", [(64, 256, 16), (49, 32, 2)])

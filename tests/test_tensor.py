@@ -45,6 +45,12 @@ class TestZeros:
             t.array[0, 0] = 1.0
         with pytest.raises(ValueError):
             t.data[0] = 1.0
+        flat = t.data
+        assert flat.ndim == 1 and not flat.flags.writeable
+        assert np.shares_memory(flat, t.array)
+        t.array.shape = (4,)
+        t.data.shape = (2, 2)
+        assert t.shape == (2, 2) and t.array.shape == (2, 2) and t.data.shape == (4,)
 
 
 class TestFillUniform:
@@ -100,6 +106,18 @@ class TestFillUniform:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n
+
+    def test_a_non_contiguous_input_is_copied_once(self):
+        # The wide_fwd head split: (windows, heads, L, C) as a transposed view.
+        heads = np.zeros((16, 64, 4, 256)).transpose(0, 2, 1, 3)
+        tracemalloc.start()
+        try:
+            t = DenseTensor(heads.shape, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.shape == (16, 4, 64, 256)
+        assert peak < 1.5 * heads.nbytes
 
     def test_fill_advances_the_stream(self):
         rng = Rng(55)
