@@ -22,23 +22,24 @@ from .harness import (
     write_bench_csv,
     write_traffic_csv,
 )
-from .memory import DEFAULT_CAPACITY_BYTES
+from .memory import DEFAULT_CAPACITY_BYTES, ELEM_BYTES
+
+
+def _tokens(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
 
 def _int_list(text: str) -> list[int]:
-    if text.strip() == "":
-        return []
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    return [int(tok) for tok in _tokens(text)]
 
 
-def _r_list(text: str) -> list:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "":
-            continue
-        out.append("auto" if tok == "auto" else int(tok))
-    return out
+def _chunk_count(text: str) -> int | str:
+    """The one parser of ``--r`` values: an int or 'auto' (else a usage error)."""
+    return "auto" if text.strip() == "auto" else int(text)
+
+
+def _r_list(text: str) -> list[int | str]:
+    return [_chunk_count(tok) for tok in _tokens(text)]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -52,7 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--elem-bytes",
         type=int,
-        choices=(4, 8),
+        choices=ELEM_BYTES,
         default=4,
         help="element size used for byte accounting",
     )
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--C", type=int, required=True)
-    p.add_argument("--r", default="auto", help="chunk count (int or 'auto')")
+    p.add_argument("--r", type=_chunk_count, default="auto", help="chunk count (int or 'auto')")
     p.set_defaults(func=cmd_traffic)
 
     p = sub.add_parser("bench", help="emit a timing table as CSV")
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--L", type=int, default=64)
     p.add_argument("--C", type=_int_list, default=[64, 256])
-    p.add_argument("--r", default="auto", help="chunk count (int or 'auto')")
+    p.add_argument("--r", type=_chunk_count, default="auto", help="chunk count (int or 'auto')")
     p.add_argument("--pass", dest="pass_", choices=("fwd", "fwd_bwd"), default="fwd")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)

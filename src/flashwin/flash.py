@@ -31,12 +31,13 @@ features per chunk):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContextError, FlashwinError, InvalidRangeError, ShapeError
-from .memory import ScratchpadArena, TrafficReport, merge_reports
+from .memory import ScratchpadArena, TrafficReport, _checked_elem_bytes, merge_reports
 from .reference import AttnParams, _softmax_rows
 from .tensor import DenseTensor
 
@@ -50,10 +51,9 @@ class TileConfig:
     elem_bytes: int = 4
 
     def __post_init__(self):
-        if self.r < 1:
-            raise InvalidRangeError(f"chunk count must be >= 1, got {self.r}")
-        if self.elem_bytes not in (4, 8):
-            raise InvalidRangeError(f"elem_bytes must be 4 or 8, got {self.elem_bytes}")
+        if not isinstance(self.r, Integral) or self.r < 1:
+            raise InvalidRangeError(f"chunk count must be an integer >= 1, got {self.r}")
+        _checked_elem_bytes(self.elem_bytes)
         AttnParams(scale=self.scale)  # validates the scale
 
     def chunk_width(self, C: int) -> int:

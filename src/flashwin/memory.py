@@ -36,14 +36,22 @@ import numpy as np
 from .errors import CapacityError, FlashwinError, InvalidRangeError, ShapeError
 
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
+ELEM_BYTES = (4, 8)  # the element sizes byte accounting accepts
+
+
+def _checked_elem_bytes(elem_bytes) -> int:
+    """``elem_bytes`` as an int; :class:`InvalidRangeError` unless it is one of ELEM_BYTES."""
+    if elem_bytes not in ELEM_BYTES:
+        raise InvalidRangeError(f"elem_bytes must be 4 or 8, got {elem_bytes}")
+    return int(elem_bytes)
 
 
 class ScratchpadArena:
     """On-chip memory simulator: held buffers, live bytes, transfers and per-call reports."""
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        if capacity_bytes < 0:
-            raise CapacityError(f"capacity must be >= 0, got {capacity_bytes}")
+        if not (capacity_bytes >= 0 and capacity_bytes % 1 == 0):  # refuses nan and inf too
+            raise CapacityError(f"capacity must be >= 0 and an integer, got {capacity_bytes}")
         self.capacity_bytes = int(capacity_bytes)
         self.live_bytes = 0
         # Every buffer the arena holds, by id: (the array, its charged bytes).
@@ -106,23 +114,20 @@ class ScratchpadArena:
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> np.ndarray:
         """Charge ``prod(shape) * elem_bytes`` bytes and return a zeroed float64 buffer.
 
-        Raises :class:`InvalidRangeError` unless ``elem_bytes`` is an
-        integer >= 1, :class:`ShapeError` for a negative extent and
+        Raises :class:`InvalidRangeError` unless ``elem_bytes`` is 4 or 8,
+        :class:`ShapeError` for a negative extent and
         :class:`CapacityError` when the request does not fit; in all three
         cases the arena is left as it was.
         """
-        if not (elem_bytes >= 1 and elem_bytes % 1 == 0):
-            raise InvalidRangeError(
-                f"elem_bytes must be an integer >= 1 for '{name}', got {elem_bytes}"
-            )
+        elem_bytes = _checked_elem_bytes(elem_bytes)
         try:
             array = np.zeros(shape)  # float64, numpy's default
         except ValueError as exc:
             raise ShapeError(f"invalid shape {tuple(shape)} for '{name}': {exc}") from exc
         except MemoryError:
             # Too large for the host, so far larger than any scratchpad.
-            raise self._overflow(name, math.prod(shape) * int(elem_bytes)) from None
-        nbytes = array.size * int(elem_bytes)
+            raise self._overflow(name, math.prod(shape) * elem_bytes) from None
+        nbytes = array.size * elem_bytes
         live = self.live_bytes + nbytes
         if live > self.capacity_bytes:
             raise self._overflow(name, nbytes)

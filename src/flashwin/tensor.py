@@ -47,8 +47,7 @@ class DenseTensor:
             raise ShapeError(
                 f"buffer holds {array.size} elements, shape {shape} needs {math.prod(shape)}"
             )
-        array.setflags(write=False)
-        self._array = array.reshape(shape)
+        self._array = _read_only(array.reshape(shape))
 
     @classmethod
     def _adopt(cls, array: np.ndarray) -> "DenseTensor":
@@ -56,15 +55,14 @@ class DenseTensor:
 
         Only for arrays the package has just created and never writes
         again, or for read-only views into another tensor's array (which
-        is immutable too): the array is marked read-only and shared, not
-        copied. A non-contiguous input is copied into contiguous order.
-        Everything else goes through the copying constructor.
+        is immutable too): the array and the array that owns its memory
+        are marked read-only and shared, not copied. A non-contiguous input
+        is copied into contiguous order. Everything else goes through the
+        copying constructor.
         """
         _validated(array.shape)
-        array = np.ascontiguousarray(array, dtype=np.float64)
-        array.setflags(write=False)
         tensor = object.__new__(cls)
-        tensor._array = array
+        tensor._array = _read_only(np.ascontiguousarray(array, dtype=np.float64))
         return tensor
 
     @property
@@ -121,6 +119,18 @@ class Rng:
 
     def split(self) -> "Rng":
         return Rng(self.next_u64())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, read-only with every array it views up to its memory's owner.
+
+    numpy lets a view be made writeable again while its owner is writeable.
+    """
+    link = array
+    while isinstance(link, np.ndarray):
+        link.setflags(write=False)
+        link = link.base
+    return array
 
 
 def _validated(shape: tuple[int, ...]) -> tuple[int, ...]:

@@ -71,8 +71,11 @@ class TestTileConfig:
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidRangeError):
             TileConfig(r=0)
-        with pytest.raises(InvalidRangeError):
-            TileConfig(r=1, elem_bytes=2)
+        for r in (2.5, 2.0):  # not left to fail in chunk_spans' range()
+            with pytest.raises(InvalidRangeError, match=f"integer >= 1, got {r}$"):
+                TileConfig(r=r)
+        with pytest.raises(InvalidRangeError, match="^elem_bytes must be 4 or 8, got 2$"):
+            TileConfig(r=1, elem_bytes=2)  # the arena's rule and message
         with pytest.raises(InvalidRangeError):
             TileConfig(r=1, scale=-1.0)
         with pytest.raises(ShapeError):

@@ -1,11 +1,14 @@
 """CLI output pinned byte for byte: refactors must leave these stdout bytes unchanged.
 
 Each ``.txt`` file under ``tests/golden/`` is the stdout of one
-``flashwin`` invocation, and each ``.csv`` file the ``--out`` file of one.
-A change that alters a count, a peak, a case list or the last digit of an
-oracle error shows up here as a diff against the file.
+``flashwin`` invocation, and each ``.csv`` file the ``--out`` file of one;
+the ``bench`` file holds its CSV without the wall-clock ``elapsed_ns``
+column, the only one that changes between runs. A change that alters a
+count, a peak, a case list or the last digit of an oracle error shows up
+here as a diff against the file.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("check_seed42.txt", ["check"], 0),
+    # The full verify grid: L=1024 adds the capacity refusals.
+    (
+        "check_L1-1024_C16-64_seed42.txt",
+        ["check", "--L", "1,2,8,49,64,1024", "--C", "16,32,64", "--r", "1,2,4,auto",
+         "--seed", "42"],
+        0,
+    ),
     (
         "demo_28x28x32_k7_seed3.txt",
         ["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7", "--seed", "3"],
@@ -55,3 +65,15 @@ def test_cli_out_file_matches_golden_file(tmp_path, capsys, name, argv):
     assert path.read_text(encoding="utf-8") == (GOLDEN / name).read_text(encoding="utf-8")
     stdout = GOLDEN / name.replace(".csv", ".txt")
     assert capsys.readouterr().out == stdout.read_text(encoding="utf-8")
+
+
+def test_bench_csv_without_its_timings_matches_golden_file(tmp_path):
+    path = tmp_path / "bench.csv"
+    argv = ["bench", "--batch", "2", "--heads", "2", "--L", "49", "--C", "32,64",
+            "--pass", "fwd_bwd", "--repeats", "3", "--out", str(path)]
+    assert main(argv) == 0
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    timed = rows[0].index("elapsed_ns")
+    untimed = "".join(",".join(row[:timed] + row[timed + 1 :]) + "\n" for row in rows)
+    golden = GOLDEN / "bench_L49_C32-64_fwd_bwd_untimed.csv"
+    assert untimed == golden.read_text(encoding="utf-8")

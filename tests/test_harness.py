@@ -8,7 +8,7 @@ from dataclasses import astuple
 
 import pytest
 
-from flashwin import DenseTensor, NumericsError, ShapeError, harness
+from flashwin import DenseTensor, NumericsError, ShapeError, cli, harness
 from flashwin.cli import main
 from flashwin.harness import (
     BENCH_COLUMNS,
@@ -406,6 +406,28 @@ class TestCli:
 
     def test_demo_rejects_bad_window(self, capsys):
         assert main(["demo", "--H", "10", "--W", "10", "--k", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--L", "8", "--C", "16", "--r", "1,abc"],
+            ["traffic", "--L", "8", "--C", "16", "--r", "abc"],
+            ["bench", "--C", "", "--r", "abc"],
+            ["bench", "--L", "8", "--C", "16", "--r", ""],
+        ],
+        ids=["check", "traffic", "bench_no_features", "bench_empty"],
+    )
+    def test_a_bad_chunk_count_is_a_usage_error_at_parsing(self, monkeypatch, capsys, argv):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a subcommand ran with an unparsed chunk count")
+
+        for name in ("run_check_suite", "run_traffic", "run_bench"):
+            monkeypatch.setattr(cli, name, no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --r: invalid" in err
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from flashwin import (
     InvalidRangeError,
     ScratchpadArena,
     ShapeError,
+    TileConfig,
     TrafficReport,
     merge_reports,
 )
@@ -274,11 +275,11 @@ def test_a_failed_call_leaves_the_held_buffers_as_on_entry():
     assert arena.live_bytes == 0
 
 
-@pytest.mark.parametrize("elem_bytes", [0, -4, 1.9])
+@pytest.mark.parametrize("elem_bytes", [0, -4, 1.9, 2])
 def test_a_non_positive_element_size_is_refused_and_changes_nothing(elem_bytes):
     arena = ScratchpadArena(capacity_bytes=64)
     with arena.kernel_call("forward", 64) as report:
-        msg = f"^elem_bytes must be an integer >= 1 for 'neg', got {re.escape(str(elem_bytes))}$"
+        msg = f"^elem_bytes must be 4 or 8, got {re.escape(str(elem_bytes))}$"
         with pytest.raises(InvalidRangeError, match=msg):
             arena.allocate("neg", (4,), elem_bytes)
         with pytest.raises(InvalidRangeError, match="elem_bytes"):
@@ -287,6 +288,20 @@ def test_a_non_positive_element_size_is_refused_and_changes_nothing(elem_bytes):
         with pytest.raises(CapacityError):  # the budget is still 64 B
             arena.allocate("big", (10,), 8)
     assert report() == TrafficReport({}, {}, 0)
+
+
+@pytest.mark.parametrize("capacity", [1.5, float("inf"), float("nan"), -1, -float("inf")])
+def test_a_capacity_that_is_not_a_non_negative_integer_is_refused(capacity):
+    with pytest.raises(CapacityError, match="^capacity must be >= 0 and an integer, got"):
+        ScratchpadArena(capacity)
+
+
+def test_a_whole_float_capacity_or_element_size_is_the_integer_it_names():
+    arena = ScratchpadArena(64.0)
+    assert arena.capacity_bytes == 64 and type(arena.capacity_bytes) is int
+    arena.allocate("x", (4,), 4.0)
+    assert arena.live_bytes == 16 and type(arena.live_bytes) is int
+    assert TileConfig(r=1, elem_bytes=4.0).elem_bytes == 4
 
 
 def test_a_kernel_call_refuses_to_nest():

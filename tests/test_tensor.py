@@ -10,9 +10,12 @@ from flashwin import (
     InvalidRangeError,
     Rng,
     ShapeError,
+    WindowConfig,
     fill_uniform,
     matmul,
     max_abs_diff,
+    window_partition,
+    window_reverse,
     zeros,
 )
 from flashwin.tensor import _FILL_BLOCK
@@ -51,6 +54,30 @@ class TestZeros:
         t.array.shape = (4,)
         t.data.shape = (2, 2)
         assert t.shape == (2, 2) and t.array.shape == (2, 2) and t.data.shape == (4,)
+
+
+_WIN = WindowConfig(H=4, W=4, C=2, k=2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: x,  # fill_uniform's own output
+        lambda x: window_partition(x, _WIN),
+        lambda x: window_reverse(window_partition(x, _WIN), _WIN),
+        lambda x: DenseTensor(x.shape, x.array),
+        lambda x: zeros(x.shape),
+        lambda x: DenseTensor._adopt(x.array[1:3]),
+    ],
+    ids=["fill_uniform", "window_partition", "window_reverse", "constructor", "zeros", "view"],
+)
+def test_no_view_of_a_tensor_can_be_made_writeable(make):
+    t = make(fill_uniform(Rng(1), (4, 4, 2), 0.0, 1.0))
+    before = t.array.copy()
+    for view in (t.array, t.data):
+        with pytest.raises(ValueError):
+            view.setflags(write=True)
+    assert np.array_equal(t.array, before)
 
 
 class TestFillUniform:
