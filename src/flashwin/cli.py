@@ -1,6 +1,6 @@
 """Command-line entry point: check, traffic, bench, and demo subcommands.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage or ``--out`` file error.
 """
 
 from __future__ import annotations
@@ -29,13 +29,21 @@ def _tokens(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
 
+def _int(tok: str, what: str, expected: str) -> int:
+    """``int(tok)``, else a usage error that says what a valid value is."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {what} {tok!r}: expected {expected}") from None
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in _tokens(text)]
+    return [_int(tok, "integer", "comma-separated integers") for tok in _tokens(text)]
 
 
 def _chunk_count(text: str) -> int | str:
     """The one parser of ``--r`` values: an int or 'auto' (else a usage error)."""
-    return "auto" if text.strip() == "auto" else int(text)
+    return "auto" if text.strip() == "auto" else _int(text, "chunk count", "an int or 'auto'")
 
 
 def _r_list(text: str) -> list[int | str]:
@@ -186,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FlashwinError, ValueError) as exc:
+    except (FlashwinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

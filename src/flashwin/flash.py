@@ -1,9 +1,11 @@
 """Feature-tiled window attention executed against the two-level memory model.
 
-Q, K, V are split into r chunks along the feature dimension. The forward
-kernel accumulates S = sum_i Q_i K_i^T in a scratchpad buffer, applies the
-softmax in place, then streams the output out chunk by chunk, so each of
-Q, K, V, O crosses the global-memory boundary exactly once. The backward
+Q, K, V are split into r balanced chunks along the feature dimension:
+chunk i holds features [i*C//r, (i+1)*C//r), so every r from 1 to C tiles
+C and no two chunk widths differ by more than one. The forward kernel
+accumulates S = sum_i Q_i K_i^T in a scratchpad buffer, applies the softmax
+in place, then streams the output out chunk by chunk, so each of Q, K, V, O
+crosses the global-memory boundary exactly once. The backward
 kernel recomputes the attention weights on chip from Q and K (they are
 deliberately reloaded, never cached across phases), streams dV and the dP
 accumulation in a second pass, converts dP to dS in place, and streams dQ
@@ -15,7 +17,7 @@ every on-chip buffer is a plain float64 array that the arena holds from
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
-features per chunk):
+features in the widest chunk):
 
 * forward: S lives throughout; Q_i/K_i are co-resident per iteration and
   freed before the next; in the output loop V_i and the O_i tile are
@@ -44,7 +46,7 @@ from .tensor import DenseTensor
 
 @dataclass(frozen=True)
 class TileConfig:
-    """Feature-tiling parameters: chunk count r, softmax scale, accounting bytes."""
+    """Feature tiling: r chunks (any integer 1..C tiles C features), scale, accounting bytes."""
 
     r: int
     scale: float = 1.0
@@ -57,20 +59,15 @@ class TileConfig:
         AttnParams(scale=self.scale)  # validates the scale
 
     def chunk_width(self, C: int) -> int:
-        """Widest chunk, ceil(C/r); validates that r chunks of C features exist."""
+        """Widest chunk, ceil(C/r); the one rule is that r chunks need r <= C features."""
         if self.r > C:
             raise ShapeError(f"chunk count {self.r} exceeds feature count {C}")
-        cw = -(-C // self.r)
-        if cw * (self.r - 1) >= C:
-            raise ShapeError(
-                f"chunk count {self.r} leaves an empty chunk for {C} features"
-            )
-        return cw
+        return -(-C // self.r)
 
     def chunk_spans(self, C: int) -> list[tuple[int, int]]:
-        """Half-open feature spans of the r chunks; all but the last are full width."""
-        cw = self.chunk_width(C)
-        return [(i * cw, min((i + 1) * cw, C)) for i in range(self.r)]
+        """Half-open feature spans of the r chunks, balanced: widths differ by at most 1."""
+        self.chunk_width(C)  # refuses r > C
+        return [(i * C // self.r, (i + 1) * C // self.r) for i in range(self.r)]
 
 
 @dataclass(frozen=True)

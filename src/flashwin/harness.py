@@ -76,10 +76,8 @@ BENCH_COLUMNS = [f.name.rstrip("_") for f in fields(BenchRow)]
 
 
 def resolve_r(value: str | int, C: int) -> int:
-    """Resolve a chunk-count setting; 'auto' means one chunk per 16 features."""
-    if value == "auto":
-        return max(1, C // 16)
-    return int(value)
+    """'auto' is one chunk per 16 features; any other value must pass TileConfig's rule as is."""
+    return TileConfig(r=max(1, C // 16) if value == "auto" else value).r
 
 
 def expected_forward_traffic(L: int, C: int) -> tuple[dict[str, int], dict[str, int]]:
@@ -114,25 +112,19 @@ def _grid(
     """The (L, C, chunk counts) points of a check grid, in the order asked for.
 
     Each L and each C appears once, and each C carries its resolved,
-    de-duplicated chunk counts that tile it, so no case runs twice. A
-    requested chunk count that tiles none of ``Cs`` raises
-    :class:`ShapeError` naming it, so a grid cannot pass without running
-    the kernels it asked for; one that tiles only some is skipped for the rest.
+    de-duplicated chunk counts, so no case runs twice. Every chunk count
+    from 1 to C tiles C; one that exceeds C is skipped for that C, and one
+    that exceeds every C raises :class:`ShapeError` naming it, so a grid
+    cannot pass without running the kernels it asked for.
     """
     counts: dict[int, list[int]] = {C: [] for C in Cs}
     for value in r_values:
-        tiles_any = False
-        for C, valid in counts.items():
-            r = resolve_r(value, C)
-            try:
-                TileConfig(r=r).chunk_width(C)
-            except FlashwinError:
-                continue
-            tiles_any = True
-            if r not in valid:
-                valid.append(r)
-        if not tiles_any:
-            raise ShapeError(f"chunk count {value} tiles none of the feature counts {list(Cs)}")
+        resolved = {C: resolve_r(value, C) for C in counts}
+        if all(r > C for C, r in resolved.items()):
+            raise ShapeError(f"chunk count {value} exceeds every feature count {list(Cs)}")
+        for C, r in resolved.items():
+            if r <= C and r not in counts[C]:
+                counts[C].append(r)
     return [(L, C, rs) for L in dict.fromkeys(Ls) for C, rs in counts.items()]
 
 

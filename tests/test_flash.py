@@ -64,9 +64,23 @@ class TestTileConfig:
         assert TileConfig(r=4).chunk_width(10) == 3
         assert TileConfig(r=1).chunk_width(7) == 7
 
-    def test_ragged_spans_cover_all_features_once(self):
-        spans = TileConfig(r=4).chunk_spans(10)
-        assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    def test_ragged_spans_are_balanced(self):
+        assert TileConfig(r=4).chunk_spans(10) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+        assert TileConfig(r=3).chunk_spans(4) == [(0, 1), (1, 2), (2, 4)]  # no empty chunk
+
+    def test_every_count_up_to_C_tiles_it(self):
+        for C in range(1, 65):
+            for r in range(1, C + 1):
+                cfg = TileConfig(r=r)
+                spans = cfg.chunk_spans(C)
+                assert spans[0][0] == 0 and spans[-1][1] == C
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                widths = [hi - lo for lo, hi in spans]
+                assert max(widths) - min(widths) <= 1 and min(widths) >= 1
+                assert max(widths) == cfg.chunk_width(C)
+                if C % r == 0:  # the spans every golden file was made with
+                    cw = C // r
+                    assert spans == [(i * cw, (i + 1) * cw) for i in range(r)]
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidRangeError):
@@ -78,10 +92,10 @@ class TestTileConfig:
             TileConfig(r=1, elem_bytes=2)  # the arena's rule and message
         with pytest.raises(InvalidRangeError):
             TileConfig(r=1, scale=-1.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^chunk count 5 exceeds feature count 4$"):
             TileConfig(r=5).chunk_width(4)
         with pytest.raises(ShapeError):
-            TileConfig(r=3).chunk_width(4)  # ceil(4/3)=2 leaves an empty chunk
+            TileConfig(r=5).chunk_spans(4)
 
 
 class TestPeakFormulas:

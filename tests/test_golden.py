@@ -37,7 +37,7 @@ CASES = [
         ["traffic", "--L", "49", "--C", "32", "--r", "auto", "--elem-bytes", "8"],
         0,
     ),
-    # A chunk count that tiles none of the feature counts: a usage error, nothing printed.
+    # A chunk count above every feature count: a usage error, nothing printed.
     ("empty.txt", ["check", "--L", "4", "--C", "4", "--r", "64"], 2),
 ]
 

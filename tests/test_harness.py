@@ -8,7 +8,15 @@ from dataclasses import astuple
 
 import pytest
 
-from flashwin import DenseTensor, NumericsError, ShapeError, cli, harness
+from flashwin import (
+    DenseTensor,
+    InvalidRangeError,
+    NumericsError,
+    ShapeError,
+    TileConfig,
+    cli,
+    harness,
+)
 from flashwin.cli import main
 from flashwin.harness import (
     BENCH_COLUMNS,
@@ -146,12 +154,13 @@ class TestCheckSuite:
         assert "grad_L2_C16_r2" in ids
         assert not any(i.startswith("grad_L64") for i in ids)
 
-    def test_invalid_chunk_counts_are_skipped(self):
-        # 3 and 8 chunks tile C=16 but not C=4: skipped for C=4 only.
+    def test_chunk_counts_above_a_feature_count_are_skipped(self):
+        # 8 chunks exceed C=4: skipped for C=4 only. 3 chunks tile both.
         results = run_check_suite(seed=42, Ls=[4], Cs=[4, 16], r_values=[1, 3, 8])
         ids = {r.case_id for r in results}
-        assert {"fwd_L4_C4_r1", "fwd_L4_C16_r3", "fwd_L4_C16_r8"} <= ids
-        assert not any("C4_r3" in i or "C4_r8" in i for i in ids)
+        assert {"fwd_L4_C4_r1", "fwd_L4_C4_r3", "fwd_L4_C16_r3", "fwd_L4_C16_r8"} <= ids
+        assert not any("C4_r8" in i for i in ids)
+        assert all(r.ok for r in results)
 
     def test_repeated_lengths_and_feature_counts_run_once(self, capsys):
         assert main(["check", "--L", "2", "--C", "16,16", "--r", "1,1"]) == 0
@@ -164,11 +173,17 @@ class TestCheckSuite:
         assert len(ids) == len(set(ids)) == 8
         assert repeated.endswith("8/8 cases passed\n")
 
-    @pytest.mark.parametrize("r_values, bad", [([1, 3, 64], "3"), ([64], "64"), ([2, 0], "0")])
-    def test_chunk_count_that_tiles_no_feature_count_is_an_error(self, r_values, bad):
-        msg = rf"^chunk count {bad} tiles none of the feature counts \[4\]$"
+    @pytest.mark.parametrize("r_values", [[1, 3, 64], [64]])
+    def test_chunk_count_above_every_feature_count_is_an_error(self, r_values):
+        msg = r"^chunk count 64 exceeds every feature count \[4, 2\]$"
         with pytest.raises(ShapeError, match=msg):
-            run_check_suite(seed=42, Ls=[4], Cs=[4], r_values=r_values)
+            run_check_suite(seed=42, Ls=[4], Cs=[4, 2], r_values=r_values)
+
+    @pytest.mark.parametrize("bad", [0, 2.5, 2.0, "abc"])
+    def test_chunk_count_that_is_not_an_integer_above_zero_is_an_error(self, bad):
+        # Refused by TileConfig's rule, not coerced: 2.5 never runs as r=2.
+        with pytest.raises(InvalidRangeError, match=f"integer >= 1, got {bad}$"):
+            run_check_suite(seed=42, Ls=[4], Cs=[4], r_values=[2, bad])
 
 
 class TestTraffic:
@@ -247,6 +262,20 @@ class TestHelpers:
         assert resolve_r("auto", 256) == 16
         assert resolve_r("auto", 8) == 1
         assert resolve_r(3, 64) == 3
+        for bad in (0, 2.5, "abc", "3"):
+            with pytest.raises(InvalidRangeError):
+                resolve_r(bad, 64)
+
+    def test_auto_tiles_every_feature_count(self):
+        # With all chunks but the last ceil(C/r) wide, 3465 of these C (the first
+        # is 289) had no valid auto count: the last chunk came out empty.
+        for C in range(1, 4097):
+            cfg = TileConfig(r=resolve_r("auto", C))
+            spans = cfg.chunk_spans(C)
+            widths = [hi - lo for lo, hi in spans]
+            assert spans[0][0] == 0 and spans[-1][1] == C and sum(widths) == C
+            assert max(widths) - min(widths) <= 1
+            assert max(widths) == cfg.chunk_width(C)
 
     def test_naive_traffic_model(self):
         assert naive_total_elements(64, 64, "fwd") == 4 * 4096 + 4 * 4096
@@ -428,6 +457,56 @@ class TestCli:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "argument --r: invalid" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--L", "x"],
+             "argument --L: invalid integer 'x': expected comma-separated integers"),
+            (["check", "--r", "1,abc"],
+             "argument --r: invalid chunk count 'abc': expected an int or 'auto'"),
+            (["traffic", "--L", "8", "--C", "16", "--r", "abc"],
+             "argument --r: invalid chunk count 'abc': expected an int or 'auto'"),
+        ],
+        ids=["check_L", "check_r", "traffic_r"],
+    )
+    def test_usage_errors_say_what_a_valid_value_is(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {message}\n") and "_int_list" not in err
+
+    def test_chunk_count_below_one_is_an_error(self, capsys):
+        assert main(["check", "--L", "4", "--C", "4", "--r", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: chunk count must be an integer >= 1, got 0\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["traffic", "--L", "8", "--C", "16"], ["check", "--L", "2", "--C", "16", "--r", "1"]],
+        ids=["traffic", "check"],
+    )
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (["traffic", "--L", "4", "--C", "289"], "match closed form: yes\n"),
+            (["check", "--L", "4", "--C", "289"], "14/14 cases passed\n"),
+            (["demo", "--H", "14", "--W", "14", "--C", "289"], "at r=18)\n"),
+            # Ragged counts of every kind: r=3 at C=4 and 10, r=7 at C=10 and 17, auto=18 at 289.
+            (["check", "--L", "4,49", "--C", "4,10,17,289", "--r", "1,3,4,7,auto"],
+             "91/91 cases passed\n"),
+        ],
+        ids=["traffic", "check", "demo", "ragged_grid"],
+    )
+    def test_auto_and_ragged_chunk_counts_run(self, capsys, argv, tail):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(tail)
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

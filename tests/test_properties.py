@@ -1,6 +1,6 @@
 """Property tests of the tiled kernels and the arena over the inputs the API accepts.
 
-Hypothesis draws L and C up to 64, any chunk count r that tiles C, a scale
+Hypothesis draws L and C up to 64, any chunk count r from 1 to C, a scale
 in (0, 2], both accounting element sizes, the bytes already held in the
 arena and its capacity; and, for the arena alone, programs of allocations,
 loads, stores and frees in and out of kernel calls that may fail. Examples
@@ -21,7 +21,6 @@ from flashwin import (
     FlashwinError,
     Rng,
     ScratchpadArena,
-    ShapeError,
     TileConfig,
     fill_uniform,
     flash_backward,
@@ -37,20 +36,12 @@ from flashwin.reference import AttnParams
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
-def _tiles(r, C):
-    try:
-        TileConfig(r=r).chunk_width(C)
-    except ShapeError:
-        return False
-    return True
-
-
 @st.composite
 def problems(draw):
     """(q, k, v, dO, cfg, held bytes): one attention problem and an arena's prior load."""
     L = draw(st.integers(1, 64))
     C = draw(st.integers(1, 64))
-    r = draw(st.sampled_from([r for r in range(1, C + 1) if _tiles(r, C)]))
+    r = draw(st.integers(1, C))
     scale = draw(st.floats(0, 2, exclude_min=True))
     cfg = TileConfig(r=r, scale=scale, elem_bytes=draw(st.sampled_from([4, 8])))
     rng = Rng(draw(st.integers(0, 2**32 - 1)))
