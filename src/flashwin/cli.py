@@ -1,13 +1,13 @@
 """Command-line entry point: check, traffic, bench, and demo subcommands.
 
-Exit codes: 0 success, 1 check failure, 2 usage or ``--out`` file error.
+Exit codes: 0 success, 1 a failed check or claim, 2 usage or ``--out`` file error.
+``main`` opens ``--out``, truncating it, before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 
 from .errors import FlashwinError
 from .harness import (
@@ -29,8 +29,8 @@ def _tokens(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
 
-def _int(tok: str, what: str, expected: str) -> int:
-    """``int(tok)``, else a usage error that says what a valid value is."""
+def _int(tok: str, what: str = "integer", expected: str = "an integer") -> int:
+    """The one parser of integer flags: ``int(tok)``, else a usage error saying what is valid."""
     try:
         return int(tok)
     except ValueError:
@@ -51,21 +51,26 @@ def _r_list(text: str) -> list[int | str]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed")
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED, help="master RNG seed")
     p.add_argument(
         "--capacity-bytes",
-        type=int,
+        type=_int,
         default=DEFAULT_CAPACITY_BYTES,
         help="scratchpad budget in bytes (default 131072)",
     )
     p.add_argument(
         "--elem-bytes",
-        type=int,
+        type=_int,
         choices=ELEM_BYTES,
         default=4,
         help="element size used for byte accounting",
     )
     p.add_argument("--out", default=None, help="write the primary output to this path")
+
+
+def _common(args) -> dict:
+    """The flags of ``_add_common`` (all but ``--out``) as keyword arguments of a run."""
+    return dict(seed=args.seed, capacity_bytes=args.capacity_bytes, elem_bytes=args.elem_bytes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,78 +91,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traffic", help="report traffic and footprint for one shape")
     _add_common(p)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--C", type=int, required=True)
+    p.add_argument("--L", type=_int, required=True)
+    p.add_argument("--C", type=_int, required=True)
     p.add_argument("--r", type=_chunk_count, default="auto", help="chunk count (int or 'auto')")
     p.set_defaults(func=cmd_traffic)
 
     p = sub.add_parser("bench", help="emit a timing table as CSV")
     _add_common(p)
     p.add_argument("--batch", type=_int_list, default=[64, 256], help="window counts")
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--L", type=int, default=64)
+    p.add_argument("--heads", type=_int, default=4)
+    p.add_argument("--L", type=_int, default=64)
     p.add_argument("--C", type=_int_list, default=[64, 256])
     p.add_argument("--r", type=_chunk_count, default="auto", help="chunk count (int or 'auto')")
     p.add_argument("--pass", dest="pass_", choices=("fwd", "fwd_bwd"), default="fwd")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_int, default=3)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo", help="partition -> attention -> reverse walkthrough")
     _add_common(p)
-    p.add_argument("--H", type=int, default=224)
-    p.add_argument("--W", type=int, default=224)
-    p.add_argument("--C", type=int, default=32)
-    p.add_argument("--k", type=int, default=7)
+    p.add_argument("--H", type=_int, default=224)
+    p.add_argument("--W", type=_int, default=224)
+    p.add_argument("--C", type=_int, default=32)
+    p.add_argument("--k", type=_int, default=7)
     p.set_defaults(func=cmd_demo)
 
     return parser
 
 
-def _open_out(args):
-    if args.out is None:
-        return nullcontext(sys.stdout)
-    return open(args.out, "w", encoding="utf-8")
+def _verdict(failed: list[str]) -> int:
+    """Exit status of a subcommand: 1, after one stderr line per failed claim, else 0."""
+    sys.stderr.writelines(f"{claim}\n" for claim in failed)
+    return 1 if failed else 0
 
 
-def cmd_check(args) -> int:
-    results = run_check_suite(
-        seed=args.seed,
-        Ls=args.L,
-        Cs=args.C,
-        r_values=args.r,
-        capacity_bytes=args.capacity_bytes,
-        elem_bytes=args.elem_bytes,
-    )
-    with _open_out(args) as out:
-        out.write(render_suite_table(results))
+def cmd_check(args, out) -> int:
+    results = run_check_suite(Ls=args.L, Cs=args.C, r_values=args.r, **_common(args))
+    (out or sys.stdout).write(render_suite_table(results))
     failing = [r.case_id for r in results if not r.ok]
-    if failing:
-        print("failing cases: " + ", ".join(failing), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(["failing cases: " + ", ".join(failing)] if failing else [])
 
 
-def cmd_traffic(args) -> int:
-    summary = run_traffic(
-        L=args.L,
-        C=args.C,
-        r=resolve_r(args.r, args.C),
-        elem_bytes=args.elem_bytes,
-        seed=args.seed,
-        capacity_bytes=args.capacity_bytes,
-    )
+def cmd_traffic(args, out) -> int:
+    summary = run_traffic(L=args.L, C=args.C, r=resolve_r(args.r, args.C), **_common(args))
     sys.stdout.write(render_traffic_text(summary))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as out:
-            write_traffic_csv(summary, out)
-    if not summary.consistent:
-        print("instrumented traffic or peaks differ from the closed forms", file=sys.stderr)
-        return 1
-    return 0
+    if out is not None:
+        write_traffic_csv(summary, out)
+    closed_forms = "instrumented traffic or peaks differ from the closed forms"
+    return _verdict([] if summary.consistent else [closed_forms])
 
 
-def cmd_bench(args) -> int:
-    rows = run_bench(
+def cmd_bench(args, out) -> int:
+    rows, failed = run_bench(
         batches=args.batch,
         heads=args.heads,
         L=args.L,
@@ -165,35 +149,26 @@ def cmd_bench(args) -> int:
         r_value=args.r,
         pass_=args.pass_,
         repeats=args.repeats,
-        seed=args.seed,
-        capacity_bytes=args.capacity_bytes,
-        elem_bytes=args.elem_bytes,
+        **_common(args),
     )
-    with _open_out(args) as out:
-        write_bench_csv(rows, out)
-    return 0
+    write_bench_csv(rows, out or sys.stdout)
+    return _verdict(failed)
 
 
-def cmd_demo(args) -> int:
-    text = run_demo(
-        H=args.H,
-        W=args.W,
-        C=args.C,
-        k=args.k,
-        seed=args.seed,
-        capacity_bytes=args.capacity_bytes,
-        elem_bytes=args.elem_bytes,
-    )
-    with _open_out(args) as out:
-        out.write(text)
-    return 0
+def cmd_demo(args, out) -> int:
+    text, failed = run_demo(H=args.H, W=args.W, C=args.C, k=args.k, **_common(args))
+    (out or sys.stdout).write(text)
+    return _verdict(failed)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Open ``--out`` as a shell redirection would, then run the subcommand on it (None: stdout)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.out is None:
+            return args.func(args, None)
+        with open(args.out, "w", encoding="utf-8") as out:
+            return args.func(args, out)
     except (FlashwinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

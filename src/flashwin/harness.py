@@ -27,7 +27,7 @@ from .flash import (
 )
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, TrafficReport, merge_reports
 from .reference import FD_STACK_ELEMS, finite_diff_grad, naive_backward, naive_forward
-from .tensor import DenseTensor, Rng, fill_uniform, max_abs_diff
+from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff
 from .windowing import WindowConfig, window_partition, window_reverse
 
 ORACLE_TOL = 1e-10
@@ -112,11 +112,13 @@ def _grid(
     """The (L, C, chunk counts) points of a check grid, in the order asked for.
 
     Each L and each C appears once, and each C carries its resolved,
-    de-duplicated chunk counts, so no case runs twice. Every chunk count
-    from 1 to C tiles C; one that exceeds C is skipped for that C, and one
-    that exceeds every C raises :class:`ShapeError` naming it, so a grid
-    cannot pass without running the kernels it asked for.
+    de-duplicated chunk counts, so no case runs twice. An L or C below 1
+    fails the tensor extent rule. Every chunk count from 1 to C tiles C;
+    one that exceeds C is skipped for that C, and one that exceeds every C
+    raises :class:`ShapeError` naming it, so a grid cannot pass without
+    running the kernels it asked for.
     """
+    points = [_validated((L, C)) for L in dict.fromkeys(Ls) for C in dict.fromkeys(Cs)]
     counts: dict[int, list[int]] = {C: [] for C in Cs}
     for value in r_values:
         resolved = {C: resolve_r(value, C) for C in counts}
@@ -125,7 +127,7 @@ def _grid(
         for C, r in resolved.items():
             if r <= C and r not in counts[C]:
                 counts[C].append(r)
-    return [(L, C, rs) for L in dict.fromkeys(Ls) for C, rs in counts.items()]
+    return [(L, C, counts[C]) for L, C in points]
 
 
 def run_check_suite(
@@ -141,11 +143,13 @@ def run_check_suite(
     Grid points whose closed-form footprint exceeds the capacity become
     expected-error cases: they pass when the kernel refuses to run while
     the untiled reference still succeeds. The untiled reference runs at
-    most once per (L, C) and is shared by every chunk count.
+    most once per (L, C) and is shared by every chunk count. The whole
+    grid is checked before the first case runs.
     """
     if not Ls or not Cs or not r_values:
         return []
 
+    grid = _grid(Ls, Cs, r_values)
     results: list[SuiteResult] = []
     master = Rng(seed)
 
@@ -155,7 +159,7 @@ def run_check_suite(
         err = max_abs_diff(x, window_reverse(window_partition(x, cfg), cfg))
         results.append(_result(f"roundtrip_{H}x{W}x{C}_k{k}", err, tol=0.0))
 
-    for L, C, rs in _grid(Ls, Cs, r_values):
+    for L, C, rs in grid:
         rng = master.split()
         q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
         ref = _Reference(q, k, v, do)
@@ -312,19 +316,19 @@ def render_suite_table(results: list[SuiteResult]) -> str:
 
 @dataclass
 class TrafficSummary:
+    """One instrumented forward and backward run at (L, C) under ``cfg``."""
+
     L: int
     C: int
-    r: int
-    elem_bytes: int
+    cfg: TileConfig
     forward: TrafficReport
     backward: TrafficReport
-    forward_peak_formula: int
-    backward_peak_formula: int
 
     @property
     def consistent(self) -> bool:
-        fwd = expected_forward_traffic(self.L, self.C), self.forward_peak_formula
-        bwd = expected_backward_traffic(self.L, self.C), self.backward_peak_formula
+        L, C, cfg = self.L, self.C, self.cfg
+        fwd = expected_forward_traffic(L, C), peak_sram_forward(L, C, cfg)
+        bwd = expected_backward_traffic(L, C), peak_sram_backward(L, C, cfg)
         return all(_closed_form(self.forward, fwd) + _closed_form(self.backward, bwd))
 
 
@@ -342,25 +346,15 @@ def run_traffic(
     q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
     _, ctx, fwd = flash_forward(q, k, v, cfg, ScratchpadArena(capacity_bytes))
     _, _, _, bwd = flash_backward(ctx, do, ScratchpadArena(capacity_bytes))
-    return TrafficSummary(
-        L=L,
-        C=C,
-        r=r,
-        elem_bytes=elem_bytes,
-        forward=fwd,
-        backward=bwd,
-        forward_peak_formula=peak_sram_forward(L, C, cfg),
-        backward_peak_formula=peak_sram_backward(L, C, cfg),
-    )
+    return TrafficSummary(L=L, C=C, cfg=cfg, forward=fwd, backward=bwd)
 
 
 def render_traffic_text(s: TrafficSummary) -> str:
+    fwd, bwd = (peak(s.L, s.C, s.cfg) for peak in (peak_sram_forward, peak_sram_backward))
     lines = [
-        f"shape L={s.L} C={s.C} r={s.r} elem_bytes={s.elem_bytes}",
-        f"forward  peak: {s.forward.peak_sram_bytes} B (formula {s.forward_peak_formula} B,"
-        f" {s.forward_peak_formula / 1000:.3f} kB)",
-        f"backward peak: {s.backward.peak_sram_bytes} B (formula {s.backward_peak_formula} B,"
-        f" {s.backward_peak_formula / 1000:.3f} kB)",
+        f"shape L={s.L} C={s.C} r={s.cfg.r} elem_bytes={s.cfg.elem_bytes}",
+        f"forward  peak: {s.forward.peak_sram_bytes} B (formula {fwd} B, {fwd / 1000:.3f} kB)",
+        f"backward peak: {s.backward.peak_sram_bytes} B (formula {bwd} B, {bwd / 1000:.3f} kB)",
         f"forward  loads: {_fmt_counts(s.forward.loads)}",
         f"forward  stores: {_fmt_counts(s.forward.stores)}",
         f"backward loads: {_fmt_counts(s.backward.loads)}",
@@ -393,25 +387,27 @@ def run_bench(
     seed: int = DEFAULT_SEED,
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
     elem_bytes: int = 4,
-) -> list[BenchRow]:
-    """Median-of-repeats timings for the untiled and tiled paths.
+) -> tuple[list[BenchRow], list[str]]:
+    """Median-of-repeats timings for the untiled and tiled paths, and the broken claims.
 
     One warm-up run precedes the timed repeats. Timings are informational:
     nothing here asserts a speedup. Every chunk count, and every footprint
-    against ``capacity_bytes``, is checked before any input is made.
+    against ``capacity_bytes``, is checked before any input is made. Each
+    tiled run's merged traffic and peak are judged against the closed forms.
     """
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
     # The backward peak is the larger, so it bounds a fwd_bwd run.
-    kind, peak = ("forward", peak_sram_forward)
+    kind, peak, passes = "forward", peak_sram_forward, [expected_forward_traffic]
     if pass_ == "fwd_bwd":
         kind, peak = "backward", peak_sram_backward
-    cfgs = {}  # each C once
+        passes.append(expected_backward_traffic)
+    cfgs = {}  # each C once: its config and its peak formula
     for C in dict.fromkeys(Cs):
-        cfgs[C] = TileConfig(r=resolve_r(r_value, C), elem_bytes=elem_bytes)
-        need = peak(L, C, cfgs[C])  # validates the chunk count too
+        cfg = TileConfig(r=resolve_r(r_value, C), elem_bytes=elem_bytes)
+        cfgs[C] = cfg, (need := peak(L, C, cfg))  # validates the chunk count too
         if need > capacity_bytes:
             raise CapacityError(
                 f"{kind} pass at L={L}, C={C} needs {need} bytes of scratchpad, "
@@ -419,15 +415,18 @@ def run_bench(
             )
     master = Rng(seed)
     rows: list[BenchRow] = []
+    failed: list[str] = []
 
     for batch in dict.fromkeys(batches):
-        for C, cfg in cfgs.items():
+        for C, (cfg, need) in cfgs.items():
             rng = master.split()
             shape = (batch, heads, L, C)
             q, k, v, do = (_rand(rng, shape) for _ in range(4))
 
             flash_ns, merged = _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes)
             naive_ns = _time_naive(q, k, v, do, pass_, repeats)
+            broken = _broken_claims(merged, batch * heads, [f(L, C) for f in passes], need)
+            failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
             for impl, ns, peak, elements in (
                 ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
                 ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
@@ -435,7 +434,19 @@ def run_bench(
                 rows.append(BenchRow(batch, heads, L, C, cfg.r, impl, pass_, ns, peak, elements))
 
     rows.sort(key=lambda b: (b.batch, b.heads, b.L, b.C, b.r, b.impl, b.pass_))
-    return rows
+    return rows, failed
+
+
+def _broken_claims(merged, windows, passes, peak, oracle_err=0.0) -> list[str]:
+    """Failed claims of ``windows`` merged slices, each a slice's ``passes`` and ``peak``."""
+    want = merge_reports([TrafficReport(*traffic) for traffic in passes] * windows)
+    traffic_ok, peak_ok = _closed_form(merged, ((want.loads, want.stores), peak))
+    claims = [
+        (oracle_err <= ORACLE_TOL, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}"),
+        (traffic_ok, f"merged loads or stores differ from {windows} windows x the closed form"),
+        (peak_ok, f"peak {merged.peak_sram_bytes} B differs from its formula {peak} B"),
+    ]
+    return [claim for ok, claim in claims if not ok]
 
 
 def _median_ns(run: Callable[[], object], repeats: int) -> tuple[int, object]:
@@ -500,8 +511,8 @@ def run_demo(
     seed: int = DEFAULT_SEED,
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
     elem_bytes: int = 4,
-) -> str:
-    """Partition -> per-window attention -> reverse walkthrough, as text."""
+) -> tuple[str, list[str]]:
+    """Partition -> per-window attention -> reverse walkthrough, as text, and the broken claims."""
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     r = resolve_r("auto", C)
     tile = TileConfig(r=r, elem_bytes=elem_bytes)
@@ -529,6 +540,7 @@ def run_demo(
         got = DenseTensor._adopt(o.array[lo : lo + step])
         oracle_err = max(oracle_err, max_abs_diff(got, naive_forward(w, w, w)[0]))
     image = window_reverse(o, cfg)
+    peak = peak_sram_forward(L, C, tile)
     lines = [
         f"image {H}x{W}x{C}, window {k}x{k} -> {N} windows of length {L}",
         f"round_trip_max_abs_diff: {roundtrip:g}",
@@ -537,6 +549,7 @@ def run_demo(
         f"merged loads: {_fmt_counts(report.loads)}",
         f"merged stores: {_fmt_counts(report.stores)}",
         f"per-window peak: {report.peak_sram_bytes} B "
-        f"(forward formula {peak_sram_forward(L, C, tile)} B at r={r})",
+        f"(forward formula {peak} B at r={r})",
     ]
-    return "\n".join(lines) + "\n"
+    broken = _broken_claims(report, N, [expected_forward_traffic(L, C)], peak, oracle_err)
+    return "\n".join(lines) + "\n", broken

@@ -120,6 +120,12 @@ class TestPeakFormulas:
         assert cfg.chunk_width(32) == 1
         assert peak_sram_forward(16, 32, cfg) == (16 * 16 + 2 * 16) * 4
 
+    @pytest.mark.parametrize("peak", [peak_sram_forward, peak_sram_backward])
+    @pytest.mark.parametrize("L, C", [(0, 16), (16, 0), (-1, 16)])
+    def test_extents_below_one_rejected(self, peak, L, C):
+        with pytest.raises(ShapeError, match=rf"^L and C must be >= 1, got L={L}, C={C}$"):
+            peak(L, C, TileConfig(r=1))
+
 
 def test_chunked_score_accumulation_equals_full_product():
     rng = Rng(31)
@@ -215,6 +221,13 @@ class TestFlashForward:
         with pytest.raises(ShapeError):
             flash_forward(zeros([2, 4]), zeros([2, 4]), zeros([2, 6]),
                           TileConfig(r=1), ScratchpadArena())
+
+    def test_operands_must_be_2d(self):
+        q = zeros([1, 2, 4])
+        arena = ScratchpadArena()
+        with pytest.raises(ShapeError, match=r"^Q/K/V must be 2-D, got \(1, 2, 4\)$"):
+            flash_forward(q, q, q, TileConfig(r=1), arena)
+        assert arena.live_bytes == 0
 
 
 class TestFlashBackward:

@@ -4,7 +4,7 @@ import csv
 import io
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -14,7 +14,9 @@ from flashwin import (
     NumericsError,
     ShapeError,
     TileConfig,
+    TrafficReport,
     cli,
+    flash,
     harness,
 )
 from flashwin.cli import main
@@ -193,6 +195,15 @@ class TestTraffic:
         assert s.backward.peak_sram_bytes == 40960
         assert s.consistent
 
+    def test_summary_derives_its_peak_formulas_from_its_config(self):
+        s = run_traffic(L=64, C=64, r=4, elem_bytes=4)
+        assert s.cfg == TileConfig(r=4, elem_bytes=4)
+        # Two chunks are 32 wide, so the formulas no longer equal the r=4 run's peaks.
+        wider = replace(s, cfg=TileConfig(r=2, elem_bytes=4))
+        assert not wider.consistent
+        assert "r=2 elem_bytes=4" in render_traffic_text(wider)
+        assert "(formula 32768 B," in render_traffic_text(wider)
+
     def test_text_reports_peaks(self):
         text = render_traffic_text(run_traffic(L=64, C=64, r=4, elem_bytes=4))
         assert "24576" in text and "40960" in text
@@ -211,12 +222,12 @@ class TestTraffic:
 
 class TestBench:
     def test_single_config_gives_two_rows(self):
-        rows = run_bench(batches=[2], heads=2, L=16, Cs=[16], repeats=3)
+        rows, _ = run_bench(batches=[2], heads=2, L=16, Cs=[16], repeats=3)
         assert len(rows) == 2
         assert {r.impl for r in rows} == {"naive", "flash"}
 
     def test_csv_schema_and_round_trip(self):
-        rows = run_bench(batches=[2], heads=2, L=16, Cs=[16], repeats=3)
+        rows, _ = run_bench(batches=[2], heads=2, L=16, Cs=[16], repeats=3)
         buf = io.StringIO()
         write_bench_csv(rows, buf)
         parsed = list(csv.reader(io.StringIO(buf.getvalue())))
@@ -229,23 +240,25 @@ class TestBench:
             assert raw == [str(x) for x in astuple(row)]
 
     def test_flash_forward_traffic_is_4lc_per_slice(self):
-        rows = run_bench(batches=[3], heads=2, L=8, Cs=[16], repeats=3)
+        rows, failed = run_bench(batches=[3], heads=2, L=8, Cs=[16], repeats=3)
         flash = next(r for r in rows if r.impl == "flash")
         assert flash.total_global_elements == 4 * 8 * 16 * 3 * 2
         assert flash.peak_sram_bytes == (8 * 8 + 2 * 8 * 16) * 4  # r=auto -> 1
+        assert failed == []
 
     def test_fwd_bwd_pass_adds_backward_traffic(self):
-        rows = run_bench(batches=[2], heads=1, L=8, Cs=[16], pass_="fwd_bwd", repeats=3)
+        rows, failed = run_bench(batches=[2], heads=1, L=8, Cs=[16], pass_="fwd_bwd", repeats=3)
         flash = next(r for r in rows if r.impl == "flash")
         assert flash.total_global_elements == (4 + 9) * 8 * 16 * 2
         assert flash.peak_sram_bytes == (2 * 8 * 8 + 2 * 8 * 16) * 4
+        assert failed == []
 
     def test_timings_are_positive_but_not_compared(self):
-        rows = run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=3)
+        rows, _ = run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=3)
         assert all(r.elapsed_ns > 0 for r in rows)
 
     def test_rows_sorted_canonically(self):
-        rows = run_bench(batches=[4, 2], heads=1, L=8, Cs=[32, 16], repeats=3)
+        rows, _ = run_bench(batches=[4, 2], heads=1, L=8, Cs=[32, 16], repeats=3)
         keys = [(r.batch, r.heads, r.L, r.C, r.r, r.impl, r.pass_) for r in rows]
         assert keys == sorted(keys)
 
@@ -284,9 +297,10 @@ class TestHelpers:
 
 class TestDemo:
     def test_single_window_geometry(self):
-        text = run_demo(H=7, W=7, C=16, k=7, seed=1)
+        text, failed = run_demo(H=7, W=7, C=16, k=7, seed=1)
         assert "1 windows of length 49" in text
         assert "round_trip_max_abs_diff: 0" in text
+        assert failed == []
 
     def test_makes_no_tensor_copies(self, monkeypatch):
         copies = []
@@ -297,7 +311,7 @@ class TestDemo:
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(DenseTensor, "__init__", counted)
-        assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)
+        assert "16 windows" in run_demo(H=8, W=8, C=4, k=2, seed=1)[0]
         assert copies == []
 
     def test_checks_windows_in_bounded_reference_stacks(self, monkeypatch):
@@ -309,12 +323,12 @@ class TestDemo:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "naive_forward", counted)
-        text = run_demo(H=8, W=8, C=4, k=2, seed=1)
+        text, _ = run_demo(H=8, W=8, C=4, k=2, seed=1)
         assert "16 windows" in text
         assert calls == [(16, 4, 4)]
         calls.clear()
         monkeypatch.setattr(harness, "FD_STACK_ELEMS", 5 * 4 * 4)  # 5 windows of 4x4 weights
-        assert run_demo(H=8, W=8, C=4, k=2, seed=1) == text
+        assert run_demo(H=8, W=8, C=4, k=2, seed=1)[0] == text
         assert calls == [(5, 4, 4)] * 3 + [(1, 4, 4)]
 
     def test_never_holds_every_windows_weights_at_once(self):
@@ -329,9 +343,10 @@ class TestDemo:
         assert peak < 8 * n * L * L
 
     def test_multi_window_geometry(self):
-        text = run_demo(H=28, W=28, C=32, k=7, seed=1)
+        text, failed = run_demo(H=28, W=28, C=32, k=7, seed=1)
         assert "16 windows" in text
         assert "Q=25088" in text  # 16 windows x 49 x 32, each element loaded once
+        assert failed == []
 
 
 class TestCli:
@@ -467,30 +482,140 @@ class TestCli:
              "argument --r: invalid chunk count 'abc': expected an int or 'auto'"),
             (["traffic", "--L", "8", "--C", "16", "--r", "abc"],
              "argument --r: invalid chunk count 'abc': expected an int or 'auto'"),
-        ],
-        ids=["check_L", "check_r", "traffic_r"],
+        ]
+        # Every single-integer flag, its malformed value last.
+        + [(argv, f"argument {argv[-2]}: invalid integer '{argv[-1]}': expected an integer")
+           for argv in (["check", "--seed", "x"], ["check", "--capacity-bytes", "1e5"],
+                        ["check", "--elem-bytes", "four"], ["traffic", "--C", "16", "--L", "8.0"],
+                        ["traffic", "--L", "8", "--C", "x"], ["bench", "--heads", "x"],
+                        ["bench", "--L", "x"], ["bench", "--repeats", "x"], ["demo", "--H", "x"],
+                        ["demo", "--W", "x"], ["demo", "--C", "x"], ["demo", "--k", "x"])],
+        ids=["check_L", "check_r", "traffic_r", "seed", "capacity_bytes", "elem_bytes",
+             "traffic_L", "traffic_C", "bench_heads", "bench_L", "bench_repeats", "demo_H",
+             "demo_W", "demo_C", "demo_k"],
     )
     def test_usage_errors_say_what_a_valid_value_is(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.endswith(f"error: {message}\n") and "_int_list" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {message}\n") and "_int_list" not in err
 
     def test_chunk_count_below_one_is_an_error(self, capsys):
         assert main(["check", "--L", "4", "--C", "4", "--r", "0"]) == 2
         assert capsys.readouterr() == ("", "error: chunk count must be an integer >= 1, got 0\n")
 
+    @pytest.mark.parametrize("command", ["check", "traffic", "bench", "demo"])
+    def test_unwritable_out_is_a_usage_error(self, monkeypatch, tmp_path, capsys, command):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a subcommand ran before --out was opened")
+
+        for name in ("run_check_suite", "run_traffic", "run_bench", "run_demo"):
+            monkeypatch.setattr(cli, name, no_run)
+        path = tmp_path / "missing" / "out.csv"
+        required = ["--L", "8", "--C", "16"] if command == "traffic" else []
+        argv = [command, "--out", str(path), *required]
+        assert main(argv) == 2
+        err = f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize(
         "argv",
-        [["traffic", "--L", "8", "--C", "16"], ["check", "--L", "2", "--C", "16", "--r", "1"]],
-        ids=["traffic", "check"],
+        [["check", "--L", "2", "--C", "16", "--r", "1"], ["traffic", "--L", "8", "--C", "16"],
+         ["demo", "--H", "14", "--W", "14", "--C", "16"]],
+        ids=["check", "traffic", "demo"],
     )
-    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
-        path = tmp_path / "missing" / "out.csv"
-        assert main(argv + ["--out", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    def test_out_is_truncated_like_a_shell_redirection(self, tmp_path, capsys, argv):
+        path = tmp_path / "out.txt"
+        path.write_text("stale\n" * 1000)
+        assert main(argv + ["--out", str(path)]) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv) == 0
+        direct = capsys.readouterr().out
+        if argv[0] == "traffic":  # the text stays on stdout, the CSV goes to --out
+            assert stdout == direct and path.read_text().startswith("pass,operand,loads,stores\n")
+        else:
+            assert stdout == "" and path.read_text() == direct
+        assert "stale" not in path.read_text()
+
+    @pytest.mark.parametrize(
+        "argv, extents",
+        [(["--L", "4", "--C", "0"], (4, 0)), (["--L", "4", "--C", "0,16"], (4, 0)),
+         (["--L", "0", "--C", "16"], (0, 16)), (["--L", "4,-2", "--C", "16"], (-2, 16))],
+        ids=["C0", "C0_then_16", "L0", "L_negative"],
+    )
+    def test_check_refuses_extents_below_one_before_any_case(
+        self, monkeypatch, capsys, argv, extents
+    ):
+        def no_inputs(*args):
+            raise AssertionError("a case ran before the grid was checked")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        assert main(["check", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: all extents must be >= 1, got {extents}\n")
+
+    def test_check_exits_one_and_names_the_failing_cases(self, monkeypatch, capsys):
+        real = harness.flash_forward
+
+        def off_by_one_percent(*args):
+            o, ctx, rep = real(*args)
+            return DenseTensor._adopt(o.array * 1.01), ctx, rep
+
+        monkeypatch.setattr(harness, "flash_forward", off_by_one_percent)
+        assert main(["check", "--L", "2", "--C", "16", "--r", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("7/8 cases passed\n")
+        assert err == "failing cases: fwd_L2_C16_r1\n"
+
+    @staticmethod
+    def _break_flash_forward(monkeypatch):
+        """Scale O by 1.01, count one more Q load and report a peak one byte high."""
+        real = flash.flash_forward
+
+        def broken(*args):
+            o, ctx, rep = real(*args)
+            loads = {**rep.loads, "Q": rep.loads["Q"] + 1}
+            rep = TrafficReport(loads, rep.stores, rep.peak_sram_bytes + 1)
+            return DenseTensor._adopt(o.array * 1.01), ctx, rep
+
+        monkeypatch.setattr(flash, "flash_forward", broken)
+
+    def test_demo_exits_one_after_its_text_when_a_claim_fails(self, monkeypatch, capsys):
+        argv = ["demo", "--H", "28", "--W", "28"]
+        assert main(argv) == 0
+        good = capsys.readouterr()
+        assert good.err == ""
+        self._break_flash_forward(monkeypatch)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "Q=25104" in out and len(out.splitlines()) == len(good.out.splitlines())
+        assert err.splitlines() == [
+            "oracle error 9.997e-03 exceeds 1e-10",
+            "merged loads or stores differ from 16 windows x the closed form",
+            "peak 15877 B differs from its formula 15876 B",
+        ]
+
+    @pytest.mark.parametrize(
+        "pass_, peak_claims",
+        # The backward peak (1536 B) bounds a fwd_bwd run, so the forward's extra byte hides.
+        [("fwd", ["bench batch=2 C=16: peak 1281 B differs from its formula 1280 B"]),
+         ("fwd_bwd", [])],
+    )
+    def test_bench_exits_one_after_its_csv_when_a_claim_fails(
+        self, monkeypatch, tmp_path, capsys, pass_, peak_claims
+    ):
+        path = tmp_path / "bench.csv"
+        argv = ["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16",
+                "--pass", pass_, "--out", str(path)]
+        self._break_flash_forward(monkeypatch)
+        assert main(argv) == 1
+        assert len(path.read_text().splitlines()) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "bench batch=2 C=16: merged loads or stores differ from 2 windows x the closed form",
+            *peak_claims,
+        ]
 
     @pytest.mark.parametrize(
         "argv, tail",

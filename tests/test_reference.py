@@ -119,6 +119,11 @@ class TestNaiveForward:
         with pytest.raises(ShapeError):
             naive_forward(zeros([2, 3]), zeros([2, 3]), zeros([2, 4]))
 
+    def test_1d_operand_rejected(self):
+        msg = r"^Q/K/V need at least 2 axes, got \(3,\), \(2, 3\), \(2, 3\)$"
+        with pytest.raises(ShapeError, match=msg):
+            naive_forward(zeros([3]), zeros([2, 3]), zeros([2, 3]))
+
     @pytest.mark.parametrize("stacked", [0, 1, 2])
     def test_stacked_operand_equals_per_copy_calls(self, stacked):
         rng = Rng(27)
@@ -286,6 +291,14 @@ class TestNaiveBackward:
         _, wrong = naive_forward(*(rand(rng, (5, 3)) for _ in range(3)))
         with pytest.raises(ShapeError):
             naive_backward(q, k, v, wrong, do)
+
+    def test_do_shape_must_match(self):
+        rng = Rng(25)
+        q, k, v = (rand(rng, (4, 3)) for _ in range(3))
+        _, p = naive_forward(q, k, v)
+        msg = r"^dO shape \(4, 2\) does not match Q/K/V shape \(4, 3\)$"
+        with pytest.raises(ShapeError, match=msg):
+            naive_backward(q, k, v, p, rand(rng, (4, 2)))
 
 
 class TestFiniteDiffGrad:
