@@ -91,6 +91,25 @@ def expected_backward_traffic(L: int, C: int) -> tuple[dict[str, int], dict[str,
     )
 
 
+# Each kernel pass's closed forms: (loads, stores) of one window, and the peak of every
+# call. Names resolve at call time, so a traced or patched function is the one judged.
+_CONTRACT = {
+    "forward": lambda L, C, cfg: (expected_forward_traffic(L, C), peak_sram_forward(L, C, cfg)),
+    "backward": lambda L, C, cfg: (expected_backward_traffic(L, C), peak_sram_backward(L, C, cfg)),
+}
+
+
+def _judge(report, pass_, L, C, cfg, windows=1) -> tuple[bool, bool]:
+    """(traffic_ok, peak_ok): a ``pass_`` report of ``windows`` windows against the closed forms."""
+    traffic, peak = _CONTRACT[pass_](L, C, cfg)
+    want = [{name: n * windows for name, n in counts.items()} for counts in traffic]
+    return [report.loads, report.stores] == want, report.peak_sram_bytes == peak
+
+
+def _peak(pass_: str, L: int, C: int, cfg: TileConfig) -> int:
+    return _CONTRACT[pass_](L, C, cfg)[1]
+
+
 # Baseline traffic model for bench reporting: the untiled pipeline reads and
 # writes every operand of each matrix op once, with S/P/dP/dS materialized
 # in global memory. Forward: loads 3LC + 2L^2, stores LC + 2L^2. Backward:
@@ -171,8 +190,7 @@ def run_check_suite(
         for r in rs:
             tag = f"L{L}_C{C}_r{r}"
             cfg = TileConfig(r=r, elem_bytes=elem_bytes)
-            fwd_peak = peak_sram_forward(L, C, cfg)
-            if fwd_peak > capacity_bytes:
+            if _peak("forward", L, C, cfg) > capacity_bytes:
                 refused = _refuses(flash_forward, q, k, v, cfg, ScratchpadArena(capacity_bytes))
                 err = math.inf if ref.forward is None else 0.0
                 results.append(_result(f"capacity_fwd_{tag}", err, sram_ok=refused))
@@ -182,11 +200,9 @@ def run_check_suite(
             o, ctx, rep = flash_forward(q, k, v, cfg, arena)
             fwd_runs.append((o,))
             want = None if ref.forward is None else ref.forward[:1]
-            expected = expected_forward_traffic(L, C), fwd_peak
-            results.append(_kernel_case(f"fwd_{tag}", (o,), want, rep, arena, expected))
+            results.append(_kernel_case(f"fwd_{tag}", (o,), want, rep, arena, "forward", cfg))
 
-            bwd_peak = peak_sram_backward(L, C, cfg)
-            if bwd_peak > capacity_bytes:
+            if _peak("backward", L, C, cfg) > capacity_bytes:
                 refused = _refuses(flash_backward, ctx, do, ScratchpadArena(capacity_bytes))
                 results.append(_result(f"capacity_bwd_{tag}", 0.0, sram_ok=refused))
                 continue
@@ -194,8 +210,8 @@ def run_check_suite(
             arena = ScratchpadArena(capacity_bytes)
             *grads, rep = flash_backward(ctx, do, arena)
             bwd_runs.append(grads)
-            expected = expected_backward_traffic(L, C), bwd_peak
-            results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, rep, arena, expected))
+            case = _kernel_case(f"bwd_{tag}", grads, ref.grads, rep, arena, "backward", cfg)
+            results.append(case)
             if L * C <= 256:
                 if fd_grads is None:
                     fd_grads = _finite_diff_grads(q, k, v, do)
@@ -221,17 +237,11 @@ def _result(
     return SuiteResult(case_id, err, traffic_ok, sram_ok, err <= tol and traffic_ok and sram_ok)
 
 
-def _kernel_case(case_id, got, want, report, arena, expected) -> SuiteResult:
-    """Kernel outputs against the shared reference's (None: it raised) and the closed forms."""
+def _kernel_case(case_id, got, want, report, arena, pass_, cfg) -> SuiteResult:
+    """Outputs (each L x C) against the shared reference's (None: it raised), report judged."""
     err = math.inf if want is None else _max_diff(got, want)
-    traffic_ok, peak_ok = _closed_form(report, expected)
+    traffic_ok, peak_ok = _judge(report, pass_, *got[0].shape, cfg)
     return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and arena.live_bytes == 0)
-
-
-def _closed_form(report: TrafficReport, expected) -> tuple[bool, bool]:
-    """Whether a report's (loads, stores) and its peak equal ``expected``'s closed forms."""
-    traffic, peak = expected
-    return (report.loads, report.stores) == traffic, report.peak_sram_bytes == peak
 
 
 def _refuses(kernel, *args) -> bool:
@@ -326,10 +336,8 @@ class TrafficSummary:
 
     @property
     def consistent(self) -> bool:
-        L, C, cfg = self.L, self.C, self.cfg
-        fwd = expected_forward_traffic(L, C), peak_sram_forward(L, C, cfg)
-        bwd = expected_backward_traffic(L, C), peak_sram_backward(L, C, cfg)
-        return all(_closed_form(self.forward, fwd) + _closed_form(self.backward, bwd))
+        reports = {"forward": self.forward, "backward": self.backward}
+        return all(all(_judge(rep, p, self.L, self.C, self.cfg)) for p, rep in reports.items())
 
 
 def run_traffic(
@@ -350,7 +358,7 @@ def run_traffic(
 
 
 def render_traffic_text(s: TrafficSummary) -> str:
-    fwd, bwd = (peak(s.L, s.C, s.cfg) for peak in (peak_sram_forward, peak_sram_backward))
+    fwd, bwd = (_peak(pass_, s.L, s.C, s.cfg) for pass_ in ("forward", "backward"))
     lines = [
         f"shape L={s.L} C={s.C} r={s.cfg.r} elem_bytes={s.cfg.elem_bytes}",
         f"forward  peak: {s.forward.peak_sram_bytes} B (formula {fwd} B, {fwd / 1000:.3f} kB)",
@@ -390,43 +398,40 @@ def run_bench(
 ) -> tuple[list[BenchRow], list[str]]:
     """Median-of-repeats timings for the untiled and tiled paths, and the broken claims.
 
-    One warm-up run precedes the timed repeats. Timings are informational:
-    nothing here asserts a speedup. Every chunk count, and every footprint
-    against ``capacity_bytes``, is checked before any input is made. Each
-    tiled run's merged traffic and peak are judged against the closed forms.
+    Timings (after one warm-up run) are informational. ``capacity_bytes`` (by the arena's
+    rule), every chunk count and every footprint are checked before any input is made.
+    Each pass is judged on its own report, the batched forward's and then each backward
+    call's; a flash row shows their merged peak and totals.
     """
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
+    capacity_bytes = ScratchpadArena(capacity_bytes).capacity_bytes  # the arena's rule
     # The backward peak is the larger, so it bounds a fwd_bwd run.
-    kind, peak, passes = "forward", peak_sram_forward, [expected_forward_traffic]
-    if pass_ == "fwd_bwd":
-        kind, peak = "backward", peak_sram_backward
-        passes.append(expected_backward_traffic)
-    cfgs = {}  # each C once: its config and its peak formula
-    for C in dict.fromkeys(Cs):
-        cfg = TileConfig(r=resolve_r(r_value, C), elem_bytes=elem_bytes)
-        cfgs[C] = cfg, (need := peak(L, C, cfg))  # validates the chunk count too
+    kind = "backward" if pass_ == "fwd_bwd" else "forward"
+    cfgs = {C: TileConfig(resolve_r(r_value, C), elem_bytes=elem_bytes) for C in dict.fromkeys(Cs)}
+    for C, cfg in cfgs.items():
+        need = _peak(kind, L, C, cfg)  # validates the chunk count too
         if need > capacity_bytes:
-            raise CapacityError(
-                f"{kind} pass at L={L}, C={C} needs {need} bytes of scratchpad, "
-                f"capacity is {capacity_bytes}"
-            )
+            msg = f"{kind} pass at L={L}, C={C} needs {need} bytes of scratchpad"
+            raise CapacityError(f"{msg}, capacity is {capacity_bytes}")
     master = Rng(seed)
     rows: list[BenchRow] = []
     failed: list[str] = []
 
     for batch in dict.fromkeys(batches):
-        for C, (cfg, need) in cfgs.items():
+        for C, cfg in cfgs.items():
             rng = master.split()
             shape = (batch, heads, L, C)
             q, k, v, do = (_rand(rng, shape) for _ in range(4))
 
-            flash_ns, merged = _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes)
+            flash_ns, (fwd, *bwds) = _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes)
             naive_ns = _time_naive(q, k, v, do, pass_, repeats)
-            broken = _broken_claims(merged, batch * heads, [f(L, C) for f in passes], need)
+            broken = _broken_claims("forward", [fwd], batch * heads, L, C, cfg)
+            broken += _broken_claims("backward", bwds, 1, L, C, cfg)
             failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
+            merged = merge_reports([fwd, *bwds])
             for impl, ns, peak, elements in (
                 ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
                 ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
@@ -437,16 +442,17 @@ def run_bench(
     return rows, failed
 
 
-def _broken_claims(merged, windows, passes, peak, oracle_err=0.0) -> list[str]:
-    """Failed claims of ``windows`` merged slices, each a slice's ``passes`` and ``peak``."""
-    want = merge_reports([TrafficReport(*traffic) for traffic in passes] * windows)
-    traffic_ok, peak_ok = _closed_form(merged, ((want.loads, want.stores), peak))
-    claims = [
-        (oracle_err <= ORACLE_TOL, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}"),
-        (traffic_ok, f"merged loads or stores differ from {windows} windows x the closed form"),
-        (peak_ok, f"peak {merged.peak_sram_bytes} B differs from its formula {peak} B"),
-    ]
-    return [claim for ok, claim in claims if not ok]
+def _broken_claims(pass_, reports, windows, L, C, cfg) -> list[str]:
+    """Failed claims of ``pass_``'s reports, each judged on its own as ``windows`` windows."""
+    n, peak = windows * len(reports), _peak(pass_, L, C, cfg)
+    claims = []
+    for rep in reports:
+        traffic_ok, peak_ok = _judge(rep, pass_, L, C, cfg, windows)
+        if not traffic_ok:
+            claims.append(f"{pass_} loads or stores differ from {n} windows x the closed form")
+        if not peak_ok:
+            claims.append(f"{pass_} peak {rep.peak_sram_bytes} B differs from its formula {peak} B")
+    return list(dict.fromkeys(claims))  # one line per distinct claim
 
 
 def _median_ns(run: Callable[[], object], repeats: int) -> tuple[int, object]:
@@ -461,39 +467,33 @@ def _median_ns(run: Callable[[], object], repeats: int) -> tuple[int, object]:
 
 
 def _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes):
-    """Median time of the tiled path, and the merged report of its last run."""
-    B, h = q.shape[:2]
+    """Median time of the tiled path, and its last run's reports unmerged, each judged alone."""
 
-    def run() -> TrafficReport:
+    def run() -> list[TrafficReport]:
         arena = ScratchpadArena(capacity_bytes)
-        out, contexts, rep = batched_flash_forward(q, k, v, cfg, [arena])
+        _, contexts, rep = batched_flash_forward(q, k, v, cfg, [arena])
         reports = [rep]
         if pass_ == "fwd_bwd":
-            for b in range(B):
-                for head in range(h):
-                    sl_do = DenseTensor._adopt(do.array[b, head])
-                    *_, bwd_rep = flash_backward(contexts[b][head], sl_do, arena)
-                    reports.append(bwd_rep)
-        return merge_reports(reports)
+            for ctx, sl_do in zip((c for row in contexts for c in row), _slices(do)):
+                reports.append(flash_backward(ctx, sl_do, arena)[-1])
+        return reports
 
     return _median_ns(run, repeats)
 
 
 def _time_naive(q, k, v, do, pass_, repeats):
-    B, h = q.shape[:2]
-
     def run() -> None:
-        for b in range(B):
-            for head in range(h):
-                sq = DenseTensor._adopt(q.array[b, head])
-                sk = DenseTensor._adopt(k.array[b, head])
-                sv = DenseTensor._adopt(v.array[b, head])
-                _, p = naive_forward(sq, sk, sv)
-                if pass_ == "fwd_bwd":
-                    sdo = DenseTensor._adopt(do.array[b, head])
-                    naive_backward(sq, sk, sv, p, sdo)
+        for sq, sk, sv, sdo in zip(*(_slices(t) for t in (q, k, v, do))):
+            _, p = naive_forward(sq, sk, sv)
+            if pass_ == "fwd_bwd":
+                naive_backward(sq, sk, sv, p, sdo)
 
     return _median_ns(run, repeats)[0]
+
+
+def _slices(t: DenseTensor) -> list[DenseTensor]:
+    """The (L, C) slices of a (batch, heads, L, C) tensor, in (batch, head) order; no copies."""
+    return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[2:])]
 
 
 def write_bench_csv(rows: Sequence[BenchRow], out: IO[str]) -> None:
@@ -514,8 +514,7 @@ def run_demo(
 ) -> tuple[str, list[str]]:
     """Partition -> per-window attention -> reverse walkthrough, as text, and the broken claims."""
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
-    r = resolve_r("auto", C)
-    tile = TileConfig(r=r, elem_bytes=elem_bytes)
+    tile = TileConfig(r=resolve_r("auto", C), elem_bytes=elem_bytes)
     rng = Rng(seed)
     x = _rand(rng, (H, W, C))
     windows = window_partition(x, cfg)
@@ -524,9 +523,8 @@ def run_demo(
     roundtrip = max_abs_diff(x, window_reverse(windows, cfg))
 
     stacked = DenseTensor._adopt(windows.array.reshape(N, 1, L, C))
-    out, _, report = batched_flash_forward(
-        stacked, stacked, stacked, tile, [ScratchpadArena(capacity_bytes)]
-    )
+    arenas = [ScratchpadArena(capacity_bytes)]
+    out, _, report = batched_flash_forward(stacked, stacked, stacked, tile, arenas)
 
     o = DenseTensor._adopt(out.array.reshape(N, L, C))
     # The reference checks the windows in stacks whose (m, L, L) weights and
@@ -540,7 +538,7 @@ def run_demo(
         got = DenseTensor._adopt(o.array[lo : lo + step])
         oracle_err = max(oracle_err, max_abs_diff(got, naive_forward(w, w, w)[0]))
     image = window_reverse(o, cfg)
-    peak = peak_sram_forward(L, C, tile)
+    peak = _peak("forward", L, C, tile)
     lines = [
         f"image {H}x{W}x{C}, window {k}x{k} -> {N} windows of length {L}",
         f"round_trip_max_abs_diff: {roundtrip:g}",
@@ -548,8 +546,9 @@ def run_demo(
         f"max oracle error over {N} windows: {oracle_err:.3e}",
         f"merged loads: {_fmt_counts(report.loads)}",
         f"merged stores: {_fmt_counts(report.stores)}",
-        f"per-window peak: {report.peak_sram_bytes} B "
-        f"(forward formula {peak} B at r={r})",
+        f"per-window peak: {report.peak_sram_bytes} B (forward formula {peak} B at r={tile.r})",
     ]
-    broken = _broken_claims(report, N, [expected_forward_traffic(L, C)], peak, oracle_err)
+    broken = _broken_claims("forward", [report], N, L, C, tile)
+    if not oracle_err <= ORACLE_TOL:
+        broken.insert(0, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}")
     return "\n".join(lines) + "\n", broken

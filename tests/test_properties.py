@@ -1,13 +1,15 @@
-"""Property tests of the tiled kernels and the arena over the inputs the API accepts.
+"""Property tests of the tiled kernels, the arena and the judge over the inputs the API accepts.
 
 Hypothesis draws L and C up to 64, any chunk count r from 1 to C, a scale
 in (0, 2], both accounting element sizes, the bytes already held in the
-arena and its capacity; and, for the arena alone, programs of allocations,
+arena and its capacity; for the closed-form judge, the number of calls a
+merged report covers; and, for the arena alone, programs of allocations,
 loads, stores and frees in and out of kernel calls that may fail. Examples
 are derandomized and bounded, so the suite draws the same cases on every
 run.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,12 +27,18 @@ from flashwin import (
     fill_uniform,
     flash_backward,
     flash_forward,
+    merge_reports,
     naive_backward,
     naive_forward,
     peak_sram_backward,
     peak_sram_forward,
 )
-from flashwin.harness import ORACLE_TOL, expected_backward_traffic, expected_forward_traffic
+from flashwin.harness import (
+    ORACLE_TOL,
+    _judge,
+    expected_backward_traffic,
+    expected_forward_traffic,
+)
 from flashwin.reference import AttnParams
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -83,6 +91,34 @@ def test_kernels_match_the_reference_and_the_closed_forms(problem):
     assert (rep.loads, rep.stores) == expected_backward_traffic(L, C)
     assert rep.peak_sram_bytes == bwd_peak
     assert arena.live_bytes == held
+
+
+def _moved_by_one(rep):
+    """Copies of ``rep`` with one count or the peak moved by -1 or +1, each with its verdict."""
+    for d in (-1, 1):
+        for kind in ("loads", "stores"):
+            for name, n in getattr(rep, kind).items():
+                counts = {**getattr(rep, kind), name: n + d}
+                yield dataclasses.replace(rep, **{kind: counts}), (False, True)
+        yield dataclasses.replace(rep, peak_sram_bytes=rep.peak_sram_bytes + d), (True, False)
+
+
+@PROPERTY
+@given(problems(), st.integers(1, 4))
+def test_the_judge_passes_each_pass_report_and_fails_exactly_the_flag_moved(problem, w):
+    q, k, v, do, cfg, _ = problem
+    L, C = q.shape
+    arena = ScratchpadArena(peak_sram_backward(L, C, cfg))
+    forwards = [flash_forward(q, k, v, cfg, arena) for _ in range(w)]
+    backwards = [flash_backward(ctx, do, arena)[-1] for _, ctx, _ in forwards]
+    for pass_, reports in (("forward", [f[-1] for f in forwards]), ("backward", backwards)):
+        rep = reports[0]
+        assert _judge(rep, pass_, L, C, cfg) == (True, True)
+        for moved, verdict in _moved_by_one(rep):
+            assert _judge(moved, pass_, L, C, cfg) == verdict
+        merged = merge_reports(reports)
+        assert _judge(merged, pass_, L, C, cfg, windows=w) == (True, True)
+        assert _judge(merged, pass_, L, C, cfg, windows=w - 1) == (False, True)
 
 
 @PROPERTY
