@@ -8,12 +8,9 @@ traffic and on-chip occupancy, and a CLI harness (``flashwin``).
 
 from .errors import (
     CapacityError,
-    ContextError,
     FlashwinError,
     InvalidRangeError,
     NumericsError,
-    OracleError,
-    PartitionError,
     ShapeError,
 )
 from .flash import (
@@ -47,15 +44,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AttnParams",
     "CapacityError",
-    "ContextError",
     "DEFAULT_CAPACITY_BYTES",
     "DenseTensor",
     "FlashContext",
     "FlashwinError",
     "InvalidRangeError",
     "NumericsError",
-    "OracleError",
-    "PartitionError",
     "Rng",
     "ScratchpadArena",
     "ShapeError",

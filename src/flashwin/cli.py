@@ -14,7 +14,6 @@ from .harness import (
     DEFAULT_SEED,
     render_suite_table,
     render_traffic_text,
-    resolve_r,
     run_bench,
     run_check_suite,
     run_demo,
@@ -132,7 +131,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_traffic(args, out) -> int:
-    summary = run_traffic(L=args.L, C=args.C, r=resolve_r(args.r, args.C), **_common(args))
+    summary = run_traffic(L=args.L, C=args.C, r_value=args.r, **_common(args))
     sys.stdout.write(render_traffic_text(summary))
     if out is not None:
         write_traffic_csv(summary, out)

@@ -2,15 +2,11 @@
 
 
 class FlashwinError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; raised itself for misuse of an API."""
 
 
 class ShapeError(FlashwinError):
     """Extents are invalid or do not match an operation's contract."""
-
-
-class PartitionError(FlashwinError):
-    """Window geometry does not tile the image exactly."""
 
 
 class InvalidRangeError(FlashwinError):
@@ -21,13 +17,5 @@ class NumericsError(FlashwinError):
     """Non-finite values appeared where finite ones are required."""
 
 
-class OracleError(FlashwinError):
-    """A finite-difference probe evaluated to a non-finite value."""
-
-
 class CapacityError(FlashwinError):
     """An on-chip allocation request exceeds the scratchpad budget."""
-
-
-class ContextError(FlashwinError):
-    """A backward call received an unusable forward context."""

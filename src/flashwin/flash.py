@@ -38,10 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContextError, FlashwinError, InvalidRangeError, ShapeError
+from .errors import FlashwinError, InvalidRangeError, ShapeError
 from .memory import ScratchpadArena, TrafficReport, _checked_elem_bytes, merge_reports
 from .reference import AttnParams, _softmax_rows
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _validated
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
 
 def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
     # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
-    if L < 1 or C < 1:
-        raise ShapeError(f"L and C must be >= 1, got L={L}, C={C}")
+    _validated((L, C))
     return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
 
 
@@ -181,7 +180,7 @@ def flash_backward(
     if not isinstance(ctx, FlashContext) or not all(
         isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)
     ):
-        raise ContextError("backward requires the context returned by flash_forward")
+        raise FlashwinError("backward requires the context returned by flash_forward")
     L, C = _check_qkv_2d(ctx.q, ctx.k, ctx.v)
     if dO.shape != (L, C):
         raise ShapeError(f"dO shape {dO.shape} does not match forward shape {(L, C)}")

@@ -26,6 +26,7 @@ from .flash import (
     peak_sram_forward,
 )
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, TrafficReport, merge_reports
+from .memory import _checked_capacity  # the arena's capacity rule, without an arena
 from .reference import FD_STACK_ELEMS, finite_diff_grad, naive_backward, naive_forward
 from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff
 from .windowing import WindowConfig, window_partition, window_reverse
@@ -110,6 +111,23 @@ def _peak(pass_: str, L: int, C: int, cfg: TileConfig) -> int:
     return _CONTRACT[pass_](L, C, cfg)[1]
 
 
+def _plan(passes, L, Cs, r_value, elem_bytes, capacity_bytes) -> dict[int, TileConfig]:
+    """Each C's tiling for a run that makes ``passes`` in order at every (L, C), before any input.
+
+    Applies the arena's capacity rule, then per C the chunk-count and extent rules and each
+    pass's closed-form peak, in run order; the first pass that does not fit is refused.
+    """
+    capacity_bytes = _checked_capacity(capacity_bytes)
+    cfgs = {C: TileConfig(resolve_r(r_value, C), elem_bytes=elem_bytes) for C in dict.fromkeys(Cs)}
+    for C, cfg in cfgs.items():
+        for pass_ in passes:
+            need = _peak(pass_, L, C, cfg)  # applies the extent and chunk-count rules
+            if need > capacity_bytes:
+                msg = f"{pass_} pass at L={L}, C={C} needs {need} bytes of scratchpad"
+                raise CapacityError(f"{msg}, capacity is {capacity_bytes}")
+    return cfgs
+
+
 # Baseline traffic model for bench reporting: the untiled pipeline reads and
 # writes every operand of each matrix op once, with S/P/dP/dS materialized
 # in global memory. Forward: loads 3LC + 2L^2, stores LC + 2L^2. Backward:
@@ -162,9 +180,10 @@ def run_check_suite(
     Grid points whose closed-form footprint exceeds the capacity become
     expected-error cases: they pass when the kernel refuses to run while
     the untiled reference still succeeds. The untiled reference runs at
-    most once per (L, C) and is shared by every chunk count. The whole
-    grid is checked before the first case runs.
+    most once per (L, C) and is shared by every chunk count. The capacity
+    and the whole grid are checked before the first case runs.
     """
+    _checked_capacity(capacity_bytes)
     if not Ls or not Cs or not r_values:
         return []
 
@@ -343,13 +362,13 @@ class TrafficSummary:
 def run_traffic(
     L: int,
     C: int,
-    r: int,
+    r_value: str | int,
     elem_bytes: int,
     seed: int = DEFAULT_SEED,
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
 ) -> TrafficSummary:
-    """Instrument one forward and one backward run at the given shape."""
-    cfg = TileConfig(r=r, elem_bytes=elem_bytes)
+    """Instrument one forward and one backward run at the given shape, planned first."""
+    cfg = _plan(("forward", "backward"), L, [C], r_value, elem_bytes, capacity_bytes)[C]
     rng = Rng(seed)
     q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
     _, ctx, fwd = flash_forward(q, k, v, cfg, ScratchpadArena(capacity_bytes))
@@ -398,45 +417,38 @@ def run_bench(
 ) -> tuple[list[BenchRow], list[str]]:
     """Median-of-repeats timings for the untiled and tiled paths, and the broken claims.
 
-    Timings (after one warm-up run) are informational. ``capacity_bytes`` (by the arena's
-    rule), every chunk count and every footprint are checked before any input is made.
-    Each pass is judged on its own report, the batched forward's and then each backward
-    call's; a flash row shows their merged peak and totals.
+    Timings (after one warm-up run) are informational. The run is planned first: the
+    capacity, every chunk count, every footprint and every (batch, heads, L, C) extent are
+    checked before any input is made. Each pass is judged on its own report, the batched
+    forward's and then each backward call's; a flash row shows their merged peak and totals.
     """
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
-    capacity_bytes = ScratchpadArena(capacity_bytes).capacity_bytes  # the arena's rule
-    # The backward peak is the larger, so it bounds a fwd_bwd run.
-    kind = "backward" if pass_ == "fwd_bwd" else "forward"
-    cfgs = {C: TileConfig(resolve_r(r_value, C), elem_bytes=elem_bytes) for C in dict.fromkeys(Cs)}
-    for C, cfg in cfgs.items():
-        need = _peak(kind, L, C, cfg)  # validates the chunk count too
-        if need > capacity_bytes:
-            msg = f"{kind} pass at L={L}, C={C} needs {need} bytes of scratchpad"
-            raise CapacityError(f"{msg}, capacity is {capacity_bytes}")
+    passes = ("forward", "backward") if pass_ == "fwd_bwd" else ("forward",)
+    cfgs = _plan(passes, L, Cs, r_value, elem_bytes, capacity_bytes)
+    shapes = [_validated((batch, heads, L, C)) for batch in dict.fromkeys(batches) for C in cfgs]
     master = Rng(seed)
     rows: list[BenchRow] = []
     failed: list[str] = []
 
-    for batch in dict.fromkeys(batches):
-        for C, cfg in cfgs.items():
-            rng = master.split()
-            shape = (batch, heads, L, C)
-            q, k, v, do = (_rand(rng, shape) for _ in range(4))
+    for shape in shapes:
+        batch, C, cfg = shape[0], shape[3], cfgs[shape[3]]
+        rng = master.split()
+        q, k, v, do = (_rand(rng, shape) for _ in range(4))
 
-            flash_ns, (fwd, *bwds) = _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes)
-            naive_ns = _time_naive(q, k, v, do, pass_, repeats)
-            broken = _broken_claims("forward", [fwd], batch * heads, L, C, cfg)
-            broken += _broken_claims("backward", bwds, 1, L, C, cfg)
-            failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
-            merged = merge_reports([fwd, *bwds])
-            for impl, ns, peak, elements in (
-                ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
-                ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
-            ):
-                rows.append(BenchRow(batch, heads, L, C, cfg.r, impl, pass_, ns, peak, elements))
+        flash_ns, (fwd, *bwds) = _time_flash(q, k, v, do, cfg, pass_, repeats, capacity_bytes)
+        naive_ns = _time_naive(q, k, v, do, pass_, repeats)
+        broken = _broken_claims("forward", [fwd], batch * heads, L, C, cfg)
+        broken += _broken_claims("backward", bwds, 1, L, C, cfg)
+        failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
+        merged = merge_reports([fwd, *bwds])
+        for impl, ns, peak, elements in (
+            ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
+            ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
+        ):
+            rows.append(BenchRow(batch, heads, L, C, cfg.r, impl, pass_, ns, peak, elements))
 
     rows.sort(key=lambda b: (b.batch, b.heads, b.L, b.C, b.r, b.impl, b.pass_))
     return rows, failed
@@ -512,13 +524,16 @@ def run_demo(
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
     elem_bytes: int = 4,
 ) -> tuple[str, list[str]]:
-    """Partition -> per-window attention -> reverse walkthrough, as text, and the broken claims."""
+    """Partition -> per-window attention -> reverse walkthrough, as text, and the broken claims.
+
+    Planned first: the geometry, the capacity and one window's forward fit precede the image.
+    """
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
-    tile = TileConfig(r=resolve_r("auto", C), elem_bytes=elem_bytes)
+    N, L = cfg.num_windows, cfg.seq_len
+    tile = _plan(("forward",), L, [C], "auto", elem_bytes, capacity_bytes)[C]
     rng = Rng(seed)
     x = _rand(rng, (H, W, C))
     windows = window_partition(x, cfg)
-    N, L = cfg.num_windows, cfg.seq_len
 
     roundtrip = max_abs_diff(x, window_reverse(windows, cfg))
 

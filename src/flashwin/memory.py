@@ -46,13 +46,18 @@ def _checked_elem_bytes(elem_bytes) -> int:
     return int(elem_bytes)
 
 
+def _checked_capacity(capacity_bytes) -> int:
+    """``capacity_bytes`` as an int; :class:`CapacityError` unless it is a whole number >= 0."""
+    if not (capacity_bytes >= 0 and capacity_bytes % 1 == 0):  # refuses nan and inf too
+        raise CapacityError(f"capacity must be >= 0 and an integer, got {capacity_bytes}")
+    return int(capacity_bytes)
+
+
 class ScratchpadArena:
     """On-chip memory simulator: held buffers, live bytes, transfers and per-call reports."""
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        if not (capacity_bytes >= 0 and capacity_bytes % 1 == 0):  # refuses nan and inf too
-            raise CapacityError(f"capacity must be >= 0 and an integer, got {capacity_bytes}")
-        self.capacity_bytes = int(capacity_bytes)
+        self.capacity_bytes = _checked_capacity(capacity_bytes)
         self.live_bytes = 0
         # Every buffer the arena holds, by id: (the array, its charged bytes).
         # The map keeps each held array alive, so no other object shares its id.

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRangeError, NumericsError, OracleError, ShapeError
+from .errors import InvalidRangeError, NumericsError, ShapeError
 from .tensor import DenseTensor
 
 
@@ -181,6 +181,6 @@ def finite_diff_grad(
         f_plus, f_minus = values[:n], values[n:]
         bad = ~(np.isfinite(f_plus) & np.isfinite(f_minus))
         if bad.any():
-            raise OracleError(f"non-finite evaluation at element {int(idx[bad.argmax()])}")
+            raise NumericsError(f"non-finite evaluation at element {int(idx[bad.argmax()])}")
         grad[idx] = (f_plus - f_minus) / (2.0 * h)
     return DenseTensor._adopt(grad.reshape(x.shape))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PartitionError, ShapeError
+from .errors import ShapeError
 from .tensor import DenseTensor
 
 
@@ -28,9 +28,7 @@ class WindowConfig:
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.H % self.k or self.W % self.k:
-            raise PartitionError(
-                f"window size {self.k} must divide image {self.H}x{self.W}"
-            )
+            raise ShapeError(f"window size {self.k} must divide image {self.H}x{self.W}")
 
     @property
     def num_windows(self) -> int:

@@ -190,13 +190,13 @@ class TestCheckSuite:
 
 class TestTraffic:
     def test_summary_matches_closed_forms(self):
-        s = run_traffic(L=64, C=64, r=4, elem_bytes=4)
+        s = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
         assert s.forward.peak_sram_bytes == 24576
         assert s.backward.peak_sram_bytes == 40960
         assert s.consistent
 
     def test_summary_derives_its_peak_formulas_from_its_config(self):
-        s = run_traffic(L=64, C=64, r=4, elem_bytes=4)
+        s = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
         assert s.cfg == TileConfig(r=4, elem_bytes=4)
         # Two chunks are 32 wide, so the formulas no longer equal the r=4 run's peaks.
         wider = replace(s, cfg=TileConfig(r=2, elem_bytes=4))
@@ -205,13 +205,13 @@ class TestTraffic:
         assert "(formula 32768 B," in render_traffic_text(wider)
 
     def test_text_reports_peaks(self):
-        text = render_traffic_text(run_traffic(L=64, C=64, r=4, elem_bytes=4))
+        text = render_traffic_text(run_traffic(L=64, C=64, r_value=4, elem_bytes=4))
         assert "24576" in text and "40960" in text
         assert "match closed form: yes" in text
 
     def test_csv_has_one_row_per_operand(self):
         buf = io.StringIO()
-        write_traffic_csv(run_traffic(L=8, C=16, r=2, elem_bytes=4), buf)
+        write_traffic_csv(run_traffic(L=8, C=16, r_value=2, elem_bytes=4), buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == ["pass", "operand", "loads", "stores"]
         fwd = [r for r in rows[1:] if r[0] == "fwd"]
@@ -369,7 +369,7 @@ class TestCli:
         assert main(["traffic", "--L", "64", "--C", "64", "--r", "4"]) == 0
         out = capsys.readouterr().out
         assert "24576" in out and "pass,operand,loads,stores" not in out
-        assert out == render_traffic_text(run_traffic(L=64, C=64, r=4, elem_bytes=4))
+        assert out == render_traffic_text(run_traffic(L=64, C=64, r_value=4, elem_bytes=4))
 
     def test_traffic_mismatch_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(harness.TrafficSummary, "consistent", property(lambda self: False))
@@ -434,6 +434,31 @@ class TestCli:
 
         monkeypatch.setattr(harness, "_rand", no_inputs)
         assert main(["bench", "--batch", "4", "--heads", "1", "--C", "16", *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--L", "8", "--C", "16", "--capacity-bytes", "-1"],
+             "capacity must be >= 0 and an integer, got -1"),
+            (["bench", "--batch", "2,0", "--heads", "1", "--L", "8", "--C", "16"],
+             "all extents must be >= 1, got (0, 1, 8, 16)"),
+            (["traffic", "--L", "64", "--C", "64", "--capacity-bytes", "30000"],
+             "backward pass at L=64, C=64 needs 40960 bytes of scratchpad, capacity is 30000"),
+            (["demo", "--capacity-bytes", "100"],
+             "forward pass at L=49, C=32 needs 15876 bytes of scratchpad, capacity is 100"),
+            (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16,0"],
+             "all extents must be >= 1, got (8, 0)"),
+        ],
+        ids=["check_capacity", "bench_batch0", "traffic_backward_fit", "demo_fit", "bench_C0"],
+    )
+    def test_every_refusal_comes_before_any_input(self, monkeypatch, capsys, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the run was planned")
+
+        for name in ("_rand", "window_partition", "flash_forward", "_time_flash"):
+            monkeypatch.setattr(harness, name, no_work)
+        assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_bench_rejects_too_few_repeats(self, capsys):

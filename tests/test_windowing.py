@@ -5,7 +5,6 @@ import pytest
 
 from flashwin import (
     DenseTensor,
-    PartitionError,
     Rng,
     ShapeError,
     WindowConfig,
@@ -69,9 +68,9 @@ def test_partition_preserves_element_multiset():
 
 
 def test_non_divisible_geometry_rejected():
-    with pytest.raises(PartitionError):
+    with pytest.raises(ShapeError, match="must divide"):
         WindowConfig(H=10, W=10, C=3, k=3)
-    with pytest.raises(PartitionError):
+    with pytest.raises(ShapeError, match="must divide"):
         WindowConfig(H=14, W=10, C=3, k=7)
 
 
