@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _validated
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,7 @@ class WindowConfig:
     k: int
 
     def __post_init__(self):
-        for name in ("H", "W", "C", "k"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _validated((self.H, self.W, self.C, self.k))
         if self.H % self.k or self.W % self.k:
             raise ShapeError(f"window size {self.k} must divide image {self.H}x{self.W}")
 

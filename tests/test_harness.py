@@ -79,16 +79,24 @@ class TestCheckSuite:
         assert all(r.ok for r in results)
         assert calls == [(64, 16), (64, 32)]
 
-    def test_refusal_fails_when_shared_reference_run_fails(self, monkeypatch):
-        def broken(*args, **kwargs):
+    # 16000 B refuses every forward; at 50000 B only the backward of C=64, r=1 (65536 B).
+    @pytest.mark.parametrize(
+        "broken, grid, prefix, cases",
+        [("naive_forward", dict(Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000),
+          "capacity_fwd_", 6),
+         ("naive_backward", dict(Cs=[64], r_values=[1], capacity_bytes=50000), "capacity_bwd_", 1)],
+        ids=["forward", "backward"],
+    )
+    def test_refusal_fails_when_shared_reference_run_fails(
+        self, monkeypatch, broken, grid, prefix, cases
+    ):
+        def raising(*args, **kwargs):
             raise NumericsError("reference failed")
 
-        monkeypatch.setattr(harness, "naive_forward", broken)
-        results = run_check_suite(
-            seed=42, Ls=[64], Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000
-        )
-        capacity = [r for r in results if r.case_id.startswith("capacity_fwd_")]
-        assert len(capacity) == 6
+        monkeypatch.setattr(harness, broken, raising)
+        results = run_check_suite(seed=42, Ls=[64], **grid)
+        capacity = [r for r in results if r.case_id.startswith(prefix)]
+        assert len(capacity) == cases
         assert not any(r.ok for r in capacity)
         assert all(r.sram_ok for r in capacity)  # the kernel still refused
         assert all(r.max_err == float("inf") for r in capacity)
@@ -193,14 +201,17 @@ class TestTraffic:
         s = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
         assert s.forward.peak_sram_bytes == 24576
         assert s.backward.peak_sram_bytes == 40960
-        assert s.consistent
+        assert s.failed == []
 
     def test_summary_derives_its_peak_formulas_from_its_config(self):
         s = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
         assert s.cfg == TileConfig(r=4, elem_bytes=4)
         # Two chunks are 32 wide, so the formulas no longer equal the r=4 run's peaks.
         wider = replace(s, cfg=TileConfig(r=2, elem_bytes=4))
-        assert not wider.consistent
+        assert wider.failed == [
+            "forward peak 24576 B differs from its formula 32768 B",
+            "backward peak 40960 B differs from its formula 49152 B",
+        ]
         assert "r=2 elem_bytes=4" in render_traffic_text(wider)
         assert "(formula 32768 B," in render_traffic_text(wider)
 
@@ -372,11 +383,15 @@ class TestCli:
         assert out == render_traffic_text(run_traffic(L=64, C=64, r_value=4, elem_bytes=4))
 
     def test_traffic_mismatch_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness.TrafficSummary, "consistent", property(lambda self: False))
+        self._break_flash_forward(monkeypatch)
         assert main(["traffic", "--L", "8", "--C", "16", "--r", "2"]) == 1
-        captured = capsys.readouterr()
-        assert "match closed form: NO" in captured.out
-        assert "closed forms" in captured.err
+        out, err = capsys.readouterr()
+        assert "forward  peak: 769 B (formula 768 B," in out and "Q=129" in out
+        assert out.endswith("match closed form: NO\n")
+        assert err.splitlines() == [
+            "forward loads or stores differ from 1 windows x the closed form",
+            "forward peak 769 B differs from its formula 768 B",
+        ]
 
     def test_traffic_writes_csv_to_out(self, tmp_path, capsys):
         path = tmp_path / "traffic.csv"
@@ -449,14 +464,16 @@ class TestCli:
              "forward pass at L=49, C=32 needs 15876 bytes of scratchpad, capacity is 100"),
             (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16,0"],
              "all extents must be >= 1, got (8, 0)"),
+            (["demo", "--C", "0"], "all extents must be >= 1, got (224, 224, 0, 7)"),
         ],
-        ids=["check_capacity", "bench_batch0", "traffic_backward_fit", "demo_fit", "bench_C0"],
+        ids=["check_capacity", "bench_batch0", "traffic_backward_fit", "demo_fit", "bench_C0",
+             "demo_C0"],
     )
     def test_every_refusal_comes_before_any_input(self, monkeypatch, capsys, argv, message):
         def no_work(*args, **kwargs):
             raise AssertionError("work done before the run was planned")
 
-        for name in ("_rand", "window_partition", "flash_forward", "_time_flash"):
+        for name in ("_rand", "window_partition", "flash_forward", "_tiled"):
             monkeypatch.setattr(harness, name, no_work)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -616,6 +633,39 @@ class TestCli:
 
         monkeypatch.setattr(flash, "flash_forward", broken)
 
+    @staticmethod
+    def _break_flash_backward(monkeypatch):
+        """Count one more dO load and report a peak one byte high (at the harness's name)."""
+        real = harness.flash_backward
+
+        def broken(*args):
+            *grads, rep = real(*args)
+            loads = {**rep.loads, "dO": rep.loads["dO"] + 1}
+            return (*grads, TrafficReport(loads, rep.stores, rep.peak_sram_bytes + 1))
+
+        monkeypatch.setattr(harness, "flash_backward", broken)
+
+    # L=4, C=16, r=1 everywhere: the forward formula is (16 + 2*4*16) x 4 = 576 B.
+    @pytest.mark.parametrize(
+        "argv, prefix, windows",
+        [(["traffic", "--L", "4", "--C", "16", "--r", "1"], "", 1),
+         (["bench", "--batch", "2", "--heads", "1", "--L", "4", "--C", "16", "--r", "1"],
+          "bench batch=2 C=16: ", 2),
+         (["demo", "--H", "8", "--W", "8", "--C", "16", "--k", "2"], "", 16)],
+        ids=["traffic", "bench", "demo"],
+    )
+    def test_one_broken_forward_kernel_fails_every_tiled_subcommand(
+        self, monkeypatch, capsys, argv, prefix, windows
+    ):
+        self._break_flash_forward(monkeypatch)
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-2:] == [
+            f"{prefix}forward loads or stores differ from {windows} windows x the closed form",
+            f"{prefix}forward peak 577 B differs from its formula 576 B",
+        ]
+        assert len(lines) == 2 + (argv[0] == "demo")  # and the demo's oracle claim
+
     def test_demo_exits_one_after_its_text_when_a_claim_fails(self, monkeypatch, capsys):
         argv = ["demo", "--H", "28", "--W", "28"]
         assert main(argv) == 0
@@ -631,24 +681,32 @@ class TestCli:
             "forward peak 15877 B differs from its formula 15876 B",
         ]
 
+    FORWARD_CLAIMS = ["forward loads or stores differ from 2 windows x the closed form",
+                      "forward peak 1281 B differs from its formula 1280 B"]
+    BACKWARD_CLAIMS = ["backward loads or stores differ from 2 windows x the closed form",
+                       "backward peak 1537 B differs from its formula 1536 B"]
+
     # Each pass is judged on its own report, so the forward's extra byte shows in a fwd_bwd
-    # run too, although its merged peak is the backward's (1536 B).
-    @pytest.mark.parametrize("pass_", ["fwd", "fwd_bwd"])
+    # run too, although its merged peak is the backward's (1536 B). The backward count is
+    # the whole pass's: 2 windows, one call each.
+    @pytest.mark.parametrize(
+        "pass_, broken, claims",
+        [("fwd", "forward", FORWARD_CLAIMS), ("fwd_bwd", "forward", FORWARD_CLAIMS),
+         ("fwd_bwd", "backward", BACKWARD_CLAIMS)],
+        ids=["fwd", "fwd_bwd", "fwd_bwd_backward"],
+    )
     def test_bench_exits_one_after_its_csv_when_a_claim_fails(
-        self, monkeypatch, tmp_path, capsys, pass_
+        self, monkeypatch, tmp_path, capsys, pass_, broken, claims
     ):
         path = tmp_path / "bench.csv"
         argv = ["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16",
                 "--pass", pass_, "--out", str(path)]
-        self._break_flash_forward(monkeypatch)
+        getattr(self, f"_break_flash_{broken}")(monkeypatch)
         assert main(argv) == 1
         assert len(path.read_text().splitlines()) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [
-            "bench batch=2 C=16: forward loads or stores differ from 2 windows x the closed form",
-            "bench batch=2 C=16: forward peak 1281 B differs from its formula 1280 B",
-        ]
+        assert err.splitlines() == [f"bench batch=2 C=16: {claim}" for claim in claims]
 
     @pytest.mark.parametrize(
         "argv, tail",
