@@ -13,15 +13,14 @@ import math
 import statistics
 import time
 from dataclasses import astuple, dataclass, fields
-from functools import cached_property, partial
-from typing import IO, Callable, Sequence
+from functools import cached_property
+from typing import IO, Callable, Iterator, Sequence
 
 from .errors import CapacityError, FlashwinError, ShapeError
 from .flash import (
     TileConfig,
     batched_flash_forward,
     flash_backward,
-    flash_forward,
     peak_sram_backward,
     peak_sram_forward,
 )
@@ -150,12 +149,16 @@ def _grid(
 
     Each L and each C appears once, and each C carries its resolved,
     de-duplicated chunk counts, so no case runs twice. An L or C below 1
-    fails the tensor extent rule. Every chunk count from 1 to C tiles C;
-    one that exceeds C is skipped for that C, and one that exceeds every C
-    raises :class:`ShapeError` naming it, so a grid cannot pass without
-    running the kernels it asked for.
+    fails the tensor extent rule, even beside an empty axis. Every chunk
+    count from 1 to C tiles C; one that exceeds C is skipped for that C, and
+    one that exceeds every C raises :class:`ShapeError` naming it, so a grid
+    cannot pass without running the kernels it asked for.
     """
     points = [_validated((L, C)) for L in dict.fromkeys(Ls) for C in dict.fromkeys(Cs)]
+    for extent in (*Ls, *Cs):  # an empty axis leaves the other's extents out of points
+        _validated((extent,))
+    if not points or not r_values:
+        return []
     counts: dict[int, list[int]] = {C: [] for C in Cs}
     for value in r_values:
         resolved = {C: resolve_r(value, C) for C in counts}
@@ -177,17 +180,16 @@ def run_check_suite(
 ) -> list[SuiteResult]:
     """Run oracle, gradient, round-trip, traffic, and occupancy checks.
 
-    Grid points whose closed-form footprint exceeds the capacity become
-    expected-error cases: they pass when the kernel refuses to run while
-    the untiled reference still succeeds. The untiled reference runs at
-    most once per (L, C) and is shared by every chunk count. The capacity
-    and the whole grid are checked before the first case runs.
+    Each kernel case is one pass of ``_tiled`` on a (1, 1, L, C) view of its
+    inputs; a pass whose footprint exceeds the capacity is an expected-error
+    case, passing when the tiled run refuses and the untiled reference runs.
+    The reference runs at most once per (L, C), for every chunk count. The
+    capacity and the whole grid are checked before the first case runs.
     """
     _checked_capacity(capacity_bytes)
-    if not Ls or not Cs or not r_values:
-        return []
-
     grid = _grid(Ls, Cs, r_values)
+    if not grid:
+        return []
     results: list[SuiteResult] = []
     master = Rng(seed)
 
@@ -201,6 +203,7 @@ def run_check_suite(
         rng = master.split()
         q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
         ref = _Reference(q, k, v, do)
+        q4, k4, v4, do4 = (DenseTensor._adopt(t.array.reshape(1, 1, L, C)) for t in (q, k, v, do))
         fd_grads = None
         # Outputs of each chunk count, for the chunk-count invariance case.
         fwd_runs: list[Sequence[DenseTensor]] = []
@@ -210,28 +213,27 @@ def run_check_suite(
             tag = f"L{L}_C{C}_r{r}"
             cfg = TileConfig(r=r, elem_bytes=elem_bytes)
             if _peak("forward", L, C, cfg) > capacity_bytes:
-                refused = _refuses(flash_forward, q, k, v, cfg, ScratchpadArena(capacity_bytes))
+                refused = _refuses(_tiled, q4, k4, v4, None, cfg, capacity_bytes)
                 err = math.inf if ref.forward is None else 0.0
                 results.append(_result(f"capacity_fwd_{tag}", err, sram_ok=refused))
                 continue
 
-            arena = ScratchpadArena(capacity_bytes)
-            o, ctx, rep = flash_forward(q, k, v, cfg, arena)
-            fwd_runs.append((o,))
+            fits = _peak("backward", L, C, cfg) <= capacity_bytes
+            [(out, *fwd), *bwds] = _tiled(q4, k4, v4, do4 if fits else None, cfg, capacity_bytes)
+            o = _slices(out)
+            fwd_runs.append(o)
             want = None if ref.forward is None else ref.forward[:1]
-            results.append(_kernel_case(f"fwd_{tag}", (o,), want, rep, arena, "forward", cfg))
+            results.append(_kernel_case(f"fwd_{tag}", o, want, *fwd, "forward", cfg))
 
-            if _peak("backward", L, C, cfg) > capacity_bytes:
-                refused = _refuses(flash_backward, ctx, do, ScratchpadArena(capacity_bytes))
+            if not fits:
+                refused = _refuses(_tiled, q4, k4, v4, do4, cfg, capacity_bytes)
                 err = math.inf if ref.grads is None else 0.0
                 results.append(_result(f"capacity_bwd_{tag}", err, sram_ok=refused))
                 continue
 
-            arena = ScratchpadArena(capacity_bytes)
-            *grads, rep = flash_backward(ctx, do, arena)
+            [(grads, *bwd)] = bwds
             bwd_runs.append(grads)
-            case = _kernel_case(f"bwd_{tag}", grads, ref.grads, rep, arena, "backward", cfg)
-            results.append(case)
+            results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, *bwd, "backward", cfg))
             if L * C <= 256:
                 if fd_grads is None:
                     fd_grads = _finite_diff_grads(q, k, v, do)
@@ -257,17 +259,17 @@ def _result(
     return SuiteResult(case_id, err, traffic_ok, sram_ok, err <= tol and traffic_ok and sram_ok)
 
 
-def _kernel_case(case_id, got, want, report, arena, pass_, cfg) -> SuiteResult:
-    """Outputs (each L x C) against the shared reference's (None: it raised), report judged."""
+def _kernel_case(case_id, got, want, report, held, pass_, cfg) -> SuiteResult:
+    """Outputs (each L x C) against the shared reference's (None: it raised), pass judged."""
     err = math.inf if want is None else _max_diff(got, want)
     traffic_ok, peak_ok = _judge(report, pass_, *got[0].shape, cfg)
-    return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and arena.live_bytes == 0)
+    return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and held == 0)
 
 
 def _refuses(kernel, *args) -> bool:
-    """Whether the kernel raises CapacityError on these arguments."""
+    """Whether the kernel run (every pass of it) raises CapacityError on these arguments."""
     try:
-        kernel(*args)
+        list(kernel(*args))
     except CapacityError:
         return True
     return False
@@ -353,11 +355,13 @@ class TrafficSummary:
     cfg: TileConfig
     forward: TrafficReport
     backward: TrafficReport
+    held: tuple[int, int]  # the bytes each pass left held on the arena
 
     @property
     def failed(self) -> list[str]:
-        """The broken claims of both reports, as bench and demo name theirs."""
-        return _broken_claims([self.forward, self.backward], 1, self.L, self.C, self.cfg)
+        """The broken claims of both passes, as bench and demo name theirs."""
+        passes = list(zip((self.forward, self.backward), self.held))
+        return _broken_claims(passes, 1, self.L, self.C, self.cfg)
 
 
 def run_traffic(
@@ -372,8 +376,8 @@ def run_traffic(
     cfg = _plan(("forward", "backward"), L, [C], r_value, elem_bytes, capacity_bytes)[C]
     rng = Rng(seed)
     q, k, v, do = (_rand(rng, (1, 1, L, C)) for _ in range(4))
-    _, (fwd, bwd) = _tiled(q, k, v, do, cfg, capacity_bytes)
-    return TrafficSummary(L=L, C=C, cfg=cfg, forward=fwd, backward=bwd)
+    [(_, fwd, fwd_held), (_, bwd, bwd_held)] = _tiled(q, k, v, do, cfg, capacity_bytes)
+    return TrafficSummary(L, C, cfg, forward=fwd, backward=bwd, held=(fwd_held, bwd_held))
 
 
 def render_traffic_text(s: TrafficSummary) -> str:
@@ -419,8 +423,8 @@ def run_bench(
 
     Timings (after one warm-up run) are informational. The run is planned first: the
     capacity, every chunk count, every footprint and every (batch, heads, L, C) extent are
-    checked before any input is made. The tiled path is ``_tiled``, and its last run's
-    reports are judged by ``_broken_claims``; a flash row shows their merged peak and totals.
+    checked before any input is made, even beside an empty list. The tiled path is ``_tiled``,
+    and its last run's passes are judged by ``_broken_claims``; a flash row merges their reports.
     """
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
@@ -429,6 +433,8 @@ def run_bench(
     passes = ("forward", "backward") if pass_ == "fwd_bwd" else ("forward",)
     cfgs = _plan(passes, L, Cs, r_value, elem_bytes, capacity_bytes)
     shapes = [_validated((batch, heads, L, C)) for batch in dict.fromkeys(batches) for C in cfgs]
+    for extent in (*batches, heads, L, *Cs):  # an empty list leaves the others out of shapes
+        _validated((extent,))
     master = Rng(seed)
     rows: list[BenchRow] = []
     failed: list[str] = []
@@ -438,12 +444,14 @@ def run_bench(
         rng = master.split()
         q, k, v, do = (_rand(rng, shape) for _ in range(4))
 
-        run = partial(_tiled, q, k, v, do if pass_ == "fwd_bwd" else None, cfg, capacity_bytes)
-        flash_ns, (_, reports) = _median_ns(run, repeats)
+        # Each pass's (report, held bytes) only: no output outlives its pass.
+        sl_do = do if pass_ == "fwd_bwd" else None
+        run = lambda: [p[1:] for p in _tiled(q, k, v, sl_do, cfg, capacity_bytes)]
+        flash_ns, ran = _median_ns(run, repeats)
         naive_ns = _time_naive(q, k, v, do, pass_, repeats)
-        broken = _broken_claims(reports, batch * heads, L, C, cfg)
+        broken = _broken_claims(ran, batch * heads, L, C, cfg)
         failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
-        merged = merge_reports(reports)
+        merged = merge_reports(rep for rep, _ in ran)
         for impl, ns, peak, elements in (
             ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
             ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
@@ -454,24 +462,27 @@ def run_bench(
     return rows, failed
 
 
-def _tiled(q, k, v, do, cfg, capacity_bytes) -> tuple[DenseTensor, list[TrafficReport]]:
-    """The tiled path on one arena: the batched forward, then with ``do`` each slice's backward.
+def _tiled(q, k, v, do, cfg, capacity_bytes) -> Iterator[tuple]:
+    """The tiled path of every subcommand: the batched forward, then with ``do`` each backward.
 
-    Returns O and the reports unmerged: the forward's over every slice, then each backward's.
+    Yields per pass its outputs, its report and the bytes it left held on the one arena: O,
+    then each (batch, head) slice's (dQ, dK, dV). A caller keeps only the outputs it needs.
     """
-    arena = ScratchpadArena(capacity_bytes)
+    arena = ScratchpadArena(capacity_bytes)  # holding nothing before the forward
     out, contexts, fwd = batched_flash_forward(q, k, v, cfg, [arena])
-    reports = [fwd]
+    yield out, fwd, arena.live_bytes
     if do is not None:
         for ctx, sl_do in zip((c for row in contexts for c in row), _slices(do)):
-            reports.append(flash_backward(ctx, sl_do, arena)[-1])
-    return out, reports
+            before = arena.live_bytes  # a leak is charged to the pass that made it
+            *grads, rep = flash_backward(ctx, sl_do, arena)
+            yield grads, rep, arena.live_bytes - before
 
 
-def _broken_claims(reports, windows, L, C, cfg) -> list[str]:
-    """Failed claims of ``_tiled``'s reports, each alone: the forward's as ``windows`` windows."""
-    fwd, *bwds = reports
-    runs = [("forward", fwd, windows, windows)] + [("backward", rep, 1, len(bwds)) for rep in bwds]
+def _broken_claims(passes, windows, L, C, cfg) -> list[str]:
+    """Each pass's failed claims: traffic, peak (the forward as ``windows`` windows), held bytes."""
+    (fwd, fwd_held), *bwds = passes
+    runs = [("forward", fwd, windows, windows)] + [("backward", b, 1, len(bwds)) for b, _ in bwds]
+    held = {"forward": fwd_held, "backward": sum(n for _, n in bwds)}
     claims = []
     for pass_, rep, each, n in runs:
         traffic_ok, peak_ok = _judge(rep, pass_, L, C, cfg, each)
@@ -480,6 +491,7 @@ def _broken_claims(reports, windows, L, C, cfg) -> list[str]:
         if not peak_ok:
             peak = _peak(pass_, L, C, cfg)
             claims.append(f"{pass_} peak {rep.peak_sram_bytes} B differs from its formula {peak} B")
+    claims += [f"{pass_} leaves {n} B live on the arena" for pass_, n in held.items() if n]
     return list(dict.fromkeys(claims))  # one line per distinct claim
 
 
@@ -540,7 +552,7 @@ def run_demo(
     roundtrip = max_abs_diff(x, window_reverse(windows, cfg))
 
     stacked = DenseTensor._adopt(windows.array.reshape(N, 1, L, C))
-    out, [report] = _tiled(stacked, stacked, stacked, None, tile, capacity_bytes)
+    [(out, report, held)] = _tiled(stacked, stacked, stacked, None, tile, capacity_bytes)
 
     o = DenseTensor._adopt(out.array.reshape(N, L, C))
     # The reference checks the windows in stacks whose (m, L, L) weights and
@@ -564,7 +576,7 @@ def run_demo(
         f"merged stores: {_fmt_counts(report.stores)}",
         f"per-window peak: {report.peak_sram_bytes} B (forward formula {peak} B at r={tile.r})",
     ]
-    broken = _broken_claims([report], N, L, C, tile)
+    broken = _broken_claims([(report, held)], N, L, C, tile)
     if not oracle_err <= ORACLE_TOL:
         broken.insert(0, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}")
     return "\n".join(lines) + "\n", broken

@@ -98,16 +98,23 @@ def test_an_arena_subclass_sees_every_kernel_buffer(L, C, r):
 
 
 def test_check_suite_builds_every_kernel_arena_through_the_module_global(monkeypatch):
-    made = []
+    made, runs = [], []
 
     class Counted(harness.ScratchpadArena):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+    def counted_tiled(*args, _real=harness._tiled):
+        runs.append(args)
+        return _real(*args)
+
     monkeypatch.setattr(harness, "ScratchpadArena", Counted)
+    monkeypatch.setattr(harness, "_tiled", counted_tiled)
     results = harness.run_check_suite(seed=1, Ls=[8, 1024], Cs=[16], r_values=[1, 2])
     kernel_cases = [r for r in results if r.case_id.startswith(("fwd_", "bwd_", "capacity_"))]
     assert any(r.case_id.startswith("capacity_") for r in kernel_cases)
-    assert len(made) == len(kernel_cases)
+    # L=8: one forward and backward run per r; L=1024: one refused forward run per r.
+    assert len(runs) == 4 and len(kernel_cases) == 6
+    assert len(made) == len(runs)
     assert all(a.live_bytes == 0 for a in made)

@@ -107,13 +107,14 @@ class TestCheckSuite:
 
     def test_kernel_cases_share_one_reference_run_per_shape(self, monkeypatch):
         calls = []
-        for name in ("naive_forward", "naive_backward", "flash_forward"):
+        for module, name in ((harness, "naive_forward"), (harness, "naive_backward"),
+                             (flash, "flash_forward")):
 
-            def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls.append((_name, args[0].shape))
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(harness, name, counted)
+            monkeypatch.setattr(module, name, counted)
         results = run_check_suite(seed=42, **self.KERNEL_GRID)
         assert sum(r.case_id.startswith(("fwd_", "bwd_")) for r in results) == 12
         assert all(r.ok for r in results)
@@ -465,15 +466,21 @@ class TestCli:
             (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16,0"],
              "all extents must be >= 1, got (8, 0)"),
             (["demo", "--C", "0"], "all extents must be >= 1, got (224, 224, 0, 7)"),
+            # An empty list on one axis does not let a bad extent on another through.
+            (["check", "--L", "-3", "--C", "16", "--r", ""],
+             "all extents must be >= 1, got (-3, 16)"),
+            (["check", "--L", "0", "--C", ""], "all extents must be >= 1, got (0,)"),
+            (["bench", "--heads", "0", "--batch", ""], "all extents must be >= 1, got (0,)"),
+            (["bench", "--batch", "0", "--C", ""], "all extents must be >= 1, got (0,)"),
         ],
         ids=["check_capacity", "bench_batch0", "traffic_backward_fit", "demo_fit", "bench_C0",
-             "demo_C0"],
+             "demo_C0", "check_no_r", "check_no_C", "bench_no_batch", "bench_no_C"],
     )
     def test_every_refusal_comes_before_any_input(self, monkeypatch, capsys, argv, message):
         def no_work(*args, **kwargs):
             raise AssertionError("work done before the run was planned")
 
-        for name in ("_rand", "window_partition", "flash_forward", "_tiled"):
+        for name in ("_rand", "window_partition", "_tiled"):
             monkeypatch.setattr(harness, name, no_work)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -594,8 +601,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, extents",
         [(["--L", "4", "--C", "0"], (4, 0)), (["--L", "4", "--C", "0,16"], (4, 0)),
-         (["--L", "0", "--C", "16"], (0, 16)), (["--L", "4,-2", "--C", "16"], (-2, 16))],
-        ids=["C0", "C0_then_16", "L0", "L_negative"],
+         (["--L", "0", "--C", "16"], (0, 16)), (["--L", "4,-2", "--C", "16"], (-2, 16)),
+         (["--L", "-3", "--C", "16", "--r", ""], (-3, 16)), (["--L", "0", "--C", ""], (0,))],
+        ids=["C0", "C0_then_16", "L0", "L_negative", "L_negative_no_r", "L0_no_C"],
     )
     def test_check_refuses_extents_below_one_before_any_case(
         self, monkeypatch, capsys, argv, extents
@@ -608,13 +616,13 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: all extents must be >= 1, got {extents}\n")
 
     def test_check_exits_one_and_names_the_failing_cases(self, monkeypatch, capsys):
-        real = harness.flash_forward
+        real = flash.flash_forward
 
         def off_by_one_percent(*args):
             o, ctx, rep = real(*args)
             return DenseTensor._adopt(o.array * 1.01), ctx, rep
 
-        monkeypatch.setattr(harness, "flash_forward", off_by_one_percent)
+        monkeypatch.setattr(flash, "flash_forward", off_by_one_percent)
         assert main(["check", "--L", "2", "--C", "16", "--r", "1"]) == 1
         out, err = capsys.readouterr()
         assert out.endswith("7/8 cases passed\n")
@@ -645,26 +653,53 @@ class TestCli:
 
         monkeypatch.setattr(harness, "flash_backward", broken)
 
-    # L=4, C=16, r=1 everywhere: the forward formula is (16 + 2*4*16) x 4 = 576 B.
-    @pytest.mark.parametrize(
-        "argv, prefix, windows",
-        [(["traffic", "--L", "4", "--C", "16", "--r", "1"], "", 1),
-         (["bench", "--batch", "2", "--heads", "1", "--L", "4", "--C", "16", "--r", "1"],
-          "bench batch=2 C=16: ", 2),
-         (["demo", "--H", "8", "--W", "8", "--C", "16", "--k", "2"], "", 16)],
-        ids=["traffic", "bench", "demo"],
-    )
+    # Each subcommand's argv, claim prefix and window count; L=4, C=16, r=1 everywhere, so
+    # the forward formula is (16 + 2*4*16) x 4 = 576 B. `check` names its failing cases.
+    TILED = {
+        "traffic": (["traffic", "--L", "4", "--C", "16", "--r", "1"], "", 1),
+        "bench": (["bench", "--batch", "2", "--heads", "1", "--L", "4", "--C", "16", "--r", "1"],
+                  "bench batch=2 C=16: ", 2),
+        "demo": (["demo", "--H", "8", "--W", "8", "--C", "16", "--k", "2"], "", 16),
+        "check": (["check", "--L", "4", "--C", "16", "--r", "1"], None, 1),
+    }
+
+    @pytest.mark.parametrize("command", TILED)
     def test_one_broken_forward_kernel_fails_every_tiled_subcommand(
-        self, monkeypatch, capsys, argv, prefix, windows
+        self, monkeypatch, capsys, command
     ):
+        argv, prefix, windows = self.TILED[command]
         self._break_flash_forward(monkeypatch)
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
+        if command == "check":
+            assert lines == ["failing cases: fwd_L4_C16_r1"]
+            return
         assert lines[-2:] == [
             f"{prefix}forward loads or stores differ from {windows} windows x the closed form",
             f"{prefix}forward peak 577 B differs from its formula 576 B",
         ]
-        assert len(lines) == 2 + (argv[0] == "demo")  # and the demo's oracle claim
+        assert len(lines) == 2 + (command == "demo")  # and the demo's oracle claim
+
+    @pytest.mark.parametrize("command", TILED)
+    def test_a_forward_that_leaves_bytes_held_fails_every_subcommand(
+        self, monkeypatch, capsys, command
+    ):
+        argv, prefix, windows = self.TILED[command]
+        real = flash.flash_forward
+
+        def leaking(q, k, v, cfg, arena):
+            result = real(q, k, v, cfg, arena)
+            arena.allocate("leak", (1,), 4)  # never freed
+            return result
+
+        monkeypatch.setattr(flash, "flash_forward", leaking)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if command == "check":  # the backward case, run after the leak, still passes
+            assert out.endswith("7/8 cases passed\n")
+            assert err == "failing cases: fwd_L4_C16_r1\n"
+        else:
+            assert err == f"{prefix}forward leaves {4 * windows} B live on the arena\n"
 
     def test_demo_exits_one_after_its_text_when_a_claim_fails(self, monkeypatch, capsys):
         argv = ["demo", "--H", "28", "--W", "28"]

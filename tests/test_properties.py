@@ -3,7 +3,8 @@
 Hypothesis draws L and C up to 64, any chunk count r from 1 to C, a scale
 in (0, 2], both accounting element sizes, the bytes already held in the
 arena and its capacity; for the closed-form judge, the number of calls a
-merged report covers; and, for the arena alone, programs of allocations,
+merged report covers; for the harness's tiled path, stacks of 1 to 3
+batches and heads; and, for the arena alone, programs of allocations,
 loads, stores and frees in and out of kernel calls that may fail. Examples
 are derandomized and bounded, so the suite draws the same cases on every
 run.
@@ -36,6 +37,8 @@ from flashwin import (
 from flashwin.harness import (
     ORACLE_TOL,
     _judge,
+    _slices,
+    _tiled,
     expected_backward_traffic,
     expected_forward_traffic,
 )
@@ -91,6 +94,39 @@ def test_kernels_match_the_reference_and_the_closed_forms(problem):
     assert (rep.loads, rep.stores) == expected_backward_traffic(L, C)
     assert rep.peak_sram_bytes == bwd_peak
     assert arena.live_bytes == held
+
+
+@st.composite
+def stacks(draw):
+    """(q, k, v, dO, cfg): one (batch, heads, L, C) problem, batch and heads 1..3, L and C <= 32."""
+    shape = tuple(draw(st.integers(1, n)) for n in (3, 3, 32, 32))
+    r = draw(st.integers(1, shape[-1]))
+    scale = draw(st.floats(0, 2, exclude_min=True))
+    cfg = TileConfig(r=r, scale=scale, elem_bytes=draw(st.sampled_from([4, 8])))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    return (*(fill_uniform(rng, shape, -1.0, 1.0) for _ in range(4)), cfg)
+
+
+# Why the check suite's goldens hold on the tiled path: a stack runs bit for bit as its slices.
+@PROPERTY
+@given(stacks())
+def test_the_tiled_path_equals_the_per_slice_kernels_bitwise(stack):
+    q, k, v, do, cfg = stack
+    L, C = q.shape[2:]
+    capacity = peak_sram_backward(L, C, cfg)
+    (out, *fwd), *bwds = _tiled(q, k, v, do, cfg, capacity)
+    slices = list(zip(_slices(out), *(_slices(t) for t in (q, k, v, do))))
+    assert len(bwds) == len(slices)
+    forwards = []
+    for (got_o, sq, sk, sv, sdo), (got_grads, *bwd) in zip(slices, bwds):
+        arena = ScratchpadArena(capacity)
+        o, ctx, rep = flash_forward(sq, sk, sv, cfg, arena)
+        *grads, bwd_rep = flash_backward(ctx, sdo, arena)
+        assert np.array_equal(got_o.array, o.array)
+        assert all(np.array_equal(g.array, w.array) for g, w in zip(got_grads, grads))
+        assert bwd == [bwd_rep, 0]
+        forwards.append(rep)
+    assert fwd == [merge_reports(forwards), 0]
 
 
 def _moved_by_one(rep):
