@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, FlashwinError, ShapeError
 from .flash import (
@@ -26,13 +26,12 @@ from .flash import (
 )
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, TrafficReport, merge_reports
 from .memory import _checked_capacity  # the arena's capacity rule, without an arena
-from .reference import FD_STACK_ELEMS, finite_diff_grad, naive_backward, naive_forward
+from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
 from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff
 from .windowing import WindowConfig, window_partition, window_reverse
 
 ORACLE_TOL = 1e-10
 GRAD_TOL = 1e-6
-FD_STEP = 1e-5
 DEFAULT_SEED = 42
 
 # Geometries exercised by the windowing round-trip cases of `check`.
@@ -204,7 +203,6 @@ def run_check_suite(
         q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
         ref = _Reference(q, k, v, do)
         q4, k4, v4, do4 = (DenseTensor._adopt(t.array.reshape(1, 1, L, C)) for t in (q, k, v, do))
-        fd_grads = None
         # Outputs of each chunk count, for the chunk-count invariance case.
         fwd_runs: list[Sequence[DenseTensor]] = []
         bwd_runs: list[Sequence[DenseTensor]] = []
@@ -235,14 +233,12 @@ def run_check_suite(
             bwd_runs.append(grads)
             results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, *bwd, "backward", cfg))
             if L * C <= 256:
-                if fd_grads is None:
-                    fd_grads = _finite_diff_grads(q, k, v, do)
-                err = _max_diff(grads, fd_grads)
+                err = _max_diff(zip(grads, ref.fd_grads))
                 results.append(_result(f"grad_{tag}", err, tol=GRAD_TOL))
 
         if len(fwd_runs) >= 2:
-            err = max(
-                _max_diff(runs[0], run) for runs in (fwd_runs, bwd_runs) for run in runs[1:]
+            err = _max_diff(
+                p for runs in (fwd_runs, bwd_runs) for run in runs[1:] for p in zip(runs[0], run)
             )
             results.append(_result(f"chunkinv_L{L}_C{C}", err))
 
@@ -261,7 +257,7 @@ def _result(
 
 def _kernel_case(case_id, got, want, report, held, pass_, cfg) -> SuiteResult:
     """Outputs (each L x C) against the shared reference's (None: it raised), pass judged."""
-    err = math.inf if want is None else _max_diff(got, want)
+    err = math.inf if want is None else _max_diff(zip(got, want))
     traffic_ok, peak_ok = _judge(report, pass_, *got[0].shape, cfg)
     return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and held == 0)
 
@@ -275,8 +271,10 @@ def _refuses(kernel, *args) -> bool:
     return False
 
 
-def _max_diff(got: Sequence[DenseTensor], want: Sequence[DenseTensor]) -> float:
-    return max(max_abs_diff(a, b) for a, b in zip(got, want))
+def _max_diff(pairs: Iterable[tuple[DenseTensor, DenseTensor]]) -> float:
+    """Worst max_abs_diff of (got, want) pairs; NaN if any is NaN, which builtin max can drop."""
+    errs = [max_abs_diff(a, b) for a, b in pairs]
+    return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
 @dataclass
@@ -310,22 +308,23 @@ class _Reference:
         except FlashwinError:
             return None
 
+    @cached_property
+    def fd_grads(self):
+        """Central differences of <dO, O> through the untiled forward pass.
 
-def _finite_diff_grads(q, k, v, do):
-    """Central differences of <dO, O> through the untiled forward pass.
+        Each probe stacks perturbed copies of one operand; ``naive_forward``
+        broadcasts the other two, and ``dot`` gives one value per copy.
+        """
+        q, k, v, do = self.q, self.k, self.v, self.do
 
-    Each probe stacks perturbed copies of one operand; ``naive_forward``
-    broadcasts the other two, and ``dot`` gives one value per copy.
-    """
+        def dot(qkv):
+            o = naive_forward(*qkv)[0].array
+            return (do.array * o).reshape(o.shape[0], -1).sum(axis=1)
 
-    def dot(qkv):
-        o = naive_forward(*qkv)[0].array
-        return (do.array * o).reshape(o.shape[0], -1).sum(axis=1)
-
-    fd_q = finite_diff_grad(lambda t: dot((t, k, v)), q, FD_STEP)
-    fd_k = finite_diff_grad(lambda t: dot((q, t, v)), k, FD_STEP)
-    fd_v = finite_diff_grad(lambda t: dot((q, k, t)), v, FD_STEP)
-    return fd_q, fd_k, fd_v
+        fd_q = finite_diff_grad(lambda t: dot((t, k, v)), q, FD_STEP)
+        fd_k = finite_diff_grad(lambda t: dot((q, t, v)), k, FD_STEP)
+        fd_v = finite_diff_grad(lambda t: dot((q, k, t)), v, FD_STEP)
+        return fd_q, fd_k, fd_v
 
 
 def render_suite_table(results: list[SuiteResult]) -> str:
@@ -555,16 +554,12 @@ def run_demo(
     [(out, report, held)] = _tiled(stacked, stacked, stacked, None, tile, capacity_bytes)
 
     o = DenseTensor._adopt(out.array.reshape(N, L, C))
-    # The reference checks the windows in stacks whose (m, L, L) weights and
-    # (m, L, C) outputs stay within FD_STACK_ELEMS elements, as the
-    # finite-difference oracle's do, so the weights of every window are
-    # never live at once.
-    step = max(1, FD_STACK_ELEMS // (L * max(L, C)))
-    oracle_err = 0.0
-    for lo in range(0, N, step):
-        w = DenseTensor._adopt(windows.array[lo : lo + step])
-        got = DenseTensor._adopt(o.array[lo : lo + step])
-        oracle_err = max(oracle_err, max_abs_diff(got, naive_forward(w, w, w)[0]))
+    # The reference checks the windows in stacks bounded as the finite-difference oracle's are.
+    step = _stack_len(L * max(L, C))
+    part = lambda t, lo: DenseTensor._adopt(t.array[lo : lo + step])
+    oracle_err = _max_diff(
+        (part(o, lo), naive_forward(*[part(windows, lo)] * 3)[0]) for lo in range(0, N, step)
+    )
     image = window_reverse(o, cfg)
     peak = _peak("forward", L, C, tile)
     lines = [

@@ -35,11 +35,17 @@ class AttnParams:
             raise InvalidRangeError(f"scale must be finite and > 0, got {self.scale}")
 
 
-# Largest number of float64 elements in one stacked array of the
-# finite-difference oracle (2**17 elements, 1 MiB): the (m, *x.shape)
-# perturbed copies, and the (m, L, L) scores when f runs the attention
-# reference on them, with L = x.shape[0].
+# Largest number of float64 elements in one stacked array of the reference
+# checks (2**17 elements, 1 MiB): the finite-difference oracle's (m, *x.shape)
+# perturbed copies and their (m, L, L) scores, with L = x.shape[0], and the
+# demo's (m, L, L) window weights.
 FD_STACK_ELEMS = 1 << 17
+FD_STEP = 1e-5  # the central-difference step h of finite_diff_grad
+
+
+def _stack_len(elems_per_problem: int) -> int:
+    """How many problems of ``elems_per_problem`` elements fit in FD_STACK_ELEMS: at least 1."""
+    return max(1, FD_STACK_ELEMS // elems_per_problem)
 
 
 def softmax_rows(S: DenseTensor) -> DenseTensor:
@@ -150,7 +156,7 @@ def naive_backward(
 
 
 def finite_diff_grad(
-    f: Callable[[DenseTensor], np.ndarray], x: DenseTensor, h: float = 1e-5
+    f: Callable[[DenseTensor], np.ndarray], x: DenseTensor, h: float = FD_STEP
 ) -> DenseTensor:
     """Central-difference gradient of a scalar function, probed in stacks.
 
@@ -166,8 +172,7 @@ def finite_diff_grad(
         raise InvalidRangeError(f"step must be finite and > 0, got {h}")
     base = x.array.reshape(-1)
     grad = np.empty_like(base)
-    per_copy = max(base.size, x.shape[0] ** 2)
-    step = max(1, FD_STACK_ELEMS // (2 * per_copy))
+    step = _stack_len(2 * max(base.size, x.shape[0] ** 2))  # the +h and -h copies
     for start in range(0, base.size, step):
         idx = np.arange(start, min(start + step, base.size))
         n = idx.size

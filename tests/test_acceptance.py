@@ -20,7 +20,6 @@ from flashwin import (
     finite_diff_grad,
     flash_backward,
     flash_forward,
-    max_abs_diff,
     naive_backward,
     naive_forward,
     peak_sram_backward,
@@ -28,7 +27,7 @@ from flashwin import (
     window_partition,
     window_reverse,
 )
-from flashwin.harness import run_bench
+from flashwin.harness import _max_diff, run_bench
 
 GRID_LS = [1, 2, 8, 49, 64]
 GRID_CS = [16, 32, 64]
@@ -83,9 +82,8 @@ def grid_runs():
 
 def test_criterion_01_oracle_equivalence(grid_runs):
     flash_runs, oracle = grid_runs
-    worst = max(
-        max_abs_diff(run.output, oracle[(L, C)][0])
-        for (L, C, r), run in flash_runs.items()
+    worst = _max_diff(
+        (run.output, oracle[(L, C)][0]) for (L, C, r), run in flash_runs.items()
     )
     report(
         1,
@@ -96,8 +94,7 @@ def test_criterion_01_oracle_equivalence(grid_runs):
 
 
 def test_criterion_02_gradient_correctness():
-    worst_vs_naive = 0.0
-    worst_vs_fd = 0.0
+    vs_naive, vs_fd = [], []  # (got, want) pairs, folded NaN-aware by the harness's rule
     for L in (2, 8, 16):
         for C in (4, 16):
             rng = Rng(7100 + 10 * L + C)
@@ -116,8 +113,9 @@ def test_criterion_02_gradient_correctness():
                 finite_diff_grad(lambda t: of(q, k, t), v, FD_STEP),
             )
             for fg, ng, fdg in zip(flash_grads, naive_grads, fd_grads):
-                worst_vs_naive = max(worst_vs_naive, max_abs_diff(fg, ng))
-                worst_vs_fd = max(worst_vs_fd, max_abs_diff(fg, fdg), max_abs_diff(ng, fdg))
+                vs_naive.append((fg, ng))
+                vs_fd += [(fg, fdg), (ng, fdg)]
+    worst_vs_naive, worst_vs_fd = _max_diff(vs_naive), _max_diff(vs_fd)
     report(
         2,
         worst_vs_naive <= ORACLE_TOL and worst_vs_fd <= GRAD_TOL,
@@ -215,16 +213,15 @@ def test_criterion_08_windowing_bijectivity():
 
 def test_criterion_09_chunk_count_invariance(grid_runs):
     flash_runs, _ = grid_runs
-    worst = 0.0
+    pairs = []
     for L in GRID_LS:
         for C in GRID_CS:
             rs = grid_rs(C)
             base = flash_runs[(L, C, rs[0])]
             for r in rs[1:]:
                 other = flash_runs[(L, C, r)]
-                worst = max(worst, max_abs_diff(base.output, other.output))
-                for a, b in zip(base.grads, other.grads):
-                    worst = max(worst, max_abs_diff(a, b))
+                pairs += [(base.output, other.output), *zip(base.grads, other.grads)]
+    worst = _max_diff(pairs)
     report(
         9,
         worst <= ORACLE_TOL,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
@@ -18,6 +19,7 @@ from flashwin import (
     cli,
     flash,
     harness,
+    reference,
 )
 from flashwin.cli import main
 from flashwin.harness import (
@@ -339,7 +341,7 @@ class TestDemo:
         assert "16 windows" in text
         assert calls == [(16, 4, 4)]
         calls.clear()
-        monkeypatch.setattr(harness, "FD_STACK_ELEMS", 5 * 4 * 4)  # 5 windows of 4x4 weights
+        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 5 * 4 * 4)  # 5 windows of 4x4 weights
         assert run_demo(H=8, W=8, C=4, k=2, seed=1)[0] == text
         assert calls == [(5, 4, 4)] * 3 + [(1, 4, 4)]
 
@@ -627,6 +629,53 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out.endswith("7/8 cases passed\n")
         assert err == "failing cases: fwd_L2_C16_r1\n"
+
+    @staticmethod
+    def _nan_at_first_element(t):
+        a = t.array.copy()
+        a[0, 0] = math.nan
+        return DenseTensor._adopt(a)
+
+    # dK's error sits between dQ's and dV's, where the builtin max dropped a NaN; and at r=2
+    # only, the chunk-count case compares r=1's finite dK with r=2's NaN one.
+    @pytest.mark.parametrize(
+        "nan_rs, failing, passed",
+        [((1, 2), ["bwd_L8_C16_r1", "grad_L8_C16_r1", "bwd_L8_C16_r2", "grad_L8_C16_r2",
+                   "chunkinv_L8_C16"], "7/12"),
+         ((2,), ["bwd_L8_C16_r2", "grad_L8_C16_r2", "chunkinv_L8_C16"], "9/12")],
+        ids=["every_r", "r2_only"],
+    )
+    def test_check_fails_every_case_that_compares_a_nan_gradient(
+        self, monkeypatch, capsys, nan_rs, failing, passed
+    ):
+        real = harness.flash_backward
+
+        def nan_in_dk(ctx, do, arena):
+            dq, dk, dv, rep = real(ctx, do, arena)
+            if ctx.cfg.r in nan_rs:
+                dk = self._nan_at_first_element(dk)
+            return dq, dk, dv, rep
+
+        monkeypatch.setattr(harness, "flash_backward", nan_in_dk)
+        assert main(["check", "--L", "8", "--C", "16", "--r", "1,2"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith(f"{passed} cases passed\n")
+        rows = [line.split() for line in out.splitlines() if line.endswith("FAIL")]
+        assert [row[:2] for row in rows] == [[case, "nan"] for case in failing]
+        assert err == f"failing cases: {', '.join(failing)}\n"
+
+    def test_demo_prints_and_fails_a_nan_in_every_window(self, monkeypatch, capsys):
+        real = flash.flash_forward
+
+        def nan_in_o(*args):
+            o, ctx, rep = real(*args)
+            return self._nan_at_first_element(o), ctx, rep
+
+        monkeypatch.setattr(flash, "flash_forward", nan_in_o)
+        assert main(["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7", "--seed", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert "max oracle error over 16 windows: nan\n" in out
+        assert err == "oracle error nan exceeds 1e-10\n"
 
     @staticmethod
     def _break_flash_forward(monkeypatch):

@@ -4,14 +4,16 @@ Hypothesis draws L and C up to 64, any chunk count r from 1 to C, a scale
 in (0, 2], both accounting element sizes, the bytes already held in the
 arena and its capacity; for the closed-form judge, the number of calls a
 merged report covers; for the harness's tiled path, stacks of 1 to 3
-batches and heads; and, for the arena alone, programs of allocations,
-loads, stores and frees in and out of kernel calls that may fail. Examples
-are derandomized and bounded, so the suite draws the same cases on every
-run.
+batches and heads; for the harness's worst-error fold, lists of errors
+with a NaN at any position or none; and, for the arena alone, programs of
+allocations, loads, stores and frees in and out of kernel calls that may
+fail. Examples are derandomized and bounded, so the suite draws the same
+cases on every run.
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from flashwin import (
     CapacityError,
+    DenseTensor,
     FlashContext,
     FlashwinError,
     Rng,
@@ -37,6 +40,7 @@ from flashwin import (
 from flashwin.harness import (
     ORACLE_TOL,
     _judge,
+    _max_diff,
     _slices,
     _tiled,
     expected_backward_traffic,
@@ -67,10 +71,6 @@ def _arena(capacity, held):
     return arena
 
 
-def _max_err(got, want):
-    return max(float(np.max(np.abs(g.array - w.array))) for g, w in zip(got, want))
-
-
 @PROPERTY
 @given(problems())
 def test_kernels_match_the_reference_and_the_closed_forms(problem):
@@ -84,13 +84,13 @@ def test_kernels_match_the_reference_and_the_closed_forms(problem):
 
     o, ctx, rep = flash_forward(q, k, v, cfg, arena)
     o_ref, p = naive_forward(q, k, v, params)
-    assert _max_err([o], [o_ref]) <= ORACLE_TOL
+    assert _max_diff([(o, o_ref)]) <= ORACLE_TOL
     assert (rep.loads, rep.stores) == expected_forward_traffic(L, C)
     assert rep.peak_sram_bytes == fwd_peak
     assert arena.live_bytes == held
 
     *grads, rep = flash_backward(ctx, do, arena)
-    assert _max_err(grads, naive_backward(q, k, v, p, do, params)) <= ORACLE_TOL
+    assert _max_diff(zip(grads, naive_backward(q, k, v, p, do, params))) <= ORACLE_TOL
     assert (rep.loads, rep.stores) == expected_backward_traffic(L, C)
     assert rep.peak_sram_bytes == bwd_peak
     assert arena.live_bytes == held
@@ -155,6 +155,20 @@ def test_the_judge_passes_each_pass_report_and_fails_exactly_the_flag_moved(prob
         merged = merge_reports(reports)
         assert _judge(merged, pass_, L, C, cfg, windows=w) == (True, True)
         assert _judge(merged, pass_, L, C, cfg, windows=w - 1) == (False, True)
+
+
+@PROPERTY
+@given(st.lists(st.floats(min_value=0), min_size=1, max_size=8), st.data())
+def test_the_worst_error_is_nan_if_and_only_if_some_error_is(errs, data):
+    nan_at = data.draw(st.none() | st.integers(0, len(errs)), label="nan_at")
+    if nan_at is not None:
+        errs.insert(nan_at, math.nan)
+    zero = DenseTensor._adopt(np.zeros(1))
+    worst = _max_diff((DenseTensor._adopt(np.array([e])), zero) for e in errs)  # |e - 0| is e
+    if nan_at is None:
+        assert worst == max(errs)
+    else:
+        assert math.isnan(worst)
 
 
 @PROPERTY
