@@ -1,6 +1,7 @@
 """Command-line entry point: check, traffic, bench, and demo subcommands.
 
-Exit codes: 0 success, 1 a failed check or claim, 2 usage or ``--out`` file error.
+Exit codes: 0 success, 1 a failed check or claim, 2 usage or ``--out`` file error, or a
+run that exhausts host memory.
 ``main`` opens ``--out``, truncating it, before any work.
 """
 
@@ -167,8 +168,8 @@ def main(argv=None) -> int:
             return args.func(args, None)
         with open(args.out, "w", encoding="utf-8") as out:
             return args.func(args, out)
-    except (FlashwinError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FlashwinError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

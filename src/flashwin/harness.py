@@ -14,6 +14,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
+from itertools import groupby
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, FlashwinError, ShapeError
@@ -109,21 +110,47 @@ def _peak(pass_: str, L: int, C: int, cfg: TileConfig) -> int:
     return _CONTRACT[pass_](L, C, cfg)[1]
 
 
-def _plan(passes, L, Cs, r_value, elem_bytes, capacity_bytes) -> dict[int, TileConfig]:
-    """Each C's tiling for a run that makes ``passes`` in order at every (L, C), before any input.
+def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
+    """The (L, C, tiling, first of ``passes`` that does not fit or None) points of a run.
 
-    Applies the arena's capacity rule, then per C the chunk-count and extent rules and each
-    pass's closed-form peak, in run order; the first pass that does not fit is refused.
+    Every rule is applied before any input, in this order: the arena's capacity rule; the
+    tensor extent rule to each (L, C), then to each extent alone (an empty axis hides none);
+    TileConfig's chunk-count rule; the coverage rule, by which a chunk count above a C is
+    skipped for that C, but each count must tile some C and each C be tiled by some count;
+    and each pass's closed-form peak. Repeated values run once; points are in run order.
     """
     capacity_bytes = _checked_capacity(capacity_bytes)
-    cfgs = {C: TileConfig(resolve_r(r_value, C), elem_bytes=elem_bytes) for C in dict.fromkeys(Cs)}
-    for C, cfg in cfgs.items():
-        for pass_ in passes:
-            need = _peak(pass_, L, C, cfg)  # applies the extent and chunk-count rules
-            if need > capacity_bytes:
-                msg = f"{pass_} pass at L={L}, C={C} needs {need} bytes of scratchpad"
-                raise CapacityError(f"{msg}, capacity is {capacity_bytes}")
-    return cfgs
+    Ls, Cs = list(dict.fromkeys(Ls)), list(dict.fromkeys(Cs))
+    for extent in [(L, C) for L in Ls for C in Cs] + [(e,) for e in (*Ls, *Cs)]:
+        _validated(extent)
+    # Each chunk count's tiling of each C, made by TileConfig's rule.
+    tiling = lambda r, C: TileConfig(resolve_r(r, C), elem_bytes=elem_bytes)
+    tilings = [{C: tiling(r, C) for C in Cs} for r in r_values]
+    for value, cfgs in zip(r_values, tilings):
+        if cfgs and all(cfg.r > C for C, cfg in cfgs.items()):
+            where = f"every feature count {Cs}" if len(Cs) > 1 else f"feature count {Cs[0]}"
+            raise ShapeError(f"chunk count {value} exceeds {where}")
+    # Each C's tilings that fit it, one per distinct chunk count, in the order asked for.
+    tiles = {C: list({t[C].r: t[C] for t in tilings if t[C].r <= C}.values()) for C in Cs}
+    for C in Cs if tilings else ():
+        if not tiles[C]:
+            tilings[0][C].chunk_width(C)  # raises the first count's refusal at this C
+    return [
+        (L, C, cfg, next((p for p in passes if _peak(p, L, C, cfg) > capacity_bytes), None))
+        for L in Ls
+        for C in Cs
+        for cfg in tiles[C]
+    ]
+
+
+def _fitting(points, capacity_bytes) -> list[tuple]:
+    """``_plan``'s points of a run that skips no pass: the first that does not fit is refused."""
+    for L, C, cfg, unfit in points:
+        if unfit:
+            need = _peak(unfit, L, C, cfg)
+            msg = f"{unfit} pass at L={L}, C={C} needs {need} bytes of scratchpad"
+            raise CapacityError(f"{msg}, capacity is {_checked_capacity(capacity_bytes)}")
+    return points
 
 
 # Baseline traffic model for bench reporting: the untiled pipeline reads and
@@ -141,34 +168,6 @@ def _rand(rng: Rng, shape: Sequence[int]) -> DenseTensor:
     return fill_uniform(rng, shape, -1.0, 1.0)
 
 
-def _grid(
-    Ls: Sequence[int], Cs: Sequence[int], r_values: Sequence[str | int]
-) -> list[tuple[int, int, list[int]]]:
-    """The (L, C, chunk counts) points of a check grid, in the order asked for.
-
-    Each L and each C appears once, and each C carries its resolved,
-    de-duplicated chunk counts, so no case runs twice. An L or C below 1
-    fails the tensor extent rule, even beside an empty axis. Every chunk
-    count from 1 to C tiles C; one that exceeds C is skipped for that C, and
-    one that exceeds every C raises :class:`ShapeError` naming it, so a grid
-    cannot pass without running the kernels it asked for.
-    """
-    points = [_validated((L, C)) for L in dict.fromkeys(Ls) for C in dict.fromkeys(Cs)]
-    for extent in (*Ls, *Cs):  # an empty axis leaves the other's extents out of points
-        _validated((extent,))
-    if not points or not r_values:
-        return []
-    counts: dict[int, list[int]] = {C: [] for C in Cs}
-    for value in r_values:
-        resolved = {C: resolve_r(value, C) for C in counts}
-        if all(r > C for C, r in resolved.items()):
-            raise ShapeError(f"chunk count {value} exceeds every feature count {list(Cs)}")
-        for C, r in resolved.items():
-            if r <= C and r not in counts[C]:
-                counts[C].append(r)
-    return [(L, C, counts[C]) for L, C in points]
-
-
 def run_check_suite(
     seed: int,
     Ls: Sequence[int],
@@ -180,14 +179,13 @@ def run_check_suite(
     """Run oracle, gradient, round-trip, traffic, and occupancy checks.
 
     Each kernel case is one pass of ``_tiled`` on a (1, 1, L, C) view of its
-    inputs; a pass whose footprint exceeds the capacity is an expected-error
+    inputs; a pass that ``_plan`` finds does not fit is an expected-error
     case, passing when the tiled run refuses and the untiled reference runs.
     The reference runs at most once per (L, C), for every chunk count. The
-    capacity and the whole grid are checked before the first case runs.
+    whole grid is planned before the first case runs.
     """
-    _checked_capacity(capacity_bytes)
-    grid = _grid(Ls, Cs, r_values)
-    if not grid:
+    points = _plan(("forward", "backward"), Ls, Cs, r_values, elem_bytes, capacity_bytes)
+    if not points:
         return []
     results: list[SuiteResult] = []
     master = Rng(seed)
@@ -198,7 +196,7 @@ def run_check_suite(
         err = max_abs_diff(x, window_reverse(window_partition(x, cfg), cfg))
         results.append(_result(f"roundtrip_{H}x{W}x{C}_k{k}", err, tol=0.0))
 
-    for L, C, rs in grid:
+    for (L, C), shape_points in groupby(points, key=lambda point: point[:2]):
         rng = master.split()
         q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
         ref = _Reference(q, k, v, do)
@@ -207,26 +205,20 @@ def run_check_suite(
         fwd_runs: list[Sequence[DenseTensor]] = []
         bwd_runs: list[Sequence[DenseTensor]] = []
 
-        for r in rs:
-            tag = f"L{L}_C{C}_r{r}"
-            cfg = TileConfig(r=r, elem_bytes=elem_bytes)
-            if _peak("forward", L, C, cfg) > capacity_bytes:
-                refused = _refuses(_tiled, q4, k4, v4, None, cfg, capacity_bytes)
-                err = math.inf if ref.forward is None else 0.0
-                results.append(_result(f"capacity_fwd_{tag}", err, sram_ok=refused))
-                continue
-
-            fits = _peak("backward", L, C, cfg) <= capacity_bytes
-            [(out, *fwd), *bwds] = _tiled(q4, k4, v4, do4 if fits else None, cfg, capacity_bytes)
-            o = _slices(out)
-            fwd_runs.append(o)
-            want = None if ref.forward is None else ref.forward[:1]
-            results.append(_kernel_case(f"fwd_{tag}", o, want, *fwd, "forward", cfg))
-
-            if not fits:
+        for _, _, cfg, unfit in shape_points:
+            tag = f"L{L}_C{C}_r{cfg.r}"
+            if unfit != "forward":  # and the backward too, if it fits
+                sl_do = None if unfit else do4
+                [(out, *fwd), *bwds] = _tiled(q4, k4, v4, sl_do, cfg, capacity_bytes)
+                o = _slices(out)
+                fwd_runs.append(o)
+                want = None if ref.forward is None else ref.forward[:1]
+                results.append(_kernel_case(f"fwd_{tag}", o, want, *fwd, "forward", cfg))
+            if unfit:
                 refused = _refuses(_tiled, q4, k4, v4, do4, cfg, capacity_bytes)
-                err = math.inf if ref.grads is None else 0.0
-                results.append(_result(f"capacity_bwd_{tag}", err, sram_ok=refused))
+                ran = (ref.forward if unfit == "forward" else ref.grads) is not None
+                case = {"forward": "capacity_fwd_", "backward": "capacity_bwd_"}[unfit] + tag
+                results.append(_result(case, 0.0 if ran else math.inf, sram_ok=refused))
                 continue
 
             [(grads, *bwd)] = bwds
@@ -372,7 +364,8 @@ def run_traffic(
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
 ) -> TrafficSummary:
     """One window's forward and backward through the tiled path (``_tiled``), planned first."""
-    cfg = _plan(("forward", "backward"), L, [C], r_value, elem_bytes, capacity_bytes)[C]
+    plan = _plan(("forward", "backward"), [L], [C], [r_value], elem_bytes, capacity_bytes)
+    [(_, _, cfg, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     q, k, v, do = (_rand(rng, (1, 1, L, C)) for _ in range(4))
     [(_, fwd, fwd_held), (_, bwd, bwd_held)] = _tiled(q, k, v, do, cfg, capacity_bytes)
@@ -420,9 +413,9 @@ def run_bench(
 ) -> tuple[list[BenchRow], list[str]]:
     """Median-of-repeats timings for the untiled and tiled paths, and the broken claims.
 
-    Timings (after one warm-up run) are informational. The run is planned first: the
-    capacity, every chunk count, every footprint and every (batch, heads, L, C) extent are
-    checked before any input is made, even beside an empty list. The tiled path is ``_tiled``,
+    Timings (after one warm-up run) are informational. The run is planned first: ``_plan``'s
+    rules and every footprint, then every (batch, heads, L, C) extent, are checked before any
+    input is made, even beside an empty list. The tiled path is ``_tiled``,
     and its last run's passes are judged by ``_broken_claims``; a flash row merges their reports.
     """
     if repeats < 3:
@@ -430,16 +423,16 @@ def run_bench(
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
     passes = ("forward", "backward") if pass_ == "fwd_bwd" else ("forward",)
-    cfgs = _plan(passes, L, Cs, r_value, elem_bytes, capacity_bytes)
-    shapes = [_validated((batch, heads, L, C)) for batch in dict.fromkeys(batches) for C in cfgs]
-    for extent in (*batches, heads, L, *Cs):  # an empty list leaves the others out of shapes
-        _validated((extent,))
+    plan = _fitting(_plan(passes, [L], Cs, [r_value], elem_bytes, capacity_bytes), capacity_bytes)
+    runs = [((b, heads, L, C), cfg) for b in dict.fromkeys(batches) for _, C, cfg, _ in plan]
+    for shape in [shape for shape, _ in runs] + [(e,) for e in (*batches, heads)]:
+        _validated(shape)  # an empty list leaves the other extents out of runs
     master = Rng(seed)
     rows: list[BenchRow] = []
     failed: list[str] = []
 
-    for shape in shapes:
-        batch, C, cfg = shape[0], shape[3], cfgs[shape[3]]
+    for shape, cfg in runs:
+        batch, C = shape[0], shape[3]
         rng = master.split()
         q, k, v, do = (_rand(rng, shape) for _ in range(4))
 
@@ -543,7 +536,8 @@ def run_demo(
     """
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     N, L = cfg.num_windows, cfg.seq_len
-    tile = _plan(("forward",), L, [C], "auto", elem_bytes, capacity_bytes)[C]
+    plan = _plan(("forward",), [L], [C], ["auto"], elem_bytes, capacity_bytes)
+    [(_, _, tile, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     x = _rand(rng, (H, W, C))
     windows = window_partition(x, cfg)

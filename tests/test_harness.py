@@ -474,9 +474,23 @@ class TestCli:
             (["check", "--L", "0", "--C", ""], "all extents must be >= 1, got (0,)"),
             (["bench", "--heads", "0", "--batch", ""], "all extents must be >= 1, got (0,)"),
             (["bench", "--batch", "0", "--C", ""], "all extents must be >= 1, got (0,)"),
+            # One coverage rule in every subcommand: every requested C is tiled by some
+            # chunk count, even beside an empty L list, and every count tiles some C.
+            (["check", "--L", "4", "--C", "4,16", "--r", "8"],
+             "chunk count 8 exceeds feature count 4"),
+            (["check", "--L", "", "--C", "4,16", "--r", "8"],
+             "chunk count 8 exceeds feature count 4"),
+            (["check", "--L", "4", "--C", "4", "--r", "1,64"],
+             "chunk count 64 exceeds feature count 4"),
+            (["traffic", "--L", "4", "--C", "4", "--r", "64"],
+             "chunk count 64 exceeds feature count 4"),
+            (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "4,2", "--r", "64"],
+             "chunk count 64 exceeds every feature count [4, 2]"),
         ],
         ids=["check_capacity", "bench_batch0", "traffic_backward_fit", "demo_fit", "bench_C0",
-             "demo_C0", "check_no_r", "check_no_C", "bench_no_batch", "bench_no_C"],
+             "demo_C0", "check_no_r", "check_no_C", "bench_no_batch", "bench_no_C",
+             "check_untiled_C", "check_untiled_C_no_L", "check_count_tiles_no_C",
+             "traffic_count_tiles_no_C", "bench_count_tiles_no_C"],
     )
     def test_every_refusal_comes_before_any_input(self, monkeypatch, capsys, argv, message):
         def no_work(*args, **kwargs):
@@ -484,6 +498,30 @@ class TestCli:
 
         for name in ("_rand", "window_partition", "_tiled"):
             monkeypatch.setattr(harness, name, no_work)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--L", "8", "--C", "16"], ["traffic", "--L", "8", "--C", "16"],
+         ["bench", "--batch", "1000000000000", "--heads", "1", "--L", "1", "--C", "1"],
+         ["demo", "--H", "7000000", "--W", "7000000", "--C", "1", "--k", "7"]],
+        ids=["check", "traffic", "bench", "demo"],
+    )
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError("Unable to allocate 7.28 TiB for an array"),
+          "Unable to allocate 7.28 TiB for an array"), (MemoryError(), "MemoryError")],
+        ids=["numpy", "bare"],
+    )
+    def test_host_memory_exhaustion_is_a_usage_error(
+        self, monkeypatch, capsys, argv, exc, message
+    ):
+        # Stands in for the inputs' allocation; no test allocates that much.
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(harness, "_rand", exhausted)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -5,15 +5,18 @@ in (0, 2], both accounting element sizes, the bytes already held in the
 arena and its capacity; for the closed-form judge, the number of calls a
 merged report covers; for the harness's tiled path, stacks of 1 to 3
 batches and heads; for the harness's worst-error fold, lists of errors
-with a NaN at any position or none; and, for the arena alone, programs of
-allocations, loads, stores and frees in and out of kernel calls that may
-fail. Examples are derandomized and bounded, so the suite draws the same
+with a NaN at any position or none; for the harness's run plan, one
+(L, C, r) point and a capacity about its peaks, and short L, C and chunk
+count lists that may hold invalid or repeated values; and, for the arena
+alone, programs of allocations, loads, stores and frees in and out of
+kernel calls that may fail. Examples are derandomized and bounded, so the suite draws the same
 cases on every run.
 """
 
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from flashwin import (
     peak_sram_backward,
     peak_sram_forward,
 )
+from flashwin import harness
 from flashwin.harness import (
     ORACLE_TOL,
     _judge,
@@ -45,6 +49,9 @@ from flashwin.harness import (
     _tiled,
     expected_backward_traffic,
     expected_forward_traffic,
+    resolve_r,
+    run_check_suite,
+    run_traffic,
 )
 from flashwin.reference import AttnParams
 
@@ -169,6 +176,67 @@ def test_the_worst_error_is_nan_if_and_only_if_some_error_is(errs, data):
         assert worst == max(errs)
     else:
         assert math.isnan(worst)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([4, 8]), st.data())
+def test_traffic_refuses_a_pass_if_and_only_if_check_makes_it_a_capacity_case(L, C, eb, data):
+    r = data.draw(st.integers(1, C), label="r")
+    cfg = TileConfig(r=r, elem_bytes=eb)
+    fwd, bwd = peak_sram_forward(L, C, cfg), peak_sram_backward(L, C, cfg)
+    about_peaks = st.sampled_from([bwd, bwd - 1, fwd, fwd - 1]) | st.integers(0, bwd + 1)
+    capacity = data.draw(about_peaks, label="capacity")
+    try:
+        run_traffic(L, C, r, eb, seed=1, capacity_bytes=capacity)
+        refused = set()
+    except CapacityError as exc:
+        refused = {str(exc).split()[0]}  # "forward pass at ..." or "backward pass at ..."
+    results = run_check_suite(1, [L], [C], [r], capacity_bytes=capacity, elem_bytes=eb)
+    capacity_cases = {res.case_id for res in results if res.case_id.startswith("capacity_")}
+    short = {"forward": "fwd", "backward": "bwd"}
+    assert capacity_cases == {f"capacity_{short[p]}_L{L}_C{C}_r{r}" for p in refused}
+    assert all(res.ok for res in results)
+
+
+# Values invalid about one time in 12; an empty L list (the one axis drawn empty) used to
+# let check skip a C that no chunk count tiles.
+_EXTENT = st.sampled_from([*range(1, 12), 0])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.lists(_EXTENT, max_size=3),
+    st.lists(_EXTENT, min_size=1, max_size=3),
+    st.lists(st.sampled_from([*range(1, 12), "auto", 0]), min_size=1, max_size=3),
+    st.sampled_from([131072, 600, 0, -1]),
+    st.sampled_from([4, 8]),
+)
+def test_check_refuses_before_any_input_or_runs_every_requested_value(Ls, Cs, rs, capacity, eb):
+    made = []
+
+    def counted(*args, _real=harness._rand):
+        made.append(args[1])
+        return _real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_rand", counted)
+        try:
+            results = run_check_suite(1, Ls, Cs, rs, capacity_bytes=capacity, elem_bytes=eb)
+        except FlashwinError:
+            assert made == []
+            return
+    if not Ls:
+        assert results == []
+        return
+    tags = [re.search(r"_L(\d+)_C(\d+)_r(\d+)$", r.case_id) for r in results]
+    ran = {tuple(map(int, tag.groups())) for tag in tags if tag}
+    assert {L for L, _, _ in ran} == set(Ls)
+    assert {C for _, C, _ in ran} == set(Cs)
+    tiled = {(C, r) for _, C, r in ran}
+    assert all(any((C, resolve_r(v, C)) in tiled for C in Cs) for v in rs)
+    # Exactly the points asked for: each count at every C it tiles, at every L.
+    asked = {(L, C, resolve_r(v, C)) for L in Ls for C in Cs for v in rs}
+    assert ran == {(L, C, r) for L, C, r in asked if r <= C}
 
 
 @PROPERTY
