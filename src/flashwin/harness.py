@@ -14,17 +14,13 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, FlashwinError, ShapeError
-from .flash import (
-    TileConfig,
-    batched_flash_forward,
-    flash_backward,
-    peak_sram_backward,
-    peak_sram_forward,
-)
+from .flash import TileConfig, flash_backward, flash_forward, peak_sram_backward, peak_sram_forward
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, TrafficReport, merge_reports
 from .memory import _checked_capacity  # the arena's capacity rule, without an arena
 from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
@@ -97,13 +93,13 @@ _CONTRACT = {
     "forward": lambda L, C, cfg: (expected_forward_traffic(L, C), peak_sram_forward(L, C, cfg)),
     "backward": lambda L, C, cfg: (expected_backward_traffic(L, C), peak_sram_backward(L, C, cfg)),
 }
+_PASSES = tuple(_CONTRACT)  # ("forward", "backward"), in the order one window runs them
 
 
-def _judge(report, pass_, L, C, cfg, windows=1) -> tuple[bool, bool]:
-    """(traffic_ok, peak_ok): a ``pass_`` report of ``windows`` windows against the closed forms."""
+def _judge(report, pass_, L, C, cfg) -> tuple[bool, bool]:
+    """(traffic_ok, peak_ok): one ``pass_`` call's report against one window's closed forms."""
     traffic, peak = _CONTRACT[pass_](L, C, cfg)
-    want = [{name: n * windows for name, n in counts.items()} for counts in traffic]
-    return [report.loads, report.stores] == want, report.peak_sram_bytes == peak
+    return (report.loads, report.stores) == traffic, report.peak_sram_bytes == peak
 
 
 def _peak(pass_: str, L: int, C: int, cfg: TileConfig) -> int:
@@ -178,13 +174,13 @@ def run_check_suite(
 ) -> list[SuiteResult]:
     """Run oracle, gradient, round-trip, traffic, and occupancy checks.
 
-    Each kernel case is one pass of ``_tiled`` on a (1, 1, L, C) view of its
-    inputs; a pass that ``_plan`` finds does not fit is an expected-error
-    case, passing when the tiled run refuses and the untiled reference runs.
-    The reference runs at most once per (L, C), for every chunk count. The
-    whole grid is planned before the first case runs.
+    Each (L, C, r) point is one ``_tiled`` run on a (1, 1, L, C) view of its inputs, and
+    each kernel case one call of it. A pass that ``_plan`` finds does not fit is an
+    expected-error case, passing when the run refuses at that pass (a refusal at any other
+    propagates) and the untiled reference runs. The reference runs at most once per (L, C),
+    for every chunk count. The whole grid is planned before the first case runs.
     """
-    points = _plan(("forward", "backward"), Ls, Cs, r_values, elem_bytes, capacity_bytes)
+    points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
     if not points:
         return []
     results: list[SuiteResult] = []
@@ -207,23 +203,28 @@ def run_check_suite(
 
         for _, _, cfg, unfit in shape_points:
             tag = f"L{L}_C{C}_r{cfg.r}"
-            if unfit != "forward":  # and the backward too, if it fits
-                sl_do = None if unfit else do4
-                [(out, *fwd), *bwds] = _tiled(q4, k4, v4, sl_do, cfg, capacity_bytes)
-                o = _slices(out)
-                fwd_runs.append(o)
+            calls, refused = {}, False
+            try:
+                for pass_, *call in _tiled(q4, k4, v4, do4, cfg, capacity_bytes):
+                    calls[pass_] = call
+            except CapacityError:
+                # One window's calls run forward then backward: the next one was refused.
+                if unfit is None or _PASSES.index(unfit) != len(calls):
+                    raise
+                refused = True
+            if unfit != "forward":
+                fwd_runs.append(calls["forward"][0])
                 want = None if ref.forward is None else ref.forward[:1]
-                results.append(_kernel_case(f"fwd_{tag}", o, want, *fwd, "forward", cfg))
+                results.append(_kernel_case(f"fwd_{tag}", *calls["forward"], want, "forward", cfg))
             if unfit:
-                refused = _refuses(_tiled, q4, k4, v4, do4, cfg, capacity_bytes)
                 ran = (ref.forward if unfit == "forward" else ref.grads) is not None
                 case = {"forward": "capacity_fwd_", "backward": "capacity_bwd_"}[unfit] + tag
                 results.append(_result(case, 0.0 if ran else math.inf, sram_ok=refused))
                 continue
 
-            [(grads, *bwd)] = bwds
+            grads, *bwd = calls["backward"]
             bwd_runs.append(grads)
-            results.append(_kernel_case(f"bwd_{tag}", grads, ref.grads, *bwd, "backward", cfg))
+            results.append(_kernel_case(f"bwd_{tag}", grads, *bwd, ref.grads, "backward", cfg))
             if L * C <= 256:
                 err = _max_diff(zip(grads, ref.fd_grads))
                 results.append(_result(f"grad_{tag}", err, tol=GRAD_TOL))
@@ -247,20 +248,11 @@ def _result(
     return SuiteResult(case_id, err, traffic_ok, sram_ok, err <= tol and traffic_ok and sram_ok)
 
 
-def _kernel_case(case_id, got, want, report, held, pass_, cfg) -> SuiteResult:
-    """Outputs (each L x C) against the shared reference's (None: it raised), pass judged."""
+def _kernel_case(case_id, got, report, held, want, pass_, cfg) -> SuiteResult:
+    """One call's outputs (each L x C) against the shared reference's (None: it raised), judged."""
     err = math.inf if want is None else _max_diff(zip(got, want))
     traffic_ok, peak_ok = _judge(report, pass_, *got[0].shape, cfg)
     return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and held == 0)
-
-
-def _refuses(kernel, *args) -> bool:
-    """Whether the kernel run (every pass of it) raises CapacityError on these arguments."""
-    try:
-        list(kernel(*args))
-    except CapacityError:
-        return True
-    return False
 
 
 def _max_diff(pairs: Iterable[tuple[DenseTensor, DenseTensor]]) -> float:
@@ -350,9 +342,9 @@ class TrafficSummary:
 
     @property
     def failed(self) -> list[str]:
-        """The broken claims of both passes, as bench and demo name theirs."""
-        passes = list(zip((self.forward, self.backward), self.held))
-        return _broken_claims(passes, 1, self.L, self.C, self.cfg)
+        """The broken claims of both calls, as bench and demo name theirs."""
+        calls = list(zip(_PASSES, (self.forward, self.backward), self.held))
+        return _broken_claims(calls, self.L, self.C, self.cfg)
 
 
 def run_traffic(
@@ -364,11 +356,11 @@ def run_traffic(
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
 ) -> TrafficSummary:
     """One window's forward and backward through the tiled path (``_tiled``), planned first."""
-    plan = _plan(("forward", "backward"), [L], [C], [r_value], elem_bytes, capacity_bytes)
+    plan = _plan(_PASSES, [L], [C], [r_value], elem_bytes, capacity_bytes)
     [(_, _, cfg, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     q, k, v, do = (_rand(rng, (1, 1, L, C)) for _ in range(4))
-    [(_, fwd, fwd_held), (_, bwd, bwd_held)] = _tiled(q, k, v, do, cfg, capacity_bytes)
+    [(*_, fwd, fwd_held), (*_, bwd, bwd_held)] = _tiled(q, k, v, do, cfg, capacity_bytes)
     return TrafficSummary(L, C, cfg, forward=fwd, backward=bwd, held=(fwd_held, bwd_held))
 
 
@@ -415,14 +407,14 @@ def run_bench(
 
     Timings (after one warm-up run) are informational. The run is planned first: ``_plan``'s
     rules and every footprint, then every (batch, heads, L, C) extent, are checked before any
-    input is made, even beside an empty list. The tiled path is ``_tiled``,
-    and its last run's passes are judged by ``_broken_claims``; a flash row merges their reports.
+    input is made, even beside an empty list. The tiled path is ``_tiled``, and its last
+    run's calls are judged by ``_broken_claims``; a flash row merges their reports.
     """
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
-    passes = ("forward", "backward") if pass_ == "fwd_bwd" else ("forward",)
+    passes = _PASSES if pass_ == "fwd_bwd" else _PASSES[:1]
     plan = _fitting(_plan(passes, [L], Cs, [r_value], elem_bytes, capacity_bytes), capacity_bytes)
     runs = [((b, heads, L, C), cfg) for b in dict.fromkeys(batches) for _, C, cfg, _ in plan]
     for shape in [shape for shape, _ in runs] + [(e,) for e in (*batches, heads)]:
@@ -434,16 +426,16 @@ def run_bench(
     for shape, cfg in runs:
         batch, C = shape[0], shape[3]
         rng = master.split()
-        q, k, v, do = (_rand(rng, shape) for _ in range(4))
+        q, k, v = (_rand(rng, shape) for _ in range(3))
+        do = _rand(rng, shape) if pass_ == "fwd_bwd" else None  # drawn after q, k and v
 
-        # Each pass's (report, held bytes) only: no output outlives its pass.
-        sl_do = do if pass_ == "fwd_bwd" else None
-        run = lambda: [p[1:] for p in _tiled(q, k, v, sl_do, cfg, capacity_bytes)]
+        # Each call's (pass, report, held bytes) only: no output outlives its call.
+        run = lambda: [(p, rep, n) for p, _, rep, n in _tiled(q, k, v, do, cfg, capacity_bytes)]
         flash_ns, ran = _median_ns(run, repeats)
-        naive_ns = _time_naive(q, k, v, do, pass_, repeats)
-        broken = _broken_claims(ran, batch * heads, L, C, cfg)
+        naive_ns = _time_naive(q, k, v, do, repeats)
+        broken = _broken_claims(ran, L, C, cfg)
         failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
-        merged = merge_reports(rep for rep, _ in ran)
+        merged = merge_reports(rep for _, rep, _ in ran)
         for impl, ns, peak, elements in (
             ("naive", naive_ns, 0, batch * heads * naive_total_elements(L, C, pass_)),
             ("flash", flash_ns, merged.peak_sram_bytes, merged.total_elements()),
@@ -455,34 +447,35 @@ def run_bench(
 
 
 def _tiled(q, k, v, do, cfg, capacity_bytes) -> Iterator[tuple]:
-    """The tiled path of every subcommand: the batched forward, then with ``do`` each backward.
-
-    Yields per pass its outputs, its report and the bytes it left held on the one arena: O,
-    then each (batch, head) slice's (dQ, dK, dV). A caller keeps only the outputs it needs.
+    """The tiled path of every subcommand: per (batch, head) slice, on one arena, its forward,
+    then with ``do`` its backward. Yields per call its pass, its outputs ([O] or [dQ, dK, dV]),
+    its report and the bytes it left held on the arena; a caller keeps the outputs it needs.
     """
-    arena = ScratchpadArena(capacity_bytes)  # holding nothing before the forward
-    out, contexts, fwd = batched_flash_forward(q, k, v, cfg, [arena])
-    yield out, fwd, arena.live_bytes
-    if do is not None:
-        for ctx, sl_do in zip((c for row in contexts for c in row), _slices(do)):
-            before = arena.live_bytes  # a leak is charged to the pass that made it
+    arena = ScratchpadArena(capacity_bytes)
+    for sq, sk, sv, sl_do in zip(*map(_slices, (q, k, v, do))):
+        before = arena.live_bytes  # a leak is charged to the call that made it
+        o, ctx, rep = flash_forward(sq, sk, sv, cfg, arena)
+        yield "forward", [o], rep, arena.live_bytes - before
+        if sl_do is not None:
+            before = arena.live_bytes
             *grads, rep = flash_backward(ctx, sl_do, arena)
-            yield grads, rep, arena.live_bytes - before
+            yield "backward", grads, rep, arena.live_bytes - before
 
 
-def _broken_claims(passes, windows, L, C, cfg) -> list[str]:
-    """Each pass's failed claims: traffic, peak (the forward as ``windows`` windows), held bytes."""
-    (fwd, fwd_held), *bwds = passes
-    runs = [("forward", fwd, windows, windows)] + [("backward", b, 1, len(bwds)) for b, _ in bwds]
-    held = {"forward": fwd_held, "backward": sum(n for _, n in bwds)}
-    claims = []
-    for pass_, rep, each, n in runs:
-        traffic_ok, peak_ok = _judge(rep, pass_, L, C, cfg, each)
-        if not traffic_ok:
-            claims.append(f"{pass_} loads or stores differ from {n} windows x the closed form")
-        if not peak_ok:
-            peak = _peak(pass_, L, C, cfg)
-            claims.append(f"{pass_} peak {rep.peak_sram_bytes} B differs from its formula {peak} B")
+def _broken_claims(calls, L, C, cfg) -> list[str]:
+    """Per pass, the failed claims of a list of (pass, report, held bytes) calls: in how many
+    windows (calls) the traffic is not the closed form, each peak that is not its formula;
+    then the bytes each pass's calls left held on the arena."""
+    claims, held = [], {}
+    for pass_ in _PASSES:
+        runs = [(rep, n, *_judge(rep, pass_, L, C, cfg)) for p, rep, n in calls if p == pass_]
+        if broken := sum(not traffic_ok for _, _, traffic_ok, _ in runs):
+            where = f"in {broken} of {len(runs)} windows"
+            claims.append(f"{pass_} loads or stores differ from the closed form {where}")
+        peak = _peak(pass_, L, C, cfg)
+        bad = [rep.peak_sram_bytes for rep, _, _, peak_ok in runs if not peak_ok]
+        claims += [f"{pass_} peak {n} B differs from its formula {peak} B" for n in bad]
+        held[pass_] = sum(n for _, n, _, _ in runs)
     claims += [f"{pass_} leaves {n} B live on the arena" for pass_, n in held.items() if n]
     return list(dict.fromkeys(claims))  # one line per distinct claim
 
@@ -498,18 +491,21 @@ def _median_ns(run: Callable[[], object], repeats: int) -> tuple[int, object]:
     return int(statistics.median(samples)), result
 
 
-def _time_naive(q, k, v, do, pass_, repeats):
+def _time_naive(q, k, v, do, repeats):
     def run() -> None:
-        for sq, sk, sv, sdo in zip(*(_slices(t) for t in (q, k, v, do))):
+        for sq, sk, sv, sdo in zip(*map(_slices, (q, k, v, do))):
             _, p = naive_forward(sq, sk, sv)
-            if pass_ == "fwd_bwd":
+            if sdo is not None:
                 naive_backward(sq, sk, sv, p, sdo)
 
     return _median_ns(run, repeats)[0]
 
 
-def _slices(t: DenseTensor) -> list[DenseTensor]:
-    """The (L, C) slices of a (batch, heads, L, C) tensor, in (batch, head) order; no copies."""
+def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
+    """The (L, C) slices of a (batch, heads, L, C) tensor, in (batch, head) order; no copies.
+    No tensor (None) has None for every slice."""
+    if t is None:
+        return repeat(None)
     return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[2:])]
 
 
@@ -532,11 +528,11 @@ def run_demo(
     """Partition -> per-window attention -> reverse walkthrough, as text, and the broken claims.
 
     Planned first: the geometry, the capacity and one window's forward fit precede the image.
-    The windows run through ``_tiled`` as one (N, 1, L, C) stack.
+    The windows run through ``_tiled`` as one (N, 1, L, C) stack, one forward call each.
     """
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     N, L = cfg.num_windows, cfg.seq_len
-    plan = _plan(("forward",), [L], [C], ["auto"], elem_bytes, capacity_bytes)
+    plan = _plan(_PASSES[:1], [L], [C], ["auto"], elem_bytes, capacity_bytes)
     [(_, _, tile, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     x = _rand(rng, (H, W, C))
@@ -545,9 +541,10 @@ def run_demo(
     roundtrip = max_abs_diff(x, window_reverse(windows, cfg))
 
     stacked = DenseTensor._adopt(windows.array.reshape(N, 1, L, C))
-    [(out, report, held)] = _tiled(stacked, stacked, stacked, None, tile, capacity_bytes)
-
-    o = DenseTensor._adopt(out.array.reshape(N, L, C))
+    calls = list(_tiled(stacked, stacked, stacked, None, tile, capacity_bytes))
+    o = DenseTensor._adopt(np.stack([out.array for _, [out], _, _ in calls]))
+    calls = [(pass_, rep, held) for pass_, _, rep, held in calls]  # no output kept twice
+    report = merge_reports(rep for _, rep, _ in calls)
     # The reference checks the windows in stacks bounded as the finite-difference oracle's are.
     step = _stack_len(L * max(L, C))
     part = lambda t, lo: DenseTensor._adopt(t.array[lo : lo + step])
@@ -559,13 +556,13 @@ def run_demo(
     lines = [
         f"image {H}x{W}x{C}, window {k}x{k} -> {N} windows of length {L}",
         f"round_trip_max_abs_diff: {roundtrip:g}",
-        f"attention output shape: {out.shape} -> image {image.shape}",
+        f"attention output shape: {stacked.shape} -> image {image.shape}",
         f"max oracle error over {N} windows: {oracle_err:.3e}",
         f"merged loads: {_fmt_counts(report.loads)}",
         f"merged stores: {_fmt_counts(report.stores)}",
         f"per-window peak: {report.peak_sram_bytes} B (forward formula {peak} B at r={tile.r})",
     ]
-    broken = _broken_claims([(report, held)], N, L, C, tile)
+    broken = _broken_claims(calls, L, C, tile)
     if not oracle_err <= ORACLE_TOL:
         broken.insert(0, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}")
     return "\n".join(lines) + "\n", broken

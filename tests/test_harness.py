@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -17,7 +18,6 @@ from flashwin import (
     TileConfig,
     TrafficReport,
     cli,
-    flash,
     harness,
     reference,
 )
@@ -110,7 +110,7 @@ class TestCheckSuite:
     def test_kernel_cases_share_one_reference_run_per_shape(self, monkeypatch):
         calls = []
         for module, name in ((harness, "naive_forward"), (harness, "naive_backward"),
-                             (flash, "flash_forward")):
+                             (harness, "flash_forward")):
 
             def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls.append((_name, args[0].shape))
@@ -392,7 +392,7 @@ class TestCli:
         assert "forward  peak: 769 B (formula 768 B," in out and "Q=129" in out
         assert out.endswith("match closed form: NO\n")
         assert err.splitlines() == [
-            "forward loads or stores differ from 1 windows x the closed form",
+            "forward loads or stores differ from the closed form in 1 of 1 windows",
             "forward peak 769 B differs from its formula 768 B",
         ]
 
@@ -656,13 +656,13 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: all extents must be >= 1, got {extents}\n")
 
     def test_check_exits_one_and_names_the_failing_cases(self, monkeypatch, capsys):
-        real = flash.flash_forward
+        real = harness.flash_forward
 
         def off_by_one_percent(*args):
             o, ctx, rep = real(*args)
             return DenseTensor._adopt(o.array * 1.01), ctx, rep
 
-        monkeypatch.setattr(flash, "flash_forward", off_by_one_percent)
+        monkeypatch.setattr(harness, "flash_forward", off_by_one_percent)
         assert main(["check", "--L", "2", "--C", "16", "--r", "1"]) == 1
         out, err = capsys.readouterr()
         assert out.endswith("7/8 cases passed\n")
@@ -703,13 +703,13 @@ class TestCli:
         assert err == f"failing cases: {', '.join(failing)}\n"
 
     def test_demo_prints_and_fails_a_nan_in_every_window(self, monkeypatch, capsys):
-        real = flash.flash_forward
+        real = harness.flash_forward
 
         def nan_in_o(*args):
             o, ctx, rep = real(*args)
             return self._nan_at_first_element(o), ctx, rep
 
-        monkeypatch.setattr(flash, "flash_forward", nan_in_o)
+        monkeypatch.setattr(harness, "flash_forward", nan_in_o)
         assert main(["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7", "--seed", "3"]) == 1
         out, err = capsys.readouterr()
         assert "max oracle error over 16 windows: nan\n" in out
@@ -718,7 +718,7 @@ class TestCli:
     @staticmethod
     def _break_flash_forward(monkeypatch):
         """Scale O by 1.01, count one more Q load and report a peak one byte high."""
-        real = flash.flash_forward
+        real = harness.flash_forward
 
         def broken(*args):
             o, ctx, rep = real(*args)
@@ -726,7 +726,7 @@ class TestCli:
             rep = TrafficReport(loads, rep.stores, rep.peak_sram_bytes + 1)
             return DenseTensor._adopt(o.array * 1.01), ctx, rep
 
-        monkeypatch.setattr(flash, "flash_forward", broken)
+        monkeypatch.setattr(harness, "flash_forward", broken)
 
     @staticmethod
     def _break_flash_backward(monkeypatch):
@@ -762,24 +762,100 @@ class TestCli:
             assert lines == ["failing cases: fwd_L4_C16_r1"]
             return
         assert lines[-2:] == [
-            f"{prefix}forward loads or stores differ from {windows} windows x the closed form",
+            f"{prefix}forward loads or stores differ from the closed form in {windows} of "
+            f"{windows} windows",
             f"{prefix}forward peak 577 B differs from its formula 576 B",
         ]
         assert len(lines) == 2 + (command == "demo")  # and the demo's oracle claim
+
+    @staticmethod
+    def _change_forward_reports(monkeypatch, change):
+        """Report ``change(i, report)`` from the i-th forward call the harness makes."""
+        real, calls = harness.flash_forward, itertools.count()
+
+        def changed(*args):
+            o, ctx, rep = real(*args)
+            return o, ctx, change(next(calls), rep)
+
+        monkeypatch.setattr(harness, "flash_forward", changed)
+
+    # One more Q load on even calls and one fewer on odd ones: the sum over the windows is
+    # the closed form, so only a judge of each call alone names it.
+    @pytest.mark.parametrize(
+        "argv, claim",
+        [(["demo", "--H", "28", "--W", "28"], "in 16 of 16 windows"),
+         (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16"],
+          "in 2 of 2 windows")],
+        ids=["demo", "bench"],
+    )
+    def test_a_traffic_skew_that_cancels_over_the_windows_fails(
+        self, monkeypatch, capsys, argv, claim
+    ):
+        def skew(i, rep):
+            return replace(rep, loads={**rep.loads, "Q": rep.loads["Q"] + (-1) ** i})
+
+        self._change_forward_reports(monkeypatch, skew)
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"forward loads or stores differ from the closed form {claim}")
+
+    def test_one_window_with_a_low_forward_peak_fails_the_demo(self, monkeypatch, capsys):
+        def low(i, rep):
+            return replace(rep, peak_sram_bytes=rep.peak_sram_bytes - 4 * (i == 5))
+
+        self._change_forward_reports(monkeypatch, low)
+        assert main(["demo", "--H", "28", "--W", "28"]) == 1
+        out, err = capsys.readouterr()
+        assert "per-window peak: 15876 B" in out  # the largest peak hides the low one
+        assert err == "forward peak 15872 B differs from its formula 15876 B\n"
+
+    # L=64, C=64, r=1: the forward needs 49152 B and fits; the backward needs 65536 B.
+    REFUSED_BACKWARD = ["check", "--L", "64", "--C", "64", "--r", "1", "--capacity-bytes", "50000"]
+
+    def test_check_judges_a_refused_backward_and_its_forward_on_one_run(
+        self, monkeypatch, capsys
+    ):
+        runs = []
+
+        def counted(*args, _real=harness._tiled):
+            runs.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(harness, "_tiled", counted)
+        assert main(self.REFUSED_BACKWARD) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert [(row[0], row[-1]) for row in rows if not row[0].startswith("roundtrip_")] == [
+            ("fwd_L64_C64_r1", "PASS"), ("capacity_bwd_L64_C64_r1", "PASS")
+        ]
+        assert len(runs) == 1
+
+    def test_a_forward_refused_where_only_the_backward_should_be_is_no_passing_case(
+        self, monkeypatch, capsys
+    ):
+        class Smaller(harness.ScratchpadArena):
+            def __init__(self, capacity_bytes):
+                super().__init__(capacity_bytes - 1000)  # 49000 B: the forward no longer fits
+
+        monkeypatch.setattr(harness, "ScratchpadArena", Smaller)
+        assert main(self.REFUSED_BACKWARD) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("forward pass needs 49152 bytes of scratchpad, arena has 49000 of "
+                            "49000 available\n")
 
     @pytest.mark.parametrize("command", TILED)
     def test_a_forward_that_leaves_bytes_held_fails_every_subcommand(
         self, monkeypatch, capsys, command
     ):
         argv, prefix, windows = self.TILED[command]
-        real = flash.flash_forward
+        real = harness.flash_forward
 
         def leaking(q, k, v, cfg, arena):
             result = real(q, k, v, cfg, arena)
             arena.allocate("leak", (1,), 4)  # never freed
             return result
 
-        monkeypatch.setattr(flash, "flash_forward", leaking)
+        monkeypatch.setattr(harness, "flash_forward", leaking)
         assert main(argv) == 1
         out, err = capsys.readouterr()
         if command == "check":  # the backward case, run after the leak, still passes
@@ -799,18 +875,18 @@ class TestCli:
         assert "Q=25104" in out and len(out.splitlines()) == len(good.out.splitlines())
         assert err.splitlines() == [
             "oracle error 9.997e-03 exceeds 1e-10",
-            "forward loads or stores differ from 16 windows x the closed form",
+            "forward loads or stores differ from the closed form in 16 of 16 windows",
             "forward peak 15877 B differs from its formula 15876 B",
         ]
 
-    FORWARD_CLAIMS = ["forward loads or stores differ from 2 windows x the closed form",
+    FORWARD_CLAIMS = ["forward loads or stores differ from the closed form in 2 of 2 windows",
                       "forward peak 1281 B differs from its formula 1280 B"]
-    BACKWARD_CLAIMS = ["backward loads or stores differ from 2 windows x the closed form",
+    BACKWARD_CLAIMS = ["backward loads or stores differ from the closed form in 2 of 2 windows",
                        "backward peak 1537 B differs from its formula 1536 B"]
 
-    # Each pass is judged on its own report, so the forward's extra byte shows in a fwd_bwd
-    # run too, although its merged peak is the backward's (1536 B). The backward count is
-    # the whole pass's: 2 windows, one call each.
+    # Each kernel call is judged on its own report, so the forward's extra byte shows in a
+    # fwd_bwd run too, although the merged peak is the backward's (1536 B). Each claim counts
+    # the pass's calls: 2 windows, one call each.
     @pytest.mark.parametrize(
         "pass_, broken, claims",
         [("fwd", "forward", FORWARD_CLAIMS), ("fwd_bwd", "forward", FORWARD_CLAIMS),
