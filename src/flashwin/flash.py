@@ -53,7 +53,7 @@ class TileConfig:
     elem_bytes: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.r, Integral) or self.r < 1:
+        if not isinstance(self.r, Integral) or isinstance(self.r, bool) or self.r < 1:
             raise InvalidRangeError(f"chunk count must be an integer >= 1, got {self.r}")
         _checked_elem_bytes(self.elem_bytes)
         AttnParams(scale=self.scale)  # validates the scale

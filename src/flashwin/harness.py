@@ -109,26 +109,29 @@ def _peak(pass_: str, L: int, C: int, cfg: TileConfig) -> int:
 def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
     """The (L, C, tiling, first of ``passes`` that does not fit or None) points of a run.
 
-    Every rule is applied before any input, in this order: the arena's capacity rule; the
-    tensor extent rule to each (L, C), then to each extent alone (an empty axis hides none);
-    TileConfig's chunk-count rule; the coverage rule, by which a chunk count above a C is
-    skipped for that C, but each count must tile some C and each C be tiled by some count;
-    and each pass's closed-form peak. Repeated values run once; points are in run order.
+    Every rule is applied before any input, in this order: the arena's capacity rule; at
+    least one value per axis; the tensor extent rule to each (L, C); TileConfig's chunk-count
+    rule; the coverage rule, by which a chunk count above a C is skipped for that C, but each
+    count must tile some C and each C be tiled by some count; and each pass's closed-form peak.
+    Repeated values run once; points are in run order.
     """
     capacity_bytes = _checked_capacity(capacity_bytes)
+    for axis, values in (("L", Ls), ("C", Cs), ("chunk count", r_values)):
+        if not values:
+            raise ShapeError(f"at least one {axis} is needed")
     Ls, Cs = list(dict.fromkeys(Ls)), list(dict.fromkeys(Cs))
-    for extent in [(L, C) for L in Ls for C in Cs] + [(e,) for e in (*Ls, *Cs)]:
+    for extent in [(L, C) for L in Ls for C in Cs]:
         _validated(extent)
     # Each chunk count's tiling of each C, made by TileConfig's rule.
     tiling = lambda r, C: TileConfig(resolve_r(r, C), elem_bytes=elem_bytes)
     tilings = [{C: tiling(r, C) for C in Cs} for r in r_values]
     for value, cfgs in zip(r_values, tilings):
-        if cfgs and all(cfg.r > C for C, cfg in cfgs.items()):
+        if all(cfg.r > C for C, cfg in cfgs.items()):
             where = f"every feature count {Cs}" if len(Cs) > 1 else f"feature count {Cs[0]}"
             raise ShapeError(f"chunk count {value} exceeds {where}")
     # Each C's tilings that fit it, one per distinct chunk count, in the order asked for.
     tiles = {C: list({t[C].r: t[C] for t in tilings if t[C].r <= C}.values()) for C in Cs}
-    for C in Cs if tilings else ():
+    for C in Cs:
         if not tiles[C]:
             tilings[0][C].chunk_width(C)  # raises the first count's refusal at this C
     return [
@@ -181,8 +184,6 @@ def run_check_suite(
     for every chunk count. The whole grid is planned before the first case runs.
     """
     points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
-    if not points:
-        return []
     results: list[SuiteResult] = []
     master = Rng(seed)
 
@@ -312,9 +313,7 @@ class _Reference:
 
 
 def render_suite_table(results: list[SuiteResult]) -> str:
-    """Fixed-width table, one line per case; deterministic for a given run."""
-    if not results:
-        return "0 cases (empty grid): vacuous pass\n"
+    """Fixed-width table, one line per case (a run has at least one); deterministic for a run."""
     width = max(len(r.case_id) for r in results)
     lines = [f"{'case':<{width}}  {'max_err':>10}  traffic  sram  status"]
     for r in results:
@@ -406,8 +405,8 @@ def run_bench(
     """Median-of-repeats timings for the untiled and tiled paths, and the broken claims.
 
     Timings (after one warm-up run) are informational. The run is planned first: ``_plan``'s
-    rules and every footprint, then every (batch, heads, L, C) extent, are checked before any
-    input is made, even beside an empty list. The tiled path is ``_tiled``, and its last
+    rules and every footprint, then at least one batch and every (batch, heads, L, C) extent,
+    are checked before any input is made. The tiled path is ``_tiled``, and its last
     run's calls are judged by ``_broken_claims``; a flash row merges their reports.
     """
     if repeats < 3:
@@ -416,9 +415,10 @@ def run_bench(
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
     passes = _PASSES if pass_ == "fwd_bwd" else _PASSES[:1]
     plan = _fitting(_plan(passes, [L], Cs, [r_value], elem_bytes, capacity_bytes), capacity_bytes)
-    runs = [((b, heads, L, C), cfg) for b in dict.fromkeys(batches) for _, C, cfg, _ in plan]
-    for shape in [shape for shape, _ in runs] + [(e,) for e in (*batches, heads)]:
-        _validated(shape)  # an empty list leaves the other extents out of runs
+    if not batches:
+        raise ShapeError("at least one batch is needed")
+    batches = list(dict.fromkeys(batches))  # a repeated batch runs once
+    runs = [(_validated((b, heads, L, C)), cfg) for b in batches for _, C, cfg, _ in plan]
     master = Rng(seed)
     rows: list[BenchRow] = []
     failed: list[str] = []

@@ -85,7 +85,7 @@ class TestTileConfig:
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidRangeError):
             TileConfig(r=0)
-        for r in (2.5, 2.0):  # not left to fail in chunk_spans' range()
+        for r in (2.5, 2.0, True):  # not left to fail in chunk_spans' range(), nor named rTrue
             with pytest.raises(InvalidRangeError, match=f"integer >= 1, got {r}$"):
                 TileConfig(r=r)
         with pytest.raises(InvalidRangeError, match="^elem_bytes must be 4 or 8, got 2$"):

@@ -54,9 +54,22 @@ class TestCheckSuite:
         results = run_check_suite(seed=31337, **SMALL_GRID)
         assert all(r.ok for r in results)
 
-    def test_empty_grid_is_a_vacuous_pass(self):
-        assert run_check_suite(seed=42, Ls=[], Cs=[16], r_values=[1]) == []
-        assert "vacuous" in render_suite_table([])
+    @pytest.mark.parametrize(
+        "Ls, Cs, r_values, elem_bytes, axis",
+        [([], [16], [1], 4, "L"), ([4], [], [1], 4, "C"), ([4], [16], [], 4, "chunk count"),
+         ([], [], [], 4, "L"), ([4], [], [1], 3, "C")],
+        ids=["L", "C", "r", "all", "C_beside_bad_elem_bytes"],
+    )
+    def test_an_empty_axis_is_refused_before_any_input(
+        self, monkeypatch, Ls, Cs, r_values, elem_bytes, axis
+    ):
+        # An empty grid runs no window, so passing it would vouch for no other value.
+        def no_inputs(*args):
+            raise AssertionError("inputs made for an empty grid")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        with pytest.raises(ShapeError, match=f"^at least one {axis} is needed$"):
+            run_check_suite(1, Ls, Cs, r_values, elem_bytes=elem_bytes)
 
     def test_oversized_sequence_becomes_expected_error_case(self):
         results = run_check_suite(seed=42, Ls=[1024], Cs=[32], r_values=[2])
@@ -276,6 +289,15 @@ class TestBench:
         keys = [(r.batch, r.heads, r.L, r.C, r.r, r.impl, r.pass_) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("heads", [1, 0])
+    def test_an_empty_batch_list_is_refused_before_any_input(self, monkeypatch, heads):
+        def no_inputs(*args):
+            raise AssertionError("inputs made for an empty batch list")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        with pytest.raises(ShapeError, match="^at least one batch is needed$"):
+            run_bench([], heads, 8, [16])
+
     def test_too_few_repeats_rejected(self):
         from flashwin import FlashwinError
 
@@ -369,9 +391,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cases passed" in out
 
-    def test_check_empty_grid_exits_zero(self, capsys):
-        assert main(["check", "--L", ""]) == 0
-        assert "0 cases" in capsys.readouterr().out
+    def test_check_refuses_an_empty_list(self, capsys):
+        assert main(["check", "--L", ""]) == 2
+        assert capsys.readouterr() == ("", "error: at least one L is needed\n")
 
     def test_check_output_is_byte_deterministic(self, capsys):
         main(["check", "--L", "2", "--C", "16", "--r", "2", "--seed", "5"])
@@ -468,29 +490,37 @@ class TestCli:
             (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "16,0"],
              "all extents must be >= 1, got (8, 0)"),
             (["demo", "--C", "0"], "all extents must be >= 1, got (224, 224, 0, 7)"),
-            # An empty list on one axis does not let a bad extent on another through.
-            (["check", "--L", "-3", "--C", "16", "--r", ""],
-             "all extents must be >= 1, got (-3, 16)"),
-            (["check", "--L", "0", "--C", ""], "all extents must be >= 1, got (0,)"),
-            (["bench", "--heads", "0", "--batch", ""], "all extents must be >= 1, got (0,)"),
-            (["bench", "--batch", "0", "--C", ""], "all extents must be >= 1, got (0,)"),
+            # An empty list is refused before a bad value on another axis.
+            (["check", "--L", "-3", "--C", "16", "--r", ""], "at least one chunk count is needed"),
+            (["check", "--L", "0", "--C", ""], "at least one C is needed"),
+            (["bench", "--heads", "0", "--batch", ""], "at least one batch is needed"),
+            (["bench", "--batch", "0", "--C", ""], "at least one C is needed"),
             # One coverage rule in every subcommand: every requested C is tiled by some
-            # chunk count, even beside an empty L list, and every count tiles some C.
+            # chunk count, and every count tiles some C.
             (["check", "--L", "4", "--C", "4,16", "--r", "8"],
              "chunk count 8 exceeds feature count 4"),
-            (["check", "--L", "", "--C", "4,16", "--r", "8"],
-             "chunk count 8 exceeds feature count 4"),
+            (["check", "--L", "", "--C", "4,16", "--r", "8"], "at least one L is needed"),
             (["check", "--L", "4", "--C", "4", "--r", "1,64"],
              "chunk count 64 exceeds feature count 4"),
             (["traffic", "--L", "4", "--C", "4", "--r", "64"],
              "chunk count 64 exceeds feature count 4"),
             (["bench", "--batch", "2", "--heads", "1", "--L", "8", "--C", "4,2", "--r", "64"],
              "chunk count 64 exceeds every feature count [4, 2]"),
+            # An empty list on its own, and beside a chunk count below 1.
+            (["check", "--L", ""], "at least one L is needed"),
+            (["check", "--C", ""], "at least one C is needed"),
+            (["check", "--r", ""], "at least one chunk count is needed"),
+            (["bench", "--batch", ""], "at least one batch is needed"),
+            (["bench", "--C", ""], "at least one C is needed"),
+            (["check", "--L", "4", "--C", "", "--r", "0"], "at least one C is needed"),
+            (["bench", "--C", "", "--r", "0"], "at least one C is needed"),
         ],
         ids=["check_capacity", "bench_batch0", "traffic_backward_fit", "demo_fit", "bench_C0",
              "demo_C0", "check_no_r", "check_no_C", "bench_no_batch", "bench_no_C",
              "check_untiled_C", "check_untiled_C_no_L", "check_count_tiles_no_C",
-             "traffic_count_tiles_no_C", "bench_count_tiles_no_C"],
+             "traffic_count_tiles_no_C", "bench_count_tiles_no_C", "check_empty_L",
+             "check_empty_C", "check_empty_r", "bench_empty_batch", "bench_empty_C",
+             "check_empty_C_r0", "bench_empty_C_r0"],
     )
     def test_every_refusal_comes_before_any_input(self, monkeypatch, capsys, argv, message):
         def no_work(*args, **kwargs):
@@ -639,21 +669,25 @@ class TestCli:
         assert "stale" not in path.read_text()
 
     @pytest.mark.parametrize(
-        "argv, extents",
-        [(["--L", "4", "--C", "0"], (4, 0)), (["--L", "4", "--C", "0,16"], (4, 0)),
-         (["--L", "0", "--C", "16"], (0, 16)), (["--L", "4,-2", "--C", "16"], (-2, 16)),
-         (["--L", "-3", "--C", "16", "--r", ""], (-3, 16)), (["--L", "0", "--C", ""], (0,))],
+        "argv, message",
+        [(["--L", "4", "--C", "0"], "all extents must be >= 1, got (4, 0)"),
+         (["--L", "4", "--C", "0,16"], "all extents must be >= 1, got (4, 0)"),
+         (["--L", "0", "--C", "16"], "all extents must be >= 1, got (0, 16)"),
+         (["--L", "4,-2", "--C", "16"], "all extents must be >= 1, got (-2, 16)"),
+         # An empty list is refused first.
+         (["--L", "-3", "--C", "16", "--r", ""], "at least one chunk count is needed"),
+         (["--L", "0", "--C", ""], "at least one C is needed")],
         ids=["C0", "C0_then_16", "L0", "L_negative", "L_negative_no_r", "L0_no_C"],
     )
     def test_check_refuses_extents_below_one_before_any_case(
-        self, monkeypatch, capsys, argv, extents
+        self, monkeypatch, capsys, argv, message
     ):
         def no_inputs(*args):
             raise AssertionError("a case ran before the grid was checked")
 
         monkeypatch.setattr(harness, "_rand", no_inputs)
         assert main(["check", *argv]) == 2
-        assert capsys.readouterr() == ("", f"error: all extents must be >= 1, got {extents}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_check_exits_one_and_names_the_failing_cases(self, monkeypatch, capsys):
         real = harness.flash_forward
