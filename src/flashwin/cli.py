@@ -8,19 +8,19 @@ run that exhausts host memory.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
+from dataclasses import astuple
 
 from .errors import FlashwinError
 from .harness import (
+    BENCH_COLUMNS,
     DEFAULT_SEED,
     render_suite_table,
-    render_traffic_text,
     run_bench,
     run_check_suite,
     run_demo,
     run_traffic,
-    write_bench_csv,
-    write_traffic_csv,
 )
 from .memory import DEFAULT_CAPACITY_BYTES, ELEM_BYTES
 
@@ -131,12 +131,17 @@ def cmd_check(args, out) -> int:
     return _verdict(["failing cases: " + ", ".join(failing)] if failing else [])
 
 
+def _write_csv(out, rows) -> None:
+    """The one CSV writer of ``bench`` and ``traffic``: ``rows`` (header first), one per line."""
+    csv.writer(out, lineterminator="\n").writerows(rows)
+
+
 def cmd_traffic(args, out) -> int:
-    summary = run_traffic(L=args.L, C=args.C, r_value=args.r, **_common(args))
-    sys.stdout.write(render_traffic_text(summary))
+    text, rows, failed = run_traffic(L=args.L, C=args.C, r_value=args.r, **_common(args))
+    sys.stdout.write(text)
     if out is not None:
-        write_traffic_csv(summary, out)
-    return _verdict(summary.failed)
+        _write_csv(out, rows)
+    return _verdict(failed)
 
 
 def cmd_bench(args, out) -> int:
@@ -150,7 +155,7 @@ def cmd_bench(args, out) -> int:
         repeats=args.repeats,
         **_common(args),
     )
-    write_bench_csv(rows, out or sys.stdout)
+    _write_csv(out or sys.stdout, [BENCH_COLUMNS, *map(astuple, rows)])
     return _verdict(failed)
 
 

@@ -8,20 +8,20 @@ identical seeds and grids produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import groupby, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from numbers import Integral
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, FlashwinError, ShapeError
 from .flash import TileConfig, flash_backward, flash_forward, peak_sram_backward, peak_sram_forward
-from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, TrafficReport, merge_reports
+from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, merge_reports
 from .memory import _checked_capacity  # the arena's capacity rule, without an arena
 from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
 from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff
@@ -119,9 +119,9 @@ def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
     for axis, values in (("L", Ls), ("C", Cs), ("chunk count", r_values)):
         if not values:
             raise ShapeError(f"at least one {axis} is needed")
-    Ls, Cs = list(dict.fromkeys(Ls)), list(dict.fromkeys(Cs))
     for extent in [(L, C) for L in Ls for C in Cs]:
-        _validated(extent)
+        _validated(extent)  # before repeats go, so 1 cannot hide a True, nor 2 a 2.0
+    Ls, Cs = list(dict.fromkeys(Ls)), list(dict.fromkeys(Cs))
     # Each chunk count's tiling of each C, made by TileConfig's rule.
     tiling = lambda r, C: TileConfig(resolve_r(r, C), elem_bytes=elem_bytes)
     tilings = [{C: tiling(r, C) for C in Cs} for r in r_values]
@@ -328,24 +328,6 @@ def render_suite_table(results: list[SuiteResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class TrafficSummary:
-    """One instrumented forward and backward run at (L, C) under ``cfg``."""
-
-    L: int
-    C: int
-    cfg: TileConfig
-    forward: TrafficReport
-    backward: TrafficReport
-    held: tuple[int, int]  # the bytes each pass left held on the arena
-
-    @property
-    def failed(self) -> list[str]:
-        """The broken claims of both calls, as bench and demo name theirs."""
-        calls = list(zip(_PASSES, (self.forward, self.backward), self.held))
-        return _broken_claims(calls, self.L, self.C, self.cfg)
-
-
 def run_traffic(
     L: int,
     C: int,
@@ -353,41 +335,33 @@ def run_traffic(
     elem_bytes: int,
     seed: int = DEFAULT_SEED,
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
-) -> TrafficSummary:
-    """One window's forward and backward through the tiled path (``_tiled``), planned first."""
+) -> tuple[str, list[list], list[str]]:
+    """One window's forward and backward through the tiled path (``_tiled``), planned first:
+    the report as text, its per-operand CSV rows (header first), and the broken claims."""
     plan = _plan(_PASSES, [L], [C], [r_value], elem_bytes, capacity_bytes)
     [(_, _, cfg, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     q, k, v, do = (_rand(rng, (1, 1, L, C)) for _ in range(4))
-    [(*_, fwd, fwd_held), (*_, bwd, bwd_held)] = _tiled(q, k, v, do, cfg, capacity_bytes)
-    return TrafficSummary(L, C, cfg, forward=fwd, backward=bwd, held=(fwd_held, bwd_held))
-
-
-def render_traffic_text(s: TrafficSummary) -> str:
-    fwd, bwd = (_peak(pass_, s.L, s.C, s.cfg) for pass_ in ("forward", "backward"))
-    lines = [
-        f"shape L={s.L} C={s.C} r={s.cfg.r} elem_bytes={s.cfg.elem_bytes}",
-        f"forward  peak: {s.forward.peak_sram_bytes} B (formula {fwd} B, {fwd / 1000:.3f} kB)",
-        f"backward peak: {s.backward.peak_sram_bytes} B (formula {bwd} B, {bwd / 1000:.3f} kB)",
-        f"forward  loads: {_fmt_counts(s.forward.loads)}",
-        f"forward  stores: {_fmt_counts(s.forward.stores)}",
-        f"backward loads: {_fmt_counts(s.backward.loads)}",
-        f"backward stores: {_fmt_counts(s.backward.stores)}",
-        f"instrumented counts match closed form: {'NO' if s.failed else 'yes'}",
-    ]
-    return "\n".join(lines) + "\n"
+    calls = [(pass_, rep, held) for pass_, _, rep, held in _tiled(q, k, v, do, cfg, capacity_bytes)]
+    failed = _broken_claims(calls, L, C, cfg)
+    lines = [f"shape L={L} C={C} r={cfg.r} elem_bytes={cfg.elem_bytes}"]
+    for pass_, rep, _ in calls:
+        peak = _peak(pass_, L, C, cfg)
+        formula = f"formula {peak} B, {peak / 1000:.3f} kB"
+        lines.append(f"{pass_:<8} peak: {rep.peak_sram_bytes} B ({formula})")
+    for pass_, rep, _ in calls:
+        lines.append(f"{pass_:<8} loads: {_fmt_counts(rep.loads)}")
+        lines.append(f"{pass_:<8} stores: {_fmt_counts(rep.stores)}")
+    lines.append(f"instrumented counts match closed form: {'NO' if failed else 'yes'}")
+    rows = [["pass", "operand", "loads", "stores"]]
+    for short, (_, rep, _) in zip(("fwd", "bwd"), calls):
+        for name in sorted(set(rep.loads) | set(rep.stores)):
+            rows.append([short, name, rep.loads.get(name, 0), rep.stores.get(name, 0)])
+    return "\n".join(lines) + "\n", rows, failed
 
 
 def _fmt_counts(counts: dict[str, int]) -> str:
     return ", ".join(f"{name}={n}" for name, n in sorted(counts.items()))
-
-
-def write_traffic_csv(s: TrafficSummary, out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["pass", "operand", "loads", "stores"])
-    for pass_, rep in (("fwd", s.forward), ("bwd", s.backward)):
-        for name in sorted(set(rep.loads) | set(rep.stores)):
-            writer.writerow([pass_, name, rep.loads.get(name, 0), rep.stores.get(name, 0)])
 
 
 def run_bench(
@@ -409,6 +383,8 @@ def run_bench(
     are checked before any input is made. The tiled path is ``_tiled``, and its last
     run's calls are judged by ``_broken_claims``; a flash row merges their reports.
     """
+    if not isinstance(repeats, Integral):
+        raise FlashwinError(f"repeats must be an integer, got {repeats!r}")
     if repeats < 3:
         raise FlashwinError(f"repeats must be >= 3, got {repeats}")
     if pass_ not in ("fwd", "fwd_bwd"):
@@ -417,14 +393,14 @@ def run_bench(
     plan = _fitting(_plan(passes, [L], Cs, [r_value], elem_bytes, capacity_bytes), capacity_bytes)
     if not batches:
         raise ShapeError("at least one batch is needed")
-    batches = list(dict.fromkeys(batches))  # a repeated batch runs once
+    # Every extent is checked before a repeated batch is dropped (it runs once).
     runs = [(_validated((b, heads, L, C)), cfg) for b in batches for _, C, cfg, _ in plan]
     master = Rng(seed)
     rows: list[BenchRow] = []
     failed: list[str] = []
 
-    for shape, cfg in runs:
-        batch, C = shape[0], shape[3]
+    for shape, cfg in dict.fromkeys(runs):
+        batch, heads, L, C = shape
         rng = master.split()
         q, k, v = (_rand(rng, shape) for _ in range(3))
         do = _rand(rng, shape) if pass_ == "fwd_bwd" else None  # drawn after q, k and v
@@ -507,13 +483,6 @@ def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
     if t is None:
         return repeat(None)
     return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[2:])]
-
-
-def write_bench_csv(rows: Sequence[BenchRow], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(BENCH_COLUMNS)
-    for row in rows:
-        writer.writerow(astuple(row))
 
 
 def run_demo(

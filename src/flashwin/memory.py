@@ -70,16 +70,17 @@ class ScratchpadArena:
     def kernel_call(self, kind: str, need: int) -> Iterator[Callable[[], TrafficReport | None]]:
         """Scope of one kernel call that needs ``need`` bytes at its peak.
 
-        Raises :class:`CapacityError` before anything is allocated when
-        ``need`` exceeds the bytes free on entry. Yields a function giving
-        the call's report once the call has ended (None before): its loads
-        and stores, and its peak above the entry live bytes. A failed call
-        leaves the arena exactly as it was on entry: on any exception the
-        live bytes and the held buffers go back to their entry state (a
-        buffer allocated inside is no longer held; one freed inside is held
-        again) and no report is made. One call runs on an arena at a time:
-        entering a second one raises :class:`FlashwinError`, with the
-        running call's ledger and the live bytes untouched.
+        Raises :class:`CapacityError` before anything is allocated when ``need``
+        exceeds the bytes free on entry, so a refused call also allocates no
+        host memory: its L x L score buffers are never made. Yields a function
+        giving the call's report once the call has ended (None before): its
+        loads and stores, and its peak above the entry live bytes. A failed call
+        leaves the arena exactly as it was on entry: on any exception the live
+        bytes and the held buffers go back to their entry state (a buffer
+        allocated inside is no longer held; one freed inside is held again) and
+        no report is made. One call runs on an arena at a time: entering a
+        second one raises :class:`FlashwinError`, with the running call's ledger
+        and the live bytes untouched.
         """
         if self._in_call:
             raise FlashwinError(f"{kind} pass entered while another kernel call runs on the arena")

@@ -8,6 +8,7 @@ in 64-bit throughout.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, shape: Sequence[int], data: np.ndarray):
-        shape = _validated(tuple(int(e) for e in shape))
+        shape = _validated(shape)
         array = np.array(data, dtype=np.float64, order="C")
         if array.size != math.prod(shape):
             raise ShapeError(
@@ -133,18 +134,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _validated(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """``shape`` itself, once it has 1..4 axes and every extent is >= 1."""
+def _validated(shape: Sequence[int]) -> tuple[int, ...]:
+    """``shape`` as a tuple of Python ints, once it has 1..4 axes and every extent is an
+    integer >= 1. A float, bool or string extent is refused, never truncated."""
+    shape = tuple(shape)
     if not shape or len(shape) > _MAX_AXES:
         raise ShapeError(f"shape must have 1..{_MAX_AXES} axes, got {shape}")
-    if any(e < 1 for e in shape):
+    for e in shape:
+        if type(e) is not int:  # arrays' shapes never get here: their extents are ints
+            if not all(isinstance(e, Integral) and not isinstance(e, bool) for e in shape):
+                raise ShapeError(f"extents must be integers, got {shape}")
+            return _validated(map(int, shape))  # numpy integers, as Python ints
+    if min(shape) < 1:
         raise ShapeError(f"all extents must be >= 1, got {shape}")
     return shape
 
 
 def zeros(shape: Sequence[int]) -> DenseTensor:
     """All-zero tensor of the given shape."""
-    shape = _validated(tuple(int(e) for e in shape))
+    shape = _validated(shape)
     return DenseTensor._adopt(np.zeros(shape))
 
 
@@ -160,7 +168,7 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
     tensor adopts without a copy; so peak memory is the output plus two
     blocks, whatever the size.
     """
-    shape = _validated(tuple(int(e) for e in shape))
+    shape = _validated(shape)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidRangeError(f"need lo < hi, got lo={lo}, hi={hi}")
     width = hi - lo

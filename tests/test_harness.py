@@ -1,24 +1,28 @@
 """Harness behavior: suite determinism, CSV schema, CLI exit codes."""
 
 import csv
-import io
 import itertools
+import re
 import math
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
 from flashwin import (
     DenseTensor,
+    FlashwinError,
     InvalidRangeError,
     NumericsError,
     ShapeError,
     TileConfig,
     TrafficReport,
+    WindowConfig,
     cli,
     harness,
+    peak_sram_forward,
     reference,
 )
 from flashwin.cli import main
@@ -26,14 +30,11 @@ from flashwin.harness import (
     BENCH_COLUMNS,
     naive_total_elements,
     render_suite_table,
-    render_traffic_text,
     resolve_r,
     run_bench,
     run_check_suite,
     run_demo,
     run_traffic,
-    write_bench_csv,
-    write_traffic_csv,
 )
 
 SMALL_GRID = dict(Ls=[2, 8], Cs=[16], r_values=[1, 2, "auto"])
@@ -214,33 +215,21 @@ class TestCheckSuite:
 
 class TestTraffic:
     def test_summary_matches_closed_forms(self):
-        s = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
-        assert s.forward.peak_sram_bytes == 24576
-        assert s.backward.peak_sram_bytes == 40960
-        assert s.failed == []
-
-    def test_summary_derives_its_peak_formulas_from_its_config(self):
-        s = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
-        assert s.cfg == TileConfig(r=4, elem_bytes=4)
-        # Two chunks are 32 wide, so the formulas no longer equal the r=4 run's peaks.
-        wider = replace(s, cfg=TileConfig(r=2, elem_bytes=4))
-        assert wider.failed == [
-            "forward peak 24576 B differs from its formula 32768 B",
-            "backward peak 40960 B differs from its formula 49152 B",
-        ]
-        assert "r=2 elem_bytes=4" in render_traffic_text(wider)
-        assert "(formula 32768 B," in render_traffic_text(wider)
+        text, _, failed = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
+        assert text.startswith("shape L=64 C=64 r=4 elem_bytes=4\n")
+        assert "forward  peak: 24576 B (formula 24576 B," in text
+        assert "backward peak: 40960 B (formula 40960 B," in text
+        assert failed == []
 
     def test_text_reports_peaks(self):
-        text = render_traffic_text(run_traffic(L=64, C=64, r_value=4, elem_bytes=4))
+        text, _, _ = run_traffic(L=64, C=64, r_value=4, elem_bytes=4)
         assert "24576" in text and "40960" in text
         assert "match closed form: yes" in text
 
     def test_csv_has_one_row_per_operand(self):
-        buf = io.StringIO()
-        write_traffic_csv(run_traffic(L=8, C=16, r_value=2, elem_bytes=4), buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        _, rows, _ = run_traffic(L=8, C=16, r_value=2, elem_bytes=4)
         assert rows[0] == ["pass", "operand", "loads", "stores"]
+        assert ["fwd", "Q", 128, 0] in rows and ["bwd", "dQ", 0, 128] in rows
         fwd = [r for r in rows[1:] if r[0] == "fwd"]
         bwd = [r for r in rows[1:] if r[0] == "bwd"]
         assert {r[1] for r in fwd} == {"Q", "K", "V", "O"}
@@ -253,18 +242,21 @@ class TestBench:
         assert len(rows) == 2
         assert {r.impl for r in rows} == {"naive", "flash"}
 
-    def test_csv_schema_and_round_trip(self):
-        rows, _ = run_bench(batches=[2], heads=2, L=16, Cs=[16], repeats=3)
-        buf = io.StringIO()
-        write_bench_csv(rows, buf)
-        parsed = list(csv.reader(io.StringIO(buf.getvalue())))
+    def test_csv_schema_and_round_trip(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        args = ["--batch", "2", "--heads", "2", "--L", "16", "--C", "16", "--out", str(path)]
+        assert main(["bench", *args]) == 0
+        parsed = list(csv.reader(path.read_text().splitlines()))
         assert parsed[0] == BENCH_COLUMNS
         assert ",".join(BENCH_COLUMNS) == (
             "batch,heads,L,C,r,impl,pass,elapsed_ns,peak_sram_bytes,total_global_elements"
         )
+        rows, _ = run_bench(batches=[2], heads=2, L=16, Cs=[16], repeats=3)
         assert len(parsed) == 3
         for raw, row in zip(parsed[1:], rows):
-            assert raw == [str(x) for x in astuple(row)]
+            # Every field but the timed elapsed_ns, as str() prints it.
+            want = [str(x) for x in astuple(row)]
+            assert raw[:7] + raw[8:] == want[:7] + want[8:] and int(raw[7]) > 0
 
     def test_flash_forward_traffic_is_4lc_per_slice(self):
         rows, failed = run_bench(batches=[3], heads=2, L=8, Cs=[16], repeats=3)
@@ -299,10 +291,55 @@ class TestBench:
             run_bench([], heads, 8, [16])
 
     def test_too_few_repeats_rejected(self):
-        from flashwin import FlashwinError
-
-        with pytest.raises(FlashwinError):
+        with pytest.raises(FlashwinError, match=r"^repeats must be >= 3, got 2$"):
             run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=2)
+
+    def test_a_repeat_count_that_is_not_an_integer_is_refused(self):
+        # It used to die in range() with a bare TypeError.
+        with pytest.raises(FlashwinError, match=r"^repeats must be an integer, got 3\.5$"):
+            run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=3.5)
+
+
+class TestExtents:
+    """Every run's extents are integers >= 1: a float, bool or string is refused, not run."""
+
+    RUNS = {
+        # name: (the call with ``bad`` as one extent, the first extent that holds it)
+        "WindowConfig": (lambda bad: WindowConfig(H=14, W=14, C=bad, k=7), (14, 14, "?", 7)),
+        "check_L": (lambda bad: run_check_suite(1, [1, 2, bad], [16], [1]), ("?", 16)),
+        "check_C": (lambda bad: run_check_suite(1, [2], [1, 2, bad], [1]), (2, "?")),
+        "bench_heads": (lambda bad: run_bench([2], bad, 8, [16]), (2, "?", 8, 16)),
+        "bench_batches": (lambda bad: run_bench([1, 2, bad], 1, 8, [16]), ("?", 1, 8, 16)),
+        "bench_L": (lambda bad: run_bench([2], 1, bad, [16]), ("?", 16)),
+        "traffic_L": (lambda bad: run_traffic(bad, 16, 1, 4), ("?", 16)),
+        "traffic_C": (lambda bad: run_traffic(8, bad, 1, 4), (8, "?")),
+        "peak_sram_forward": (lambda bad: peak_sram_forward(bad, 16, TileConfig(1)), ("?", 16)),
+    }
+
+    # 1 would hide True and 2 would hide 2.0 if repeats were dropped before the check.
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "8", np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_a_non_integer_extent_is_refused_before_any_input(self, monkeypatch, name, bad):
+        def no_inputs(*args):
+            raise AssertionError("inputs made for a non-integer extent")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        run, extent = self.RUNS[name]
+        shape = tuple(bad if e == "?" else e for e in extent)
+        message = f"extents must be integers, got {shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            run(bad)
+
+    def test_numpy_integer_extents_give_the_same_bytes(self):
+        i = np.int64
+        assert run_traffic(i(8), i(16), 2, 4) == run_traffic(8, 16, 2, 4)
+        assert run_demo(i(14), i(14), i(16), i(7)) == run_demo(14, 14, 16, 7)
+        check = lambda Ls, Cs: render_suite_table(run_check_suite(1, Ls, Cs, [1, 2]))
+        assert check([i(2), i(8)], [i(16)]) == check([2, 8], [16])
+        untimed = lambda rows: [astuple(row)[:7] + astuple(row)[8:] for row in rows]
+        [got, want] = [run_bench([b(2)], b(2), b(8), [b(16)])[0] for b in (i, int)]
+        assert untimed(got) == untimed(want)
+        assert all(type(e) is int for row in got for e in astuple(row)[:5])
 
 
 class TestHelpers:
@@ -405,7 +442,25 @@ class TestCli:
         assert main(["traffic", "--L", "64", "--C", "64", "--r", "4"]) == 0
         out = capsys.readouterr().out
         assert "24576" in out and "pass,operand,loads,stores" not in out
-        assert out == render_traffic_text(run_traffic(L=64, C=64, r_value=4, elem_bytes=4))
+        assert out == run_traffic(L=64, C=64, r_value=4, elem_bytes=4)[0]
+
+    def test_traffic_judges_its_calls_once(self, monkeypatch, capsys):
+        judged = []
+        judge = harness._broken_claims
+        monkeypatch.setattr(harness, "_broken_claims", lambda *a: judged.append(a) or judge(*a))
+        assert main(["traffic", "--L", "8", "--C", "16", "--r", "2"]) == 0
+        assert len(judged) == 1
+
+    def test_traffic_judges_each_peak_against_the_formula_it_prints(self, monkeypatch, capsys):
+        # The formulas are read when the run is judged, so a patched one is both printed and used.
+        formula = harness.peak_sram_forward
+        monkeypatch.setattr(harness, "peak_sram_forward", lambda *a: formula(*a) + 1)
+        assert main(["traffic", "--L", "64", "--C", "64", "--r", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("shape L=64 C=64 r=4 elem_bytes=4\n")
+        assert "forward  peak: 24576 B (formula 24577 B," in out
+        assert out.endswith("match closed form: NO\n")
+        assert err == "forward peak 24576 B differs from its formula 24577 B\n"
 
     def test_traffic_mismatch_exits_one(self, monkeypatch, capsys):
         self._break_flash_forward(monkeypatch)

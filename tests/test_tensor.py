@@ -1,5 +1,6 @@
 """Tensor substrate: creation, deterministic filling, matmul, comparison."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,35 @@ def test_no_view_of_a_tensor_can_be_made_writeable(make):
         with pytest.raises(ValueError):
             view.setflags(write=True)
     assert np.array_equal(t.array, before)
+
+
+class TestExtents:
+    """One count rule: every extent is an integer >= 1; others are refused, never truncated."""
+
+    @pytest.mark.parametrize(
+        "shape", [(2.5, 3), (2.9,), (2.0, 3), (True, 3), (2, False), ("3",), (np.float64(2), 3)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("make", ["fill_uniform", "zeros", "DenseTensor"])
+    def test_a_non_integer_extent_is_refused(self, make, shape):
+        rng = Rng(3)
+        build = {
+            "fill_uniform": lambda: fill_uniform(rng, shape, -1.0, 1.0),
+            "zeros": lambda: zeros(shape),
+            "DenseTensor": lambda: DenseTensor(shape, np.zeros(6)),
+        }[make]
+        message = f"extents must be integers, got {tuple(shape)}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            build()
+        assert rng.next_u64() == Rng(3).next_u64()  # no draw was taken
+
+    def test_numpy_integer_extents_act_as_python_ints(self):
+        shape = (np.int64(3), np.int32(5))
+        a, b = Rng(9), Rng(9)
+        got, want = fill_uniform(a, shape, -1.0, 1.0), fill_uniform(b, (3, 5), -1.0, 1.0)
+        assert got.array.tobytes() == want.array.tobytes()
+        assert a.next_u64() == b.next_u64()
+        assert zeros(shape).shape == DenseTensor(shape, np.zeros(15)).shape == (3, 5)
 
 
 class TestFillUniform:
