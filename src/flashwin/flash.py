@@ -15,6 +15,10 @@ They only compute: the arena allocates, loads, stores and reports, and
 every on-chip buffer is a plain float64 array that the arena holds from
 ``allocate`` or ``load`` until ``free``.
 
+One driver, ``_slice_calls``, runs every (batch, heads, L, C) stack, one window
+per kernel call on one arena: the harness's tiled path for all four
+subcommands, and ``batched_flash_forward`` for the benchmark's workloads.
+
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
 features in the widest chunk):
@@ -33,8 +37,9 @@ features in the widest chunk):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,45 +235,56 @@ def batched_flash_forward(
     cfg: TileConfig,
     arenas: Sequence[ScratchpadArena],
 ) -> tuple[DenseTensor, list[list[FlashContext]], TrafficReport]:
-    """Run the forward kernel independently over every (batch, head) slice.
+    """Run the forward kernel over every (batch, head) slice on the one arena in ``arenas``.
 
-    Slices run one after another in (batch, head) order and are assigned
-    round-robin to ``arenas``, so each arena models one window's scratchpad
-    at a time. Counts are summed over slices and the peak is the largest
-    per-arena peak. Each slice's context holds read-only views of ``q``/
-    ``k``/``v``, not copies. Failures are re-raised annotated with the
-    (batch, head) of the offending slice. Nothing in the package calls it:
-    the harness runs and judges each slice's ``flash_forward`` call alone;
-    it is kept for the benchmark's workloads, which call it by name.
+    Collects the forward calls of ``_slice_calls``, as the harness does. Counts are summed
+    over slices and the peak is the largest per-call peak. Each slice's context holds
+    read-only views of ``q``/``k``/``v``, not copies. Failures are re-raised annotated with
+    the (batch, head) of the offending slice. The benchmark's workloads call it by name.
     """
     if q.ndim != 4 or not (q.shape == k.shape == v.shape):
         raise ShapeError(
             f"batched Q/K/V must share a 4-D shape, got {q.shape}, {k.shape}, {v.shape}"
         )
-    if not arenas:
-        raise InvalidRangeError("at least one arena is required")
+    if len(arenas) != 1:
+        raise InvalidRangeError(f"exactly one arena is required, got {len(arenas)}")
+    [arena] = arenas
     B, h, L, C = q.shape
-    qa, ka, va = q.array, k.array, v.array
-    out = np.empty((B, h, L, C), dtype=np.float64)
+    out = np.empty((B * h, L, C), dtype=np.float64)
     contexts: list[list[FlashContext]] = [[] for _ in range(B)]
     reports: list[TrafficReport] = []
-    for idx in range(B * h):
-        b, head = divmod(idx, h)
-        try:
-            o, sl_ctx, rep = flash_forward(
-                DenseTensor._adopt(qa[b, head]),
-                DenseTensor._adopt(ka[b, head]),
-                DenseTensor._adopt(va[b, head]),
-                cfg,
-                arenas[idx % len(arenas)],
-            )
-        except FlashwinError as exc:
-            raise type(exc)(f"slice (b={b}, head={head}): {exc}") from exc
-        out[b, head] = o.array
-        contexts[b].append(sl_ctx)
-        reports.append(rep)
+    try:
+        for _, [o], ctx, rep, _ in _slice_calls(q, k, v, None, cfg, arena):
+            out[len(reports)] = o.array  # no slice's output outlives its call
+            contexts[len(reports) // h].append(ctx)
+            reports.append(rep)
+    except FlashwinError as exc:
+        b, head = divmod(len(reports), h)
+        raise type(exc)(f"slice (b={b}, head={head}): {exc}") from exc
 
-    return DenseTensor._adopt(out), contexts, merge_reports(reports)
+    return DenseTensor._adopt(out.reshape(B, h, L, C)), contexts, merge_reports(reports)
+
+
+def _slice_calls(q, k, v, do, cfg, arena) -> Iterator[tuple]:
+    """Per (batch, head) slice, in order on ``arena``, its forward call, then given ``do`` its
+    backward call. Yields per call its pass, outputs ([O] or [dQ, dK, dV]), context, report
+    and the bytes it left held on the arena; a caller keeps what it needs."""
+    for sq, sk, sv, sl_do in zip(*map(_slices, (q, k, v, do))):
+        before = arena.live_bytes  # a leak is charged to the call that made it
+        o, ctx, rep = flash_forward(sq, sk, sv, cfg, arena)
+        yield "forward", [o], ctx, rep, arena.live_bytes - before
+        if sl_do is not None:
+            before = arena.live_bytes
+            *grads, rep = flash_backward(ctx, sl_do, arena)
+            yield "backward", grads, ctx, rep, arena.live_bytes - before
+
+
+def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
+    """The (L, C) slices of a (batch, heads, L, C) tensor, in (batch, head) order; no copies.
+    No tensor (None) has None for every slice."""
+    if t is None:
+        return repeat(None)
+    return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[2:])]
 
 
 def _check_qkv_2d(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, int]:

@@ -13,14 +13,14 @@ import statistics
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import groupby
 from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, FlashwinError, ShapeError
-from .flash import TileConfig, flash_backward, flash_forward, peak_sram_backward, peak_sram_forward
+from .flash import TileConfig, _slice_calls, _slices, peak_sram_backward, peak_sram_forward
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, merge_reports
 from .memory import _checked_capacity  # the arena's capacity rule, without an arena
 from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
@@ -423,19 +423,10 @@ def run_bench(
 
 
 def _tiled(q, k, v, do, cfg, capacity_bytes) -> Iterator[tuple]:
-    """The tiled path of every subcommand: per (batch, head) slice, on one arena, its forward,
-    then with ``do`` its backward. Yields per call its pass, its outputs ([O] or [dQ, dK, dV]),
-    its report and the bytes it left held on the arena; a caller keeps the outputs it needs.
-    """
-    arena = ScratchpadArena(capacity_bytes)
-    for sq, sk, sv, sl_do in zip(*map(_slices, (q, k, v, do))):
-        before = arena.live_bytes  # a leak is charged to the call that made it
-        o, ctx, rep = flash_forward(sq, sk, sv, cfg, arena)
-        yield "forward", [o], rep, arena.live_bytes - before
-        if sl_do is not None:
-            before = arena.live_bytes
-            *grads, rep = flash_backward(ctx, sl_do, arena)
-            yield "backward", grads, rep, arena.live_bytes - before
+    """The tiled path of every subcommand: ``_slice_calls`` on an arena built through this
+    module's ``ScratchpadArena``. Yields per call its pass, outputs, report and held bytes."""
+    calls = _slice_calls(q, k, v, do, cfg, ScratchpadArena(capacity_bytes))
+    return ((pass_, outputs, rep, held) for pass_, outputs, _, rep, held in calls)
 
 
 def _broken_claims(calls, L, C, cfg) -> list[str]:
@@ -475,14 +466,6 @@ def _time_naive(q, k, v, do, repeats):
                 naive_backward(sq, sk, sv, p, sdo)
 
     return _median_ns(run, repeats)[0]
-
-
-def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
-    """The (L, C) slices of a (batch, heads, L, C) tensor, in (batch, head) order; no copies.
-    No tensor (None) has None for every slice."""
-    if t is None:
-        return repeat(None)
-    return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[2:])]
 
 
 def run_demo(

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,6 +49,8 @@ def _checked_elem_bytes(elem_bytes) -> int:
 
 def _checked_capacity(capacity_bytes) -> int:
     """``capacity_bytes`` as an int; :class:`CapacityError` unless it is a whole number >= 0."""
+    if not isinstance(capacity_bytes, Real) or isinstance(capacity_bytes, bool):
+        raise CapacityError(f"capacity must be a number, got {capacity_bytes!r}")
     if not (capacity_bytes >= 0 and capacity_bytes % 1 == 0):  # refuses nan and inf too
         raise CapacityError(f"capacity must be >= 0 and an integer, got {capacity_bytes}")
     return int(capacity_bytes)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -31,8 +32,12 @@ class AttnParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise InvalidRangeError(f"scale must be finite and > 0, got {self.scale}")
+        # A Fraction is real too, but numpy cannot scale a float64 array by it in place.
+        scale = self.scale
+        if not isinstance(scale, (Integral, float, np.floating)) or isinstance(scale, bool):
+            raise InvalidRangeError(f"scale must be an integer or a float, got {scale!r}")
+        if not math.isfinite(scale) or scale <= 0:
+            raise InvalidRangeError(f"scale must be finite and > 0, got {scale}")
 
 
 # Largest number of float64 elements in one stacked array of the reference

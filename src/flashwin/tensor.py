@@ -105,6 +105,8 @@ class Rng:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
+        if not isinstance(seed, Integral) or isinstance(seed, bool):
+            raise InvalidRangeError(f"seed must be an integer, got {seed!r}")
         self._state = int(seed) & _MASK
 
     def next_u64(self) -> int:

@@ -21,6 +21,7 @@ from flashwin import (
     TrafficReport,
     WindowConfig,
     cli,
+    flash,
     harness,
     peak_sram_forward,
     reference,
@@ -124,7 +125,7 @@ class TestCheckSuite:
     def test_kernel_cases_share_one_reference_run_per_shape(self, monkeypatch):
         calls = []
         for module, name in ((harness, "naive_forward"), (harness, "naive_backward"),
-                             (harness, "flash_forward")):
+                             (flash, "flash_forward")):
 
             def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls.append((_name, args[0].shape))
@@ -340,6 +341,23 @@ class TestExtents:
         [got, want] = [run_bench([b(2)], b(2), b(8), [b(16)])[0] for b in (i, int)]
         assert untimed(got) == untimed(want)
         assert all(type(e) is int for row in got for e in astuple(row)[:5])
+
+
+class TestSeeds:
+    """A run's seed is an integer: a float, bool or string is refused, not truncated or parsed."""
+
+    @pytest.mark.parametrize("seed", [2.5, "3", True], ids=repr)
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        runs = [
+            lambda: run_traffic(8, 16, 1, 4, seed=seed),
+            lambda: run_check_suite(seed, [2], [16], [1]),
+            lambda: run_bench([1], 1, 8, [16], seed=seed),
+            lambda: run_demo(14, 14, 16, 7, seed=seed),
+        ]
+        message = f"seed must be an integer, got {seed!r}"
+        for run in runs:
+            with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
+                run()
 
 
 class TestHelpers:
@@ -745,13 +763,13 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_check_exits_one_and_names_the_failing_cases(self, monkeypatch, capsys):
-        real = harness.flash_forward
+        real = flash.flash_forward
 
         def off_by_one_percent(*args):
             o, ctx, rep = real(*args)
             return DenseTensor._adopt(o.array * 1.01), ctx, rep
 
-        monkeypatch.setattr(harness, "flash_forward", off_by_one_percent)
+        monkeypatch.setattr(flash, "flash_forward", off_by_one_percent)
         assert main(["check", "--L", "2", "--C", "16", "--r", "1"]) == 1
         out, err = capsys.readouterr()
         assert out.endswith("7/8 cases passed\n")
@@ -775,7 +793,7 @@ class TestCli:
     def test_check_fails_every_case_that_compares_a_nan_gradient(
         self, monkeypatch, capsys, nan_rs, failing, passed
     ):
-        real = harness.flash_backward
+        real = flash.flash_backward
 
         def nan_in_dk(ctx, do, arena):
             dq, dk, dv, rep = real(ctx, do, arena)
@@ -783,7 +801,7 @@ class TestCli:
                 dk = self._nan_at_first_element(dk)
             return dq, dk, dv, rep
 
-        monkeypatch.setattr(harness, "flash_backward", nan_in_dk)
+        monkeypatch.setattr(flash, "flash_backward", nan_in_dk)
         assert main(["check", "--L", "8", "--C", "16", "--r", "1,2"]) == 1
         out, err = capsys.readouterr()
         assert out.endswith(f"{passed} cases passed\n")
@@ -792,13 +810,13 @@ class TestCli:
         assert err == f"failing cases: {', '.join(failing)}\n"
 
     def test_demo_prints_and_fails_a_nan_in_every_window(self, monkeypatch, capsys):
-        real = harness.flash_forward
+        real = flash.flash_forward
 
         def nan_in_o(*args):
             o, ctx, rep = real(*args)
             return self._nan_at_first_element(o), ctx, rep
 
-        monkeypatch.setattr(harness, "flash_forward", nan_in_o)
+        monkeypatch.setattr(flash, "flash_forward", nan_in_o)
         assert main(["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7", "--seed", "3"]) == 1
         out, err = capsys.readouterr()
         assert "max oracle error over 16 windows: nan\n" in out
@@ -807,7 +825,7 @@ class TestCli:
     @staticmethod
     def _break_flash_forward(monkeypatch):
         """Scale O by 1.01, count one more Q load and report a peak one byte high."""
-        real = harness.flash_forward
+        real = flash.flash_forward
 
         def broken(*args):
             o, ctx, rep = real(*args)
@@ -815,19 +833,19 @@ class TestCli:
             rep = TrafficReport(loads, rep.stores, rep.peak_sram_bytes + 1)
             return DenseTensor._adopt(o.array * 1.01), ctx, rep
 
-        monkeypatch.setattr(harness, "flash_forward", broken)
+        monkeypatch.setattr(flash, "flash_forward", broken)
 
     @staticmethod
     def _break_flash_backward(monkeypatch):
         """Count one more dO load and report a peak one byte high (at the harness's name)."""
-        real = harness.flash_backward
+        real = flash.flash_backward
 
         def broken(*args):
             *grads, rep = real(*args)
             loads = {**rep.loads, "dO": rep.loads["dO"] + 1}
             return (*grads, TrafficReport(loads, rep.stores, rep.peak_sram_bytes + 1))
 
-        monkeypatch.setattr(harness, "flash_backward", broken)
+        monkeypatch.setattr(flash, "flash_backward", broken)
 
     # Each subcommand's argv, claim prefix and window count; L=4, C=16, r=1 everywhere, so
     # the forward formula is (16 + 2*4*16) x 4 = 576 B. `check` names its failing cases.
@@ -860,13 +878,13 @@ class TestCli:
     @staticmethod
     def _change_forward_reports(monkeypatch, change):
         """Report ``change(i, report)`` from the i-th forward call the harness makes."""
-        real, calls = harness.flash_forward, itertools.count()
+        real, calls = flash.flash_forward, itertools.count()
 
         def changed(*args):
             o, ctx, rep = real(*args)
             return o, ctx, change(next(calls), rep)
 
-        monkeypatch.setattr(harness, "flash_forward", changed)
+        monkeypatch.setattr(flash, "flash_forward", changed)
 
     # One more Q load on even calls and one fewer on odd ones: the sum over the windows is
     # the closed form, so only a judge of each call alone names it.
@@ -937,14 +955,14 @@ class TestCli:
         self, monkeypatch, capsys, command
     ):
         argv, prefix, windows = self.TILED[command]
-        real = harness.flash_forward
+        real = flash.flash_forward
 
         def leaking(q, k, v, cfg, arena):
             result = real(q, k, v, cfg, arena)
             arena.allocate("leak", (1,), 4)  # never freed
             return result
 
-        monkeypatch.setattr(harness, "flash_forward", leaking)
+        monkeypatch.setattr(flash, "flash_forward", leaking)
         assert main(argv) == 1
         out, err = capsys.readouterr()
         if command == "check":  # the backward case, run after the leak, still passes

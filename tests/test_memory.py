@@ -296,7 +296,16 @@ def test_a_capacity_that_is_not_a_non_negative_integer_is_refused(capacity):
         ScratchpadArena(capacity)
 
 
+@pytest.mark.parametrize("capacity", ["1024", True, False, None, [64]], ids=repr)
+def test_a_capacity_that_is_not_a_number_is_refused(capacity):
+    message = f"capacity must be a number, got {capacity!r}"
+    with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+        ScratchpadArena(capacity)
+
+
 def test_a_whole_float_capacity_or_element_size_is_the_integer_it_names():
+    for capacity in (np.int64(64), np.float64(64.0)):
+        assert type(ScratchpadArena(capacity).capacity_bytes) is int
     arena = ScratchpadArena(64.0)
     assert arena.capacity_bytes == 64 and type(arena.capacity_bytes) is int
     arena.allocate("x", (4,), 4.0)
@@ -321,7 +330,7 @@ def test_a_kernel_call_refuses_to_nest():
     assert later() == TrafficReport({"K": 9}, {}, 72)
 
 
-def test_merge_reports_sums_counts_and_keeps_per_worker_peak():
+def test_merge_reports_sums_counts_and_keeps_per_peak():
     a = TrafficReport(loads={"Q": 10, "K": 5}, stores={"O": 10}, peak_sram_bytes=128)
     b = TrafficReport(loads={"Q": 10, "V": 7}, stores={"O": 10}, peak_sram_bytes=96)
     merged = merge_reports([a, b])

@@ -1,6 +1,8 @@
 """Reference attention: softmax, forward, analytic backward, finite differences."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from flashwin import (
     NumericsError,
     Rng,
     ShapeError,
+    TileConfig,
     fill_uniform,
     finite_diff_grad,
     max_abs_diff,
@@ -172,6 +175,20 @@ class TestNaiveForward:
     def test_bad_scale_rejected(self):
         with pytest.raises(InvalidRangeError):
             AttnParams(scale=0.0)
+
+    @pytest.mark.parametrize("scale", ["0.5", True, None, Fraction(1, 2)], ids=repr)
+    def test_a_scale_that_is_not_an_integer_or_a_float_is_refused(self, scale):
+        message = f"scale must be an integer or a float, got {scale!r}"
+        for make in (AttnParams, lambda s: TileConfig(r=1, scale=s)):
+            with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
+                make(scale)
+
+    def test_numpy_scales_run_as_the_numbers_they_hold(self):
+        q, k, v = (rand(Rng(31), (4, 6)) for _ in range(3))
+        for scale, same in ((np.float64(0.5), 0.5), (np.int64(2), 2)):
+            got, want = (naive_forward(q, k, v, AttnParams(scale=s))[0] for s in (scale, same))
+            assert np.array_equal(got.array, want.array)
+            assert TileConfig(r=1, scale=scale).scale == same
 
 
 class TestSoftmaxBackward:

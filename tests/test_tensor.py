@@ -198,6 +198,20 @@ class TestFillUniform:
             fill_uniform(Rng(0), [2], lo, hi)
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "3", True, None, np.float64(2.0)], ids=repr)
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        message = f"seed must be an integer, got {seed!r}"
+        with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
+            Rng(seed)
+
+    def test_any_integer_seed_runs_masked_to_64_bits(self):
+        draws = lambda rng: [rng.next_u64() for _ in range(2)]
+        for seed in (np.int64(5), np.uint8(5), 5 + 2**64):
+            assert draws(Rng(seed)) == draws(Rng(5))
+        assert Rng(-1).next_u64() == Rng(2**64 - 1).next_u64()
+
+
 class TestMatmul:
     def test_identity_is_exact_for_integer_entries(self):
         eye = DenseTensor((3, 3), np.eye(3))
