@@ -38,14 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FlashwinError, InvalidRangeError, ShapeError
+from .errors import FlashwinError, InvalidRangeError, ShapeError, _integer, _real
 from .memory import ScratchpadArena, TrafficReport, _checked_elem_bytes, merge_reports
-from .reference import AttnParams, _softmax_rows
+from .reference import _softmax_rows
 from .tensor import DenseTensor, _validated
 
 
@@ -58,10 +57,9 @@ class TileConfig:
     elem_bytes: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.r, Integral) or isinstance(self.r, bool) or self.r < 1:
-            raise InvalidRangeError(f"chunk count must be an integer >= 1, got {self.r}")
-        _checked_elem_bytes(self.elem_bytes)
-        AttnParams(scale=self.scale)  # validates the scale
+        object.__setattr__(self, "r", _integer("chunk count", self.r, minimum=1))
+        object.__setattr__(self, "scale", _real("scale", self.scale, positive=True))
+        object.__setattr__(self, "elem_bytes", _checked_elem_bytes(self.elem_bytes))
 
     def chunk_width(self, C: int) -> int:
         """Widest chunk, ceil(C/r); the one rule is that r chunks need r <= C features."""
@@ -97,7 +95,7 @@ def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
 
 def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
     # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
-    _validated((L, C))
+    L, C = _validated((L, C))
     return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
 
 

@@ -14,15 +14,13 @@ import time
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import groupby
-from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FlashwinError, ShapeError
+from .errors import CapacityError, FlashwinError, ShapeError, _integer
 from .flash import TileConfig, _slice_calls, _slices, peak_sram_backward, peak_sram_forward
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, merge_reports
-from .memory import _checked_capacity  # the arena's capacity rule, without an arena
 from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
 from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff
 from .windowing import WindowConfig, window_partition, window_reverse
@@ -32,13 +30,7 @@ GRAD_TOL = 1e-6
 DEFAULT_SEED = 42
 
 # Geometries exercised by the windowing round-trip cases of `check`.
-ROUNDTRIP_GEOMETRIES = [
-    (4, 4, 1, 2),
-    (6, 6, 2, 3),
-    (8, 8, 4, 2),
-    (14, 14, 3, 7),
-    (224, 224, 3, 7),
-]
+ROUNDTRIP_GEOMETRIES = [(4, 4, 1, 2), (6, 6, 2, 3), (8, 8, 4, 2), (14, 14, 3, 7), (224, 224, 3, 7)]
 
 
 @dataclass
@@ -115,7 +107,7 @@ def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
     count must tile some C and each C be tiled by some count; and each pass's closed-form peak.
     Repeated values run once; points are in run order.
     """
-    capacity_bytes = _checked_capacity(capacity_bytes)
+    capacity_bytes = _integer("capacity", capacity_bytes, minimum=0)  # the arena's rule
     for axis, values in (("L", Ls), ("C", Cs), ("chunk count", r_values)):
         if not values:
             raise ShapeError(f"at least one {axis} is needed")
@@ -148,7 +140,7 @@ def _fitting(points, capacity_bytes) -> list[tuple]:
         if unfit:
             need = _peak(unfit, L, C, cfg)
             msg = f"{unfit} pass at L={L}, C={C} needs {need} bytes of scratchpad"
-            raise CapacityError(f"{msg}, capacity is {_checked_capacity(capacity_bytes)}")
+            raise CapacityError(f"{msg}, capacity is {capacity_bytes}")
     return points
 
 
@@ -383,10 +375,7 @@ def run_bench(
     are checked before any input is made. The tiled path is ``_tiled``, and its last
     run's calls are judged by ``_broken_claims``; a flash row merges their reports.
     """
-    if not isinstance(repeats, Integral):
-        raise FlashwinError(f"repeats must be an integer, got {repeats!r}")
-    if repeats < 3:
-        raise FlashwinError(f"repeats must be >= 3, got {repeats}")
+    repeats = _integer("repeats", repeats, minimum=3)
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
     passes = _PASSES if pass_ == "fwd_bwd" else _PASSES[:1]

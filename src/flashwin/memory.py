@@ -29,38 +29,30 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FlashwinError, InvalidRangeError, ShapeError
+from .errors import CapacityError, FlashwinError, InvalidRangeError, ShapeError, _integer
 
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
 ELEM_BYTES = (4, 8)  # the element sizes byte accounting accepts
 
 
 def _checked_elem_bytes(elem_bytes) -> int:
-    """``elem_bytes`` as an int; :class:`InvalidRangeError` unless it is one of ELEM_BYTES."""
+    """``elem_bytes`` as a Python int; :class:`InvalidRangeError` unless an int in ELEM_BYTES."""
+    if type(elem_bytes) is not int:
+        elem_bytes = _integer("elem_bytes", elem_bytes)
     if elem_bytes not in ELEM_BYTES:
         raise InvalidRangeError(f"elem_bytes must be 4 or 8, got {elem_bytes}")
-    return int(elem_bytes)
-
-
-def _checked_capacity(capacity_bytes) -> int:
-    """``capacity_bytes`` as an int; :class:`CapacityError` unless it is a whole number >= 0."""
-    if not isinstance(capacity_bytes, Real) or isinstance(capacity_bytes, bool):
-        raise CapacityError(f"capacity must be a number, got {capacity_bytes!r}")
-    if not (capacity_bytes >= 0 and capacity_bytes % 1 == 0):  # refuses nan and inf too
-        raise CapacityError(f"capacity must be >= 0 and an integer, got {capacity_bytes}")
-    return int(capacity_bytes)
+    return elem_bytes
 
 
 class ScratchpadArena:
     """On-chip memory simulator: held buffers, live bytes, transfers and per-call reports."""
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        self.capacity_bytes = _checked_capacity(capacity_bytes)
+        self.capacity_bytes = _integer("capacity", capacity_bytes, minimum=0)
         self.live_bytes = 0
         # Every buffer the arena holds, by id: (the array, its charged bytes).
         # The map keeps each held array alive, so no other object shares its id.
@@ -124,15 +116,15 @@ class ScratchpadArena:
         """Charge ``prod(shape) * elem_bytes`` bytes and return a zeroed float64 buffer.
 
         Raises :class:`InvalidRangeError` unless ``elem_bytes`` is 4 or 8,
-        :class:`ShapeError` for a negative extent and
+        :class:`ShapeError` for an extent that is negative or not an integer, and
         :class:`CapacityError` when the request does not fit; in all three
         cases the arena is left as it was.
         """
         elem_bytes = _checked_elem_bytes(elem_bytes)
         try:
             array = np.zeros(shape)  # float64, numpy's default
-        except ValueError as exc:
-            raise ShapeError(f"invalid shape {tuple(shape)} for '{name}': {exc}") from exc
+        except (TypeError, ValueError) as exc:  # numpy refuses a float or bool extent too
+            raise ShapeError(f"invalid shape {shape!r} for '{name}': {exc}") from exc
         except MemoryError:
             # Too large for the host, so far larger than any scratchpad.
             raise self._overflow(name, math.prod(shape) * elem_bytes) from None

@@ -14,30 +14,23 @@ many perturbed copies in one call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRangeError, NumericsError, ShapeError
+from .errors import NumericsError, ShapeError, _real
 from .tensor import DenseTensor
 
 
 @dataclass(frozen=True)
 class AttnParams:
-    """Multiplier applied to Q K^T before the softmax (default 1.0)."""
+    """Multiplier applied to Q K^T before the softmax: a finite number > 0, as a Python float."""
 
     scale: float = 1.0
 
     def __post_init__(self):
-        # A Fraction is real too, but numpy cannot scale a float64 array by it in place.
-        scale = self.scale
-        if not isinstance(scale, (Integral, float, np.floating)) or isinstance(scale, bool):
-            raise InvalidRangeError(f"scale must be an integer or a float, got {scale!r}")
-        if not math.isfinite(scale) or scale <= 0:
-            raise InvalidRangeError(f"scale must be finite and > 0, got {scale}")
+        object.__setattr__(self, "scale", _real("scale", self.scale, positive=True))
 
 
 # Largest number of float64 elements in one stacked array of the reference
@@ -173,8 +166,7 @@ def finite_diff_grad(
     ``L = x.shape[0]``, exceeds :data:`FD_STACK_ELEMS` elements. ``x``
     may have at most 3 axes, since the stack adds one.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise InvalidRangeError(f"step must be finite and > 0, got {h}")
+    h = _real("step", h, positive=True)
     base = x.array.reshape(-1)
     grad = np.empty_like(base)
     step = _stack_len(2 * max(base.size, x.shape[0] ** 2))  # the +h and -h copies

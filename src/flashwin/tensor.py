@@ -8,12 +8,11 @@ in 64-bit throughout.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidRangeError, ShapeError
+from .errors import FlashwinError, InvalidRangeError, ShapeError, _integer, _real
 
 _MAX_AXES = 4
 
@@ -105,9 +104,7 @@ class Rng:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, Integral) or isinstance(seed, bool):
-            raise InvalidRangeError(f"seed must be an integer, got {seed!r}")
-        self._state = int(seed) & _MASK
+        self._state = _integer("seed", seed) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
@@ -144,9 +141,10 @@ def _validated(shape: Sequence[int]) -> tuple[int, ...]:
         raise ShapeError(f"shape must have 1..{_MAX_AXES} axes, got {shape}")
     for e in shape:
         if type(e) is not int:  # arrays' shapes never get here: their extents are ints
-            if not all(isinstance(e, Integral) and not isinstance(e, bool) for e in shape):
-                raise ShapeError(f"extents must be integers, got {shape}")
-            return _validated(map(int, shape))  # numpy integers, as Python ints
+            try:
+                return _validated([_integer("extent", e) for e in shape])  # Python ints
+            except InvalidRangeError:
+                raise ShapeError(f"extents must be integers, got {shape}") from None
     if min(shape) < 1:
         raise ShapeError(f"all extents must be >= 1, got {shape}")
     return shape
@@ -171,11 +169,10 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
     blocks, whatever the size.
     """
     shape = _validated(shape)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise InvalidRangeError(f"need lo < hi, got lo={lo}, hi={hi}")
+    lo, hi = _real("lo", lo), _real("hi", hi)
     width = hi - lo
-    if not math.isfinite(width):
-        raise InvalidRangeError(f"width hi - lo overflows, got lo={lo}, hi={hi}")
+    if not (lo < hi and math.isfinite(width)):
+        raise InvalidRangeError(f"need lo < hi and a finite hi - lo, got lo={lo}, hi={hi}")
     n = math.prod(shape)
     out = np.empty(n, dtype=np.float64)
     # Vectorized SplitMix64: the state for draw i (from 1) is seed + i*GOLDEN
@@ -217,6 +214,9 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:
     """Largest elementwise absolute difference; 0 iff values are equal."""
+    if not (isinstance(a, DenseTensor) and isinstance(b, DenseTensor)):
+        names = f"{type(a).__name__} and {type(b).__name__}"
+        raise FlashwinError(f"max_abs_diff needs DenseTensors, got {names}")
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a.array - b.array)))

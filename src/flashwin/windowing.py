@@ -16,7 +16,7 @@ from .tensor import DenseTensor, _validated
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Image/window geometry: H x W pixels, C channels, k x k windows."""
+    """Image/window geometry: H x W pixels, C channels, k x k windows; Python ints."""
 
     H: int
     W: int
@@ -24,7 +24,8 @@ class WindowConfig:
     k: int
 
     def __post_init__(self):
-        _validated((self.H, self.W, self.C, self.k))
+        for name, extent in zip("HWCk", _validated((self.H, self.W, self.C, self.k))):
+            object.__setattr__(self, name, extent)
         if self.H % self.k or self.W % self.k:
             raise ShapeError(f"window size {self.k} must divide image {self.H}x{self.W}")
 

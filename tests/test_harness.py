@@ -210,7 +210,7 @@ class TestCheckSuite:
     @pytest.mark.parametrize("bad", [0, 2.5, 2.0, "abc"])
     def test_chunk_count_that_is_not_an_integer_above_zero_is_an_error(self, bad):
         # Refused by TileConfig's rule, not coerced: 2.5 never runs as r=2.
-        with pytest.raises(InvalidRangeError, match=f"integer >= 1, got {bad}$"):
+        with pytest.raises(InvalidRangeError, match=f"integer >= 1, got {re.escape(repr(bad))}$"):
             run_check_suite(seed=42, Ls=[4], Cs=[4], r_values=[2, bad])
 
 
@@ -292,13 +292,15 @@ class TestBench:
             run_bench([], heads, 8, [16])
 
     def test_too_few_repeats_rejected(self):
-        with pytest.raises(FlashwinError, match=r"^repeats must be >= 3, got 2$"):
+        with pytest.raises(InvalidRangeError, match=r"^repeats must be an integer >= 3, got 2$"):
             run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=2)
 
     def test_a_repeat_count_that_is_not_an_integer_is_refused(self):
         # It used to die in range() with a bare TypeError.
-        with pytest.raises(FlashwinError, match=r"^repeats must be an integer, got 3\.5$"):
-            run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=3.5)
+        for repeats in (3.5, 3.0, True):
+            message = f"repeats must be an integer >= 3, got {repeats!r}"
+            with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
+                run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=repeats)
 
 
 class TestExtents:
@@ -553,7 +555,7 @@ class TestCli:
         "argv, message",
         [
             (["check", "--L", "8", "--C", "16", "--capacity-bytes", "-1"],
-             "capacity must be >= 0 and an integer, got -1"),
+             "capacity must be an integer >= 0, got -1"),
             (["bench", "--batch", "2,0", "--heads", "1", "--L", "8", "--C", "16"],
              "all extents must be >= 1, got (0, 1, 8, 16)"),
             (["traffic", "--L", "64", "--C", "64", "--capacity-bytes", "30000"],
@@ -635,7 +637,7 @@ class TestCli:
     def test_check_rejects_negative_capacity(self, capsys):
         # Not a grid of capacity refusals that all pass: a usage error.
         assert main(["check", "--L", "1024", "--C", "16", "--capacity-bytes", "-1"]) == 2
-        assert "capacity must be >= 0" in capsys.readouterr().err
+        assert "capacity must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -646,7 +648,7 @@ class TestCli:
     def test_every_subcommand_refuses_a_negative_capacity_by_the_arena_rule(self, capsys, argv):
         # Not bench's footprint message, which would blame the shape.
         assert main([*argv, "--capacity-bytes", "-1"]) == 2
-        assert capsys.readouterr() == ("", "error: capacity must be >= 0 and an integer, got -1\n")
+        assert capsys.readouterr() == ("", "error: capacity must be an integer >= 0, got -1\n")
 
     def test_traffic_rejects_invalid_shape(self, capsys):
         assert main(["traffic", "--L", "8", "--C", "4", "--r", "64"]) == 2

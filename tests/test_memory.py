@@ -275,11 +275,15 @@ def test_a_failed_call_leaves_the_held_buffers_as_on_entry():
     assert arena.live_bytes == 0
 
 
-@pytest.mark.parametrize("elem_bytes", [0, -4, 1.9, 2])
-def test_a_non_positive_element_size_is_refused_and_changes_nothing(elem_bytes):
+@pytest.mark.parametrize(
+    "elem_bytes, message",
+    [(0, "4 or 8, got 0"), (-4, "4 or 8, got -4"), (2, "4 or 8, got 2"),
+     (1.9, "an integer, got 1.9"), (4.0, "an integer, got 4.0"), (True, "an integer, got True")],
+)
+def test_an_element_size_other_than_4_or_8_is_refused_and_changes_nothing(elem_bytes, message):
     arena = ScratchpadArena(capacity_bytes=64)
     with arena.kernel_call("forward", 64) as report:
-        msg = f"^elem_bytes must be 4 or 8, got {re.escape(str(elem_bytes))}$"
+        msg = f"^elem_bytes must be {re.escape(message)}$"
         with pytest.raises(InvalidRangeError, match=msg):
             arena.allocate("neg", (4,), elem_bytes)
         with pytest.raises(InvalidRangeError, match="elem_bytes"):
@@ -290,27 +294,41 @@ def test_a_non_positive_element_size_is_refused_and_changes_nothing(elem_bytes):
     assert report() == TrafficReport({}, {}, 0)
 
 
-@pytest.mark.parametrize("capacity", [1.5, float("inf"), float("nan"), -1, -float("inf")])
+@pytest.mark.parametrize(
+    "capacity",
+    [1.5, float("inf"), float("nan"), -1, -float("inf"), "1024", True, False, None, [64]],
+    ids=repr,
+)
 def test_a_capacity_that_is_not_a_non_negative_integer_is_refused(capacity):
-    with pytest.raises(CapacityError, match="^capacity must be >= 0 and an integer, got"):
+    # Malformed, not too small: an InvalidRangeError, never a CapacityError.
+    message = f"capacity must be an integer >= 0, got {capacity!r}"
+    with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
         ScratchpadArena(capacity)
 
 
-@pytest.mark.parametrize("capacity", ["1024", True, False, None, [64]], ids=repr)
-def test_a_capacity_that_is_not_a_number_is_refused(capacity):
-    message = f"capacity must be a number, got {capacity!r}"
-    with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
-        ScratchpadArena(capacity)
-
-
-def test_a_whole_float_capacity_or_element_size_is_the_integer_it_names():
-    for capacity in (np.int64(64), np.float64(64.0)):
-        assert type(ScratchpadArena(capacity).capacity_bytes) is int
-    arena = ScratchpadArena(64.0)
+def test_a_whole_float_capacity_or_element_size_is_refused_and_a_numpy_integer_is_an_int():
+    for capacity in (64.0, np.float64(64.0)):
+        with pytest.raises(InvalidRangeError, match="^capacity must be an integer >= 0"):
+            ScratchpadArena(capacity)
+    arena = ScratchpadArena(np.int64(64))
     assert arena.capacity_bytes == 64 and type(arena.capacity_bytes) is int
-    arena.allocate("x", (4,), 4.0)
+    arena.allocate("x", (4,), np.int64(4))
     assert arena.live_bytes == 16 and type(arena.live_bytes) is int
-    assert TileConfig(r=1, elem_bytes=4.0).elem_bytes == 4
+    with pytest.raises(InvalidRangeError, match="^elem_bytes must be an integer, got 4.0$"):
+        arena.allocate("x", (4,), 4.0)
+    with pytest.raises(InvalidRangeError, match="^elem_bytes must be an integer, got 4.0$"):
+        TileConfig(r=1, elem_bytes=4.0)
+    assert type(TileConfig(r=1, elem_bytes=np.int64(4)).elem_bytes) is int
+    assert arena.live_bytes == 16
+
+
+@pytest.mark.parametrize("shape", [(2.0,), (True, 2), ("2",), (None,), 2.5], ids=repr)
+def test_an_extent_that_is_not_an_integer_is_a_shape_error_and_changes_nothing(shape):
+    arena = ScratchpadArena(capacity_bytes=64)
+    with arena.kernel_call("forward", 64) as report:
+        with pytest.raises(ShapeError, match="^invalid shape .* for 'x'"):
+            arena.allocate("x", shape, 4)
+    assert arena.live_bytes == 0 and report() == TrafficReport({}, {}, 0)
 
 
 def test_a_kernel_call_refuses_to_nest():
