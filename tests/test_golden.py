@@ -6,18 +6,36 @@ the ``bench`` file holds its CSV without the wall-clock ``elapsed_ns``
 column, the only one that changes between runs. A change that alters a
 count, a peak, a case list or the last digit of an oracle error shows up
 here as a diff against the file.
+
+The ``check`` files print each case's worst error, and ``demo`` its oracle error, to four
+digits, and those digits are rounding error: their bits depend on which BLAS and SIMD
+kernels the CPU selects. So these three files are written and compared in a subprocess
+under pinned kernels (:data:`PINNED_KERNELS`): OpenBLAS's Haswell (AVX2) kernels, numpy's
+own dispatch held below AVX-512, and one BLAS thread, a level that every x86-64 machine
+with AVX2 has. CI diffs them under the same environment.
 """
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from flashwin.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
-CASES = [
+PINNED_KERNELS = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_NUM_THREADS": "1",
+}
+
+# Run under PINNED_KERNELS; stdout and exit code are compared as for CASES.
+PINNED_CASES = [
     ("check_seed42.txt", ["check"], 0),
     # The full verify grid: L=1024 adds the capacity refusals.
     (
@@ -31,6 +49,9 @@ CASES = [
         ["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7", "--seed", "3"],
         0,
     ),
+]
+
+CASES = [
     ("traffic_L64_C64_r4.txt", ["traffic", "--L", "64", "--C", "64", "--r", "4"], 0),
     (
         "traffic_L49_C32_rauto_e8.txt",
@@ -56,6 +77,20 @@ OUT_CASES = [
 def test_cli_stdout_and_exit_code_match_golden_file(capsys, name, argv, code):
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv, code", PINNED_CASES, ids=[c[0] for c in PINNED_CASES])
+def test_cli_stdout_under_pinned_kernels_matches_golden_file(name, argv, code):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "flashwin.cli", *argv],
+        env={**os.environ, **PINNED_KERNELS, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == code, run.stderr
+    assert run.stdout == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name, argv", OUT_CASES, ids=[c[0] for c in OUT_CASES])
