@@ -30,7 +30,13 @@ GRAD_TOL = 1e-6
 DEFAULT_SEED = 42
 
 # Geometries exercised by the windowing round-trip cases of `check`.
-ROUNDTRIP_GEOMETRIES = [(4, 4, 1, 2), (6, 6, 2, 3), (8, 8, 4, 2), (14, 14, 3, 7), (224, 224, 3, 7)]
+ROUNDTRIP_GEOMETRIES = [
+    (4, 4, 1, 2),
+    (6, 6, 2, 3),
+    (8, 8, 4, 2),
+    (14, 14, 3, 7),
+    (224, 224, 3, 7),
+]
 
 
 @dataclass
