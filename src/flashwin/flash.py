@@ -45,7 +45,7 @@ import numpy as np
 from .errors import FlashwinError, InvalidRangeError, ShapeError, _integer, _real
 from .memory import ScratchpadArena, TrafficReport, _checked_elem_bytes, merge_reports
 from .reference import _softmax_rows
-from .tensor import DenseTensor, _validated
+from .tensor import DenseTensor, _tensors, _validated
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,7 @@ def flash_forward(
     untiled reference. A NaN in V reaches O in the same positions as in
     ``naive_forward``.
     """
+    _tensors("flash_forward", q=q, k=k, v=v)
     L, C = _check_qkv_2d(q, k, v)
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
@@ -184,6 +185,7 @@ def flash_backward(
         isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)
     ):
         raise FlashwinError("backward requires the context returned by flash_forward")
+    _tensors("flash_backward", dO=dO)
     L, C = _check_qkv_2d(ctx.q, ctx.k, ctx.v)
     if dO.shape != (L, C):
         raise ShapeError(f"dO shape {dO.shape} does not match forward shape {(L, C)}")
@@ -240,6 +242,7 @@ def batched_flash_forward(
     read-only views of ``q``/``k``/``v``, not copies. Failures are re-raised annotated with
     the (batch, head) of the offending slice. The benchmark's workloads call it by name.
     """
+    _tensors("batched_flash_forward", q=q, k=k, v=v)
     if q.ndim != 4 or not (q.shape == k.shape == v.shape):
         raise ShapeError(
             f"batched Q/K/V must share a 4-D shape, got {q.shape}, {k.shape}, {v.shape}"

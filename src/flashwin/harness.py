@@ -179,17 +179,13 @@ def run_check_suite(
     each kernel case one call of it. A pass that ``_plan`` finds does not fit is an
     expected-error case, passing when the run refuses at that pass (a refusal at any other
     propagates) and the untiled reference runs. The reference runs at most once per (L, C),
-    for every chunk count. The whole grid is planned before the first case runs.
+    for every chunk count, over all L rows in blocks of at most FD_STACK_ELEMS scores
+    (``_reference_blocks``); the whole L x L weights are made only for a backward case. The
+    whole grid is planned before the first case runs.
     """
     points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
-    results: list[SuiteResult] = []
     master = Rng(seed)
-
-    for H, W, C, k in ROUNDTRIP_GEOMETRIES:
-        cfg = WindowConfig(H=H, W=W, C=C, k=k)
-        x = _rand(master.split(), (H, W, C))
-        err = max_abs_diff(x, window_reverse(window_partition(x, cfg), cfg))
-        results.append(_result(f"roundtrip_{H}x{W}x{C}_k{k}", err, tol=0.0))
+    results = [_roundtrip_case(master.split(), *g) for g in ROUNDTRIP_GEOMETRIES]
 
     for (L, C), shape_points in groupby(points, key=lambda point: point[:2]):
         rng = master.split()
@@ -237,6 +233,15 @@ def run_check_suite(
     return results
 
 
+def _roundtrip_case(rng: Rng, H: int, W: int, C: int, k: int) -> SuiteResult:
+    """``window_reverse`` undoes ``window_partition`` exactly, on one image drawn from ``rng``.
+    A function of its own, so that no image outlives its case into the kernel cases."""
+    cfg = WindowConfig(H=H, W=W, C=C, k=k)
+    x = _rand(rng, (H, W, C))
+    err = max_abs_diff(x, window_reverse(window_partition(x, cfg), cfg))
+    return _result(f"roundtrip_{H}x{W}x{C}_k{k}", err, tol=0.0)
+
+
 def _result(
     case_id: str,
     err: float,
@@ -260,12 +265,43 @@ def _max_diff(pairs: Iterable[tuple[DenseTensor, DenseTensor]]) -> float:
     return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
+def _reference_blocks(q, k, v) -> Iterator[tuple[tuple, DenseTensor, DenseTensor | None]]:
+    """``naive_forward`` on (L, C) operands or an (N, L, C) stack of one shape, in blocks.
+
+    Each block is one call whose scores and output hold at most FD_STACK_ELEMS elements, as
+    the finite-difference oracle's arrays do: whole problems of a stack while one fits
+    (``_stack_len``), else blocks of Q rows of one problem against its whole K and V (at
+    least one row each). Rows are independent, so each block's O is exactly those rows of
+    the whole call's O. Yields per call the index of its rows in the whole O, its O and,
+    when one block is the whole call on the operands as given, its P (else None, so that
+    no two blocks' scores are ever held at once).
+    """
+    *stack, L, C = q.shape
+    rows = _stack_len(max(L, C))
+    if stack and rows >= L:
+        step = _stack_len(L * max(L, C))
+        blocks = [((slice(lo, lo + step),),) * 2 for lo in range(0, stack[0], step)]
+    else:  # a 2-D problem that fits is one block of all its rows
+        blocks = [
+            (w + (slice(lo, lo + rows),), w) for w in np.ndindex(*stack) for lo in range(0, L, rows)
+        ]
+    part = lambda t, index: DenseTensor._adopt(t.array[index])
+    for q_rows, kv in blocks:
+        o, p = naive_forward(part(q, q_rows), part(k, kv), part(v, kv))
+        if len(blocks) > 1:
+            p = None  # dropped before the next block's scores are made
+        yield q_rows, o, p
+
+
 @dataclass
 class _Reference:
     """Untiled results for one (L, C), computed on first use and shared by every r.
 
     The reference depends only on the inputs, not on the chunk count. None
-    means it raised, which fails every case of the shape that needs it.
+    means it raised, which fails every case of the shape that needs it. The
+    forward pass runs over all L rows in ``_reference_blocks``, so a shape
+    whose L x L scores exceed FD_STACK_ELEMS elements never holds them
+    unless a backward case needs its whole P.
     """
 
     q: DenseTensor
@@ -275,19 +311,27 @@ class _Reference:
 
     @cached_property
     def forward(self):
-        """(O, P) of ``naive_forward``, or None."""
+        """(O, P) of ``naive_forward``, or None. P is None when O ran in more than one block."""
+        out = np.empty(self.q.shape)
         try:
-            return naive_forward(self.q, self.k, self.v)
+            for rows, o, p in _reference_blocks(self.q, self.k, self.v):
+                out[rows] = o.array
         except FlashwinError:
             return None
+        return DenseTensor._adopt(out), p
 
     @cached_property
     def grads(self):
-        """(dQ, dK, dV) of ``naive_backward``, or None."""
+        """(dQ, dK, dV) of ``naive_backward``, or None. A forward run in blocks has no whole
+        P, so it is made here, by one ``naive_forward`` call, only when a case needs it."""
         if self.forward is None:
             return None
+        q, k, v = self.q, self.k, self.v
         try:
-            return naive_backward(self.q, self.k, self.v, self.forward[1], self.do)
+            p = self.forward[1]
+            if p is None:
+                p = naive_forward(q, k, v)[1]
+            return naive_backward(q, k, v, p, self.do)
         except FlashwinError:
             return None
 
@@ -492,11 +536,9 @@ def run_demo(
     o = DenseTensor._adopt(np.stack([out.array for _, [out], _, _ in calls]))
     calls = [(pass_, rep, held) for pass_, _, rep, held in calls]  # no output kept twice
     report = merge_reports(rep for _, rep, _ in calls)
-    # The reference checks the windows in stacks bounded as the finite-difference oracle's are.
-    step = _stack_len(L * max(L, C))
-    part = lambda t, lo: DenseTensor._adopt(t.array[lo : lo + step])
     oracle_err = _max_diff(
-        (part(o, lo), naive_forward(*[part(windows, lo)] * 3)[0]) for lo in range(0, N, step)
+        (DenseTensor._adopt(o.array[rows]), want)
+        for rows, want, _ in _reference_blocks(windows, windows, windows)
     )
     image = window_reverse(o, cfg)
     peak = _peak("forward", L, C, tile)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericsError, ShapeError, _real
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _tensors
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,12 @@ class AttnParams:
         object.__setattr__(self, "scale", _real("scale", self.scale, positive=True))
 
 
-# Largest number of float64 elements in one stacked array of the reference
-# checks (2**17 elements, 1 MiB): the finite-difference oracle's (m, *x.shape)
+# Largest number of float64 elements in one array of the reference checks
+# (2**17 elements, 1 MiB): the finite-difference oracle's (m, *x.shape)
 # perturbed copies and their (m, L, L) scores, with L = x.shape[0], and the
-# demo's (m, L, L) window weights.
+# untiled reference of `check` and `demo`, which runs in blocks: whole
+# problems of a stack while one fits, else rows of Q, so that a block's
+# scores and output stay within it (1024 x 1024 scores: 8 blocks of 128 rows).
 FD_STACK_ELEMS = 1 << 17
 FD_STEP = 1e-5  # the central-difference step h of finite_diff_grad
 
@@ -51,6 +53,7 @@ def softmax_rows(S: DenseTensor) -> DenseTensor:
 
     Leading axes beyond the last two are a stack of independent matrices.
     """
+    _tensors("softmax_rows", S=S)
     if S.ndim < 2:
         raise ShapeError(f"softmax_rows needs at least 2 axes, got {S.shape}")
     return DenseTensor._adopt(_softmax_rows(S.array, np.empty_like(S.array)))
@@ -71,13 +74,16 @@ def _softmax_rows(src: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, ...]:
-    """Validate (..., L, C) operands; returns the broadcast shape of their stacks."""
+    """Validate (..., M, C) Q against (..., L, C) K and V; returns the broadcast shape of
+    their stacks followed by Q's (M, C)."""
     if min(q.ndim, k.ndim, v.ndim) < 2:
         raise ShapeError(f"Q/K/V need at least 2 axes, got {q.shape}, {k.shape}, {v.shape}")
-    if not (q.shape[-2:] == k.shape[-2:] == v.shape[-2:]):
-        raise ShapeError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    if not (q.shape[-1] == k.shape[-1] and k.shape[-2:] == v.shape[-2:]):
+        raise ShapeError(
+            f"Q/K/V need one feature count and K/V one length, got {q.shape}, {k.shape}, {v.shape}"
+        )
     try:
-        return np.broadcast_shapes(q.shape, k.shape, v.shape)
+        return np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2]) + q.shape[-2:]
     except ValueError:
         raise ShapeError(
             f"Q/K/V stack axes do not broadcast: {q.shape}, {k.shape}, {v.shape}"
@@ -89,12 +95,16 @@ def naive_forward(
 ) -> tuple[DenseTensor, DenseTensor]:
     """Standard attention forward; returns (O, P), both read-only.
 
-    Q, K and V are (..., L, C). Leading axes are a stack of independent
+    Q is (..., M, C) and K, V are (..., L, C): M query rows attend over
+    L keys, as in cross-attention, and O is (..., M, C). Rows are
+    independent, so a block of Q rows gives exactly those rows of the
+    whole call's O and P. Leading axes are a stack of independent
     problems and broadcast against each other, so one perturbed operand
     can be stacked while the other two stay 2-D; each stacked result
     equals the 2-D call on that problem. The softmax overwrites the
-    scaled scores, so one (..., L, L) array is allocated per call.
+    scaled scores, so one (..., M, L) array is allocated per call.
     """
+    _tensors("naive_forward", q=q, k=k, v=v)
     _check_qkv(q, k, v)
     s = q.array @ k.array.swapaxes(-1, -2)
     s *= params.scale
@@ -109,6 +119,7 @@ def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
     of the result sums to zero. Leading axes are a stack, as in
     :func:`softmax_rows`.
     """
+    _tensors("softmax_backward", P=P, dP=dP)
     if P.ndim < 2 or P.shape != dP.shape:
         raise ShapeError(f"shape mismatch: P {P.shape} vs dP {dP.shape}")
     p, dp = P.array, dP.array
@@ -133,6 +144,7 @@ def naive_backward(
     Stacks do not broadcast here, since a broadcast operand would need
     its gradient summed over the stack.
     """
+    _tensors("naive_backward", q=q, k=k, v=v, P=P, dO=dO)
     shape = _check_qkv(q, k, v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(
@@ -166,6 +178,7 @@ def finite_diff_grad(
     ``L = x.shape[0]``, exceeds :data:`FD_STACK_ELEMS` elements. ``x``
     may have at most 3 axes, since the stack adds one.
     """
+    _tensors("finite_diff_grad", x=x)
     h = _real("step", h, positive=True)
     base = x.array.reshape(-1)
     grad = np.empty_like(base)

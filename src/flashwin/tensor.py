@@ -150,10 +150,26 @@ def _validated(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
+def _tensors(fn: str, **operands) -> None:
+    """The one operand rule of the public functions: each of ``operands`` is a DenseTensor,
+    else :class:`FlashwinError` names ``fn`` and the first parameter that is not."""
+    for name, t in operands.items():
+        if not isinstance(t, DenseTensor):
+            raise FlashwinError(f"{fn} needs DenseTensors, got {type(t).__name__} for {name}")
+
+
+def _host_array(make, shape: tuple[int, ...]) -> np.ndarray:
+    """``make(shape)`` (``np.empty`` or ``np.zeros``) for a validated shape. An array numpy
+    cannot index is refused as the host's MemoryError, as one it cannot allocate is."""
+    try:
+        return make(shape)
+    except ValueError:  # the extents are valid, so numpy found the array too big
+        raise MemoryError(f"shape {shape} is too large for the host") from None
+
+
 def zeros(shape: Sequence[int]) -> DenseTensor:
     """All-zero tensor of the given shape."""
-    shape = _validated(shape)
-    return DenseTensor._adopt(np.zeros(shape))
+    return DenseTensor._adopt(_host_array(np.zeros, _validated(shape)))
 
 
 def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseTensor:
@@ -174,7 +190,7 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
     if not (lo < hi and math.isfinite(width)):
         raise InvalidRangeError(f"need lo < hi and a finite hi - lo, got lo={lo}, hi={hi}")
     n = math.prod(shape)
-    out = np.empty(n, dtype=np.float64)
+    out = _host_array(np.empty, shape).reshape(n)
     # Vectorized SplitMix64: the state for draw i (from 1) is seed + i*GOLDEN
     # mod 2^64. Blocks are mixed in place in two reused buffers, so no
     # temporary grows with n and the working set stays in cache.
@@ -205,6 +221,7 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
 
 def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """2-D matrix product with 64-bit accumulation."""
+    _tensors("matmul", a=a, b=b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -214,9 +231,8 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:
     """Largest elementwise absolute difference; 0 iff values are equal."""
-    if not (isinstance(a, DenseTensor) and isinstance(b, DenseTensor)):
-        names = f"{type(a).__name__} and {type(b).__name__}"
-        raise FlashwinError(f"max_abs_diff needs DenseTensors, got {names}")
+    _tensors("max_abs_diff", a=a, b=b)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a.array - b.array)))
+    diff = a.array - b.array
+    return float(np.abs(diff, out=diff).max())  # one temporary of the operands' size, not two

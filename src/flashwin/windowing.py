@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .tensor import DenseTensor, _validated
+from .tensor import DenseTensor, _tensors, _validated
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class WindowConfig:
 
 def window_partition(x: DenseTensor, cfg: WindowConfig) -> DenseTensor:
     """Rearrange an H x W x C image into an N x L x C window stack."""
+    _tensors("window_partition", x=x)
     if x.shape != (cfg.H, cfg.W, cfg.C):
         raise ShapeError(f"expected image shape {(cfg.H, cfg.W, cfg.C)}, got {x.shape}")
     k = cfg.k
@@ -53,6 +54,7 @@ def window_partition(x: DenseTensor, cfg: WindowConfig) -> DenseTensor:
 
 def window_reverse(y: DenseTensor, cfg: WindowConfig) -> DenseTensor:
     """Invert :func:`window_partition`, restoring the H x W x C image."""
+    _tensors("window_reverse", y=y)
     if y.shape != (cfg.num_windows, cfg.seq_len, cfg.C):
         raise ShapeError(
             f"expected window stack shape {(cfg.num_windows, cfg.seq_len, cfg.C)}, "

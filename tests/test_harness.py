@@ -176,6 +176,70 @@ class TestCheckSuite:
         assert all(r.ok for r in results)
         assert peak < 40e6
 
+    def test_reference_never_holds_a_whole_1024x1024_score_array(self):
+        # The forward reference at L=1024 runs in 128-row blocks of 1 MiB scores; the
+        # whole call's scores alone would take 8 MiB.
+        tracemalloc.start()
+        try:
+            results = run_check_suite(seed=42, Ls=[1024], Cs=[64], r_values=[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "capacity_fwd_L1024_C64_r1" in {r.case_id for r in results}
+        assert all(r.ok for r in results)
+        assert peak < 4e6
+
+    def test_reference_runs_in_row_blocks_of_the_stack_bound(self, monkeypatch):
+        # 1024 elements per block at L=64: 4 blocks of 16 Q rows, each against all 64 keys;
+        # the backward cases then need the whole P, made by one whole call.
+        grid = dict(seed=42, Ls=[64], Cs=[16], r_values=[1, 2])
+        calls = []
+        real = harness.naive_forward
+
+        def recorded(q, k, v, *args):
+            calls.append((q.shape, k.shape, v.shape))
+            return real(q, k, v, *args)
+
+        monkeypatch.setattr(harness, "naive_forward", recorded)
+        whole = render_suite_table(run_check_suite(**grid))
+        assert calls == [((64, 16), (64, 16), (64, 16))]
+        calls.clear()
+        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 1024)
+        assert render_suite_table(run_check_suite(**grid)) == whole
+        assert calls == [((16, 16), (64, 16), (64, 16))] * 4 + [((64, 16), (64, 16), (64, 16))]
+
+    @pytest.mark.parametrize(
+        "stack_elems", [reference.FD_STACK_ELEMS, 1 << 20], ids=["blocks", "whole"]
+    )
+    @pytest.mark.parametrize(
+        "operand, where",
+        [(0, np.s_[-1, 5]), (1, np.s_[3, 0])],
+        ids=["nan_in_last_q_block", "inf_in_k"],
+    )
+    def test_a_non_finite_score_in_any_block_fails_the_capacity_case(
+        self, monkeypatch, stack_elems, operand, where
+    ):
+        # The blocked reference (8 blocks of 128 rows) fails as the one whole call does.
+        monkeypatch.setattr(reference, "FD_STACK_ELEMS", stack_elems)
+        drawn = []
+        real = harness._rand
+
+        def poisoned(rng, shape):
+            t = real(rng, shape)
+            if tuple(shape) != (1024, 16):
+                return t
+            drawn.append(t)
+            if len(drawn) - 1 != operand:
+                return t
+            bad = t.array.copy()
+            bad[where] = np.nan if operand == 0 else np.inf
+            return DenseTensor(shape, bad)
+
+        monkeypatch.setattr(harness, "_rand", poisoned)
+        [case] = [r for r in run_check_suite(42, [1024], [16], [1]) if "L1024" in r.case_id]
+        assert case.case_id == "capacity_fwd_L1024_C16_r1"
+        assert case.max_err == math.inf and case.sram_ok and not case.ok
+
     def test_gradient_cases_only_on_small_shapes(self):
         results = run_check_suite(seed=42, Ls=[2, 64], Cs=[16], r_values=[2])
         ids = {r.case_id for r in results}
@@ -629,6 +693,18 @@ class TestCli:
         monkeypatch.setattr(harness, "_rand", exhausted)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, shape",
+        [(["bench", "--batch", "100000000000000000", "--heads", "1", "--L", "8", "--C", "16"],
+          (10**17, 1, 8, 16)),
+         (["demo", "--H", "10000000000", "--W", "10000000000", "--C", "1", "--k", "1"],
+          (10**10, 10**10, 1))],
+        ids=["bench", "demo"],
+    )
+    def test_inputs_numpy_cannot_index_are_host_memory_exhaustion(self, capsys, argv, shape):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: shape {shape} is too large for the host\n")
 
     def test_bench_rejects_too_few_repeats(self, capsys):
         assert main(["bench", "--repeats", "2", "--batch", "2", "--C", "16", "--L", "8"]) == 2

@@ -25,6 +25,7 @@ from flashwin import (
     zeros,
 )
 from flashwin import reference
+from flashwin.harness import ORACLE_TOL
 
 FD_STEP = 1e-5
 
@@ -120,6 +121,29 @@ class TestNaiveForward:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             naive_forward(zeros([2, 3]), zeros([2, 3]), zeros([2, 4]))
+
+    @pytest.mark.parametrize("stack", [(), (2,)], ids=["2d", "stacked"])
+    def test_a_block_of_query_rows_gives_those_rows_of_the_whole_call(self, stack):
+        rng = Rng(34)
+        q, k, v = (rand(rng, stack + (40, 8)) for _ in range(3))
+        o, p = naive_forward(q, k, v, AttnParams(scale=0.5))
+        rows = lambda t, lo, hi: DenseTensor._adopt(t.array[..., lo:hi, :])
+        for lo, hi in [(0, 40), (0, 16), (16, 32), (32, 40), (39, 40)]:
+            o_rows, p_rows = naive_forward(rows(q, lo, hi), k, v, AttnParams(scale=0.5))
+            assert o_rows.shape == stack + (hi - lo, 8) and p_rows.shape == stack + (hi - lo, 40)
+            assert max_abs_diff(o_rows, rows(o, lo, hi)) <= ORACLE_TOL
+            assert max_abs_diff(p_rows, rows(p, lo, hi)) <= ORACLE_TOL
+            if hi - lo == 40:  # the block is the whole problem: the same call, bit for bit
+                assert np.array_equal(o_rows.array, o.array)
+                assert np.array_equal(p_rows.array, p.array)
+
+    @pytest.mark.parametrize(
+        "shapes", [((3, 4), (5, 3), (5, 3)), ((3, 4), (5, 4), (6, 4)), ((3, 4), (5, 4), (5, 3))],
+        ids=["q_features", "kv_lengths", "v_features"],
+    )
+    def test_query_rows_need_the_key_feature_count_and_kv_one_shape(self, shapes):
+        with pytest.raises(ShapeError, match="^Q/K/V need one feature count and K/V one length"):
+            naive_forward(*(zeros(list(s)) for s in shapes))
 
     def test_1d_operand_rejected(self):
         msg = r"^Q/K/V need at least 2 axes, got \(3,\), \(2, 3\), \(2, 3\)$"
@@ -300,6 +324,16 @@ class TestNaiveBackward:
                 got.array[0, 0] = 1.0
             assert np.array_equal(got.array, fresh.array)
             assert not np.shares_memory(got.array, fresh.array)
+
+    def test_query_rows_of_their_own_count_are_refused(self):
+        # The forward pass takes Q row blocks; the backward pass keeps its one-shape rule.
+        rng = Rng(31)
+        q, do = rand(rng, (3, 4)), rand(rng, (3, 4))
+        k, v = rand(rng, (5, 4)), rand(rng, (5, 4))
+        _, p = naive_forward(q, k, v)
+        assert p.shape == (3, 5)
+        with pytest.raises(ShapeError, match="^naive_backward needs Q/K/V of one shape"):
+            naive_backward(q, k, v, p, do)
 
     def test_p_shape_consistency_checked(self):
         rng = Rng(24)

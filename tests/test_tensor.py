@@ -39,6 +39,17 @@ class TestZeros:
         with pytest.raises(ShapeError):
             zeros(shape)
 
+    @pytest.mark.parametrize("shape", [[10**10, 10**10], [2**31, 2**31]], ids=["extent", "bytes"])
+    def test_a_shape_numpy_cannot_index_is_host_memory_exhaustion(self, shape):
+        # numpy raises ValueError for these, not MemoryError; both mean "too large".
+        msg = re.escape(f"shape {tuple(shape)} is too large for the host")
+        with pytest.raises(MemoryError, match=msg):
+            zeros(shape)
+        rng = Rng(1)
+        with pytest.raises(MemoryError, match=msg):
+            fill_uniform(rng, shape, -1.0, 1.0)
+        assert rng.next_u64() == Rng(1).next_u64()  # no draw was consumed
+
     def test_buffer_length_must_match_shape(self):
         with pytest.raises(ShapeError):
             DenseTensor((2, 3), np.zeros(5))
