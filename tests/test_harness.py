@@ -189,6 +189,20 @@ class TestCheckSuite:
         assert all(r.ok for r in results)
         assert peak < 4e6
 
+    def test_do_is_drawn_only_where_a_forward_pass_fits(self, monkeypatch):
+        # At L=1024 every forward is refused, so no case reads a dO there.
+        drawn = []
+        real = harness._rand
+
+        def recorded(rng, shape):
+            drawn.append(tuple(shape))
+            return real(rng, shape)
+
+        monkeypatch.setattr(harness, "_rand", recorded)
+        results = run_check_suite(seed=42, Ls=[64, 1024], Cs=[16], r_values=[1])
+        assert all(r.ok for r in results)
+        assert Counter(drawn)[(64, 16)] == 4 and Counter(drawn)[(1024, 16)] == 3
+
     def test_reference_runs_in_row_blocks_of_the_stack_bound(self, monkeypatch):
         # 1024 elements per block at L=64: 4 blocks of 16 Q rows, each against all 64 keys;
         # the backward cases then need the whole P, made by one whole call.
