@@ -15,8 +15,8 @@ They only compute: the arena allocates, loads, stores and reports, and
 every on-chip buffer is a plain float64 array that the arena holds from
 ``allocate`` or ``load`` until ``free``.
 
-One driver, ``_slice_calls``, runs every (batch, heads, L, C) stack, one window
-per kernel call on one arena: the harness's tiled path for all four
+One driver, ``_slice_calls``, runs every (L, C) window or (..., L, C) stack, one
+window per kernel call on one arena: the harness's tiled path for all four
 subcommands, and ``batched_flash_forward`` for the benchmark's workloads.
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
@@ -281,11 +281,11 @@ def _slice_calls(q, k, v, do, cfg, arena) -> Iterator[tuple]:
 
 
 def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
-    """The (L, C) slices of a (batch, heads, L, C) tensor, in (batch, head) order; no copies.
-    No tensor (None) has None for every slice."""
+    """The (L, C) slices of a (..., L, C) tensor, in stack order; no copies. An (L, C)
+    tensor is one slice. No tensor (None) has None for every slice."""
     if t is None:
         return repeat(None)
-    return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[2:])]
+    return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[-2:])]
 
 
 def _check_qkv_2d(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, int]:

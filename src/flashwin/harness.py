@@ -175,13 +175,12 @@ def run_check_suite(
 ) -> list[SuiteResult]:
     """Run oracle, gradient, round-trip, traffic, and occupancy checks.
 
-    Each (L, C, r) point is one ``_tiled`` run on a (1, 1, L, C) view of its inputs, and
-    each kernel case one call of it. A pass that ``_plan`` finds does not fit is an
-    expected-error case, passing when the run refuses at that pass (a refusal at any other
-    propagates) and the untiled reference runs. The reference runs at most once per (L, C),
-    for every chunk count, over all L rows in blocks of at most FD_STACK_ELEMS scores
-    (``_reference_blocks``); the whole L x L weights are made only for a backward case. The
-    whole grid is planned before the first case runs.
+    Each (L, C, r) point is one ``_tiled`` run on its (L, C) inputs, and each kernel case
+    one call of it. A pass that ``_plan`` finds does not fit is an expected-error case that
+    passes exactly when the run refuses at that pass (a refusal at any other propagates).
+    The untiled reference runs only for a case that compares a tiled output with it, at
+    most once per (L, C) for every chunk count, so a refused pass runs none. The whole grid
+    is planned before the first case runs.
     """
     points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
     master = Rng(seed)
@@ -194,9 +193,6 @@ def run_check_suite(
         # dO, drawn after q, k and v, only where some chunk count's forward pass fits
         do = _rand(rng, (L, C)) if any(unfit != "forward" for *_, unfit in shape_points) else None
         ref = _Reference(q, k, v, do)
-        view = lambda t: DenseTensor._adopt(t.array.reshape(1, 1, L, C))
-        q4, k4, v4 = map(view, (q, k, v))
-        do4 = None if do is None else view(do)
         # Outputs of each chunk count, for the chunk-count invariance case.
         fwd_runs: list[Sequence[DenseTensor]] = []
         bwd_runs: list[Sequence[DenseTensor]] = []
@@ -205,7 +201,7 @@ def run_check_suite(
             tag = f"L{L}_C{C}_r{cfg.r}"
             calls, refused = {}, False
             try:
-                for pass_, *call in _tiled(q4, k4, v4, do4, cfg, capacity_bytes):
+                for pass_, *call in _tiled(q, k, v, do, cfg, capacity_bytes):
                     calls[pass_] = call
             except CapacityError:
                 # One window's calls run forward then backward: the next one was refused.
@@ -217,9 +213,8 @@ def run_check_suite(
                 want = None if ref.forward is None else ref.forward[:1]
                 results.append(_kernel_case(f"fwd_{tag}", *calls["forward"], want, "forward", cfg))
             if unfit:
-                ran = (ref.forward if unfit == "forward" else ref.grads) is not None
                 case = {"forward": "capacity_fwd_", "backward": "capacity_bwd_"}[unfit] + tag
-                results.append(_result(case, 0.0 if ran else math.inf, sram_ok=refused))
+                results.append(_result(case, 0.0, sram_ok=refused))
                 continue
 
             grads, *bwd = calls["backward"]
@@ -270,43 +265,15 @@ def _max_diff(pairs: Iterable[tuple[DenseTensor, DenseTensor]]) -> float:
     return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
-def _reference_blocks(q, k, v) -> Iterator[tuple[tuple, DenseTensor, DenseTensor | None]]:
-    """``naive_forward`` on (L, C) operands or an (N, L, C) stack of one shape, in blocks.
-
-    Each block is one call whose scores and output hold at most FD_STACK_ELEMS elements, as
-    the finite-difference oracle's arrays do: whole problems of a stack while one fits
-    (``_stack_len``), else blocks of Q rows of one problem against its whole K and V (at
-    least one row each). Rows are independent, so each block's O is exactly those rows of
-    the whole call's O. Yields per call the index of its rows in the whole O, its O and,
-    when one block is the whole call on the operands as given, its P (else None, so that
-    no two blocks' scores are ever held at once).
-    """
-    *stack, L, C = q.shape
-    rows = _stack_len(max(L, C))
-    if stack and rows >= L:
-        step = _stack_len(L * max(L, C))
-        blocks = [((slice(lo, lo + step),),) * 2 for lo in range(0, stack[0], step)]
-    else:  # a 2-D problem that fits is one block of all its rows
-        blocks = [
-            (w + (slice(lo, lo + rows),), w) for w in np.ndindex(*stack) for lo in range(0, L, rows)
-        ]
-    part = lambda t, index: DenseTensor._adopt(t.array[index])
-    for q_rows, kv in blocks:
-        o, p = naive_forward(part(q, q_rows), part(k, kv), part(v, kv))
-        if len(blocks) > 1:
-            p = None  # dropped before the next block's scores are made
-        yield q_rows, o, p
-
-
 @dataclass
 class _Reference:
     """Untiled results for one (L, C), computed on first use and shared by every r.
 
     The reference depends only on the inputs, not on the chunk count. None
-    means it raised, which fails every case of the shape that needs it. The
-    forward pass runs over all L rows in ``_reference_blocks``, so a shape
-    whose L x L scores exceed FD_STACK_ELEMS elements never holds them
-    unless a backward case needs its whole P.
+    means it raised, which fails every case of the shape that needs it. Only
+    a case that compares a kernel output with it runs it: where a kernel
+    pass fits, the kernel itself holds an L x L buffer, so the whole call's
+    L x L scores cost about as much.
     """
 
     q: DenseTensor
@@ -316,27 +283,19 @@ class _Reference:
 
     @cached_property
     def forward(self):
-        """(O, P) of ``naive_forward``, or None. P is None when O ran in more than one block."""
-        out = np.empty(self.q.shape)
+        """(O, P) of ``naive_forward``, or None."""
         try:
-            for rows, o, p in _reference_blocks(self.q, self.k, self.v):
-                out[rows] = o.array
+            return naive_forward(self.q, self.k, self.v)
         except FlashwinError:
             return None
-        return DenseTensor._adopt(out), p
 
     @cached_property
     def grads(self):
-        """(dQ, dK, dV) of ``naive_backward``, or None. A forward run in blocks has no whole
-        P, so it is made here, by one ``naive_forward`` call, only when a case needs it."""
+        """(dQ, dK, dV) of ``naive_backward`` with the forward's P, or None."""
         if self.forward is None:
             return None
-        q, k, v = self.q, self.k, self.v
         try:
-            p = self.forward[1]
-            if p is None:
-                p = naive_forward(q, k, v)[1]
-            return naive_backward(q, k, v, p, self.do)
+            return naive_backward(self.q, self.k, self.v, self.forward[1], self.do)
         except FlashwinError:
             return None
 
@@ -524,7 +483,9 @@ def run_demo(
     """Partition -> per-window attention -> reverse walkthrough, as text, and the broken claims.
 
     Planned first: the geometry, the capacity and one window's forward fit precede the image.
-    The windows run through ``_tiled`` as one (N, 1, L, C) stack, one forward call each.
+    The windows run through ``_tiled`` as one (N, 1, L, C) stack, one forward call each, and
+    the untiled reference checks them in groups of as many whole windows as ``_stack_len``
+    fits in FD_STACK_ELEMS, one ``naive_forward`` call per group.
     """
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     N, L = cfg.num_windows, cfg.seq_len
@@ -541,9 +502,10 @@ def run_demo(
     o = DenseTensor._adopt(np.stack([out.array for _, [out], _, _ in calls]))
     calls = [(pass_, rep, held) for pass_, _, rep, held in calls]  # no output kept twice
     report = merge_reports(rep for _, rep, _ in calls)
+    step = _stack_len(L * max(L, C))
+    part = lambda t, lo: DenseTensor._adopt(t.array[lo : lo + step])
     oracle_err = _max_diff(
-        (DenseTensor._adopt(o.array[rows]), want)
-        for rows, want, _ in _reference_blocks(windows, windows, windows)
+        (part(o, lo), naive_forward(*[part(windows, lo)] * 3)[0]) for lo in range(0, N, step)
     )
     image = window_reverse(o, cfg)
     peak = _peak("forward", L, C, tile)

@@ -27,8 +27,10 @@ arena's own bookkeeping is part of what a wall-clock benchmark measures;
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -117,13 +119,17 @@ class ScratchpadArena:
 
         Raises :class:`InvalidRangeError` unless ``elem_bytes`` is 4 or 8,
         :class:`ShapeError` for an extent that is negative or not an integer, and
-        :class:`CapacityError` when the request does not fit; in all three
-        cases the arena is left as it was.
+        :class:`CapacityError` when the request does not fit, including one too
+        large for the host; in all three cases the arena is left as it was.
         """
         elem_bytes = _checked_elem_bytes(elem_bytes)
         try:
             array = np.zeros(shape)  # float64, numpy's default
         except (TypeError, ValueError) as exc:  # numpy refuses a float or bool extent too
+            # Integer extents whose float64 bytes numpy cannot index: too large for the host.
+            counts = isinstance(exc, ValueError) and all(isinstance(e, Integral) for e in shape)
+            if counts and min(shape) >= 0 and math.prod(shape) * 8 > sys.maxsize:
+                raise self._overflow(name, math.prod(shape) * elem_bytes) from None
             raise ShapeError(f"invalid shape {shape!r} for '{name}': {exc}") from exc
         except MemoryError:
             # Too large for the host, so far larger than any scratchpad.

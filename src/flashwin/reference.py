@@ -33,12 +33,11 @@ class AttnParams:
         object.__setattr__(self, "scale", _real("scale", self.scale, positive=True))
 
 
-# Largest number of float64 elements in one array of the reference checks
-# (2**17 elements, 1 MiB): the finite-difference oracle's (m, *x.shape)
+# Largest number of float64 elements in one stacked array of the reference
+# checks (2**17 elements, 1 MiB): the finite-difference oracle's (m, *x.shape)
 # perturbed copies and their (m, L, L) scores, with L = x.shape[0], and the
-# untiled reference of `check` and `demo`, which runs in blocks: whole
-# problems of a stack while one fits, else rows of Q, so that a block's
-# scores and output stay within it (1024 x 1024 scores: 8 blocks of 128 rows).
+# demo's window groups, (m, L, L) weights of as many whole windows as fit
+# (at least one) per untiled reference call.
 FD_STACK_ELEMS = 1 << 17
 FD_STEP = 1e-5  # the central-difference step h of finite_diff_grad
 
@@ -74,16 +73,13 @@ def _softmax_rows(src: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, ...]:
-    """Validate (..., M, C) Q against (..., L, C) K and V; returns the broadcast shape of
-    their stacks followed by Q's (M, C)."""
+    """Validate (..., L, C) operands; returns the broadcast shape of their stacks."""
     if min(q.ndim, k.ndim, v.ndim) < 2:
         raise ShapeError(f"Q/K/V need at least 2 axes, got {q.shape}, {k.shape}, {v.shape}")
-    if not (q.shape[-1] == k.shape[-1] and k.shape[-2:] == v.shape[-2:]):
-        raise ShapeError(
-            f"Q/K/V need one feature count and K/V one length, got {q.shape}, {k.shape}, {v.shape}"
-        )
+    if not (q.shape[-2:] == k.shape[-2:] == v.shape[-2:]):
+        raise ShapeError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
     try:
-        return np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2]) + q.shape[-2:]
+        return np.broadcast_shapes(q.shape, k.shape, v.shape)
     except ValueError:
         raise ShapeError(
             f"Q/K/V stack axes do not broadcast: {q.shape}, {k.shape}, {v.shape}"
@@ -95,14 +91,12 @@ def naive_forward(
 ) -> tuple[DenseTensor, DenseTensor]:
     """Standard attention forward; returns (O, P), both read-only.
 
-    Q is (..., M, C) and K, V are (..., L, C): M query rows attend over
-    L keys, as in cross-attention, and O is (..., M, C). Rows are
-    independent, so a block of Q rows gives exactly those rows of the
-    whole call's O and P. Leading axes are a stack of independent
-    problems and broadcast against each other, so one perturbed operand
-    can be stacked while the other two stay 2-D; each stacked result
-    equals the 2-D call on that problem. The softmax overwrites the
-    scaled scores, so one (..., M, L) array is allocated per call.
+    Q, K and V are (..., L, C). Leading axes are a stack of independent
+    problems and broadcast against each other, so the finite-difference
+    oracle can stack one perturbed operand while the other two stay 2-D;
+    each stacked result equals the 2-D call on that problem. The softmax
+    overwrites the scaled scores, so one (..., L, L) array is allocated
+    per call.
     """
     _tensors("naive_forward", q=q, k=k, v=v)
     _check_qkv(q, k, v)

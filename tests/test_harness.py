@@ -78,45 +78,44 @@ class TestCheckSuite:
         capacity_cases = [r for r in results if r.case_id.startswith("capacity_")]
         assert capacity_cases and all(r.ok for r in capacity_cases)
 
-    def test_refusals_share_one_reference_run_per_shape(self, monkeypatch):
-        # The 64x64 scores alone need 16384 bytes, so every r is a refusal.
+    @staticmethod
+    def _reference_calls(monkeypatch):
+        """The (name, Q shape) of every untiled reference call the harness makes."""
         calls = []
-        real = harness.naive_forward
+        for name in ("naive_forward", "naive_backward"):
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+            def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+                calls.append((_name, args[0].shape))
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "naive_forward", counted)
-        grid = dict(Ls=[64], Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000)
-        results = run_check_suite(seed=42, **grid)
-        assert [r.case_id for r in results if not r.case_id.startswith("roundtrip_")] == [
-            f"capacity_fwd_L64_C{C}_r{r}" for C, rs in ((16, (1, 2, 4)), (32, (1, 2, 4))) for r in rs
-        ]
-        assert all(r.ok for r in results)
-        assert calls == [(64, 16), (64, 32)]
+            monkeypatch.setattr(harness, name, counted)
+        return calls
 
-    # 16000 B refuses every forward; at 50000 B only the backward of C=64, r=1 (65536 B).
+    # 16000 B refuses every forward (the 64x64 scores alone need 16384 B); at 50000 B only
+    # the backward of C=64, r=1 (65536 B), whose forward case still compares its output.
     @pytest.mark.parametrize(
-        "broken, grid, prefix, cases",
-        [("naive_forward", dict(Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000),
-          "capacity_fwd_", 6),
-         ("naive_backward", dict(Cs=[64], r_values=[1], capacity_bytes=50000), "capacity_bwd_", 1)],
+        "grid, cases, compared",
+        [(dict(Cs=[16, 32], r_values=[1, 2, 4], capacity_bytes=16000),
+          [f"capacity_fwd_L64_C{C}_r{r}" for C in (16, 32) for r in (1, 2, 4)], []),
+         (dict(Cs=[64], r_values=[1], capacity_bytes=50000),
+          ["fwd_L64_C64_r1", "capacity_bwd_L64_C64_r1"], [("naive_forward", (64, 64))])],
         ids=["forward", "backward"],
     )
-    def test_refusal_fails_when_shared_reference_run_fails(
-        self, monkeypatch, broken, grid, prefix, cases
-    ):
-        def raising(*args, **kwargs):
-            raise NumericsError("reference failed")
-
-        monkeypatch.setattr(harness, broken, raising)
+    def test_a_refused_pass_runs_no_reference(self, monkeypatch, grid, cases, compared):
+        calls = self._reference_calls(monkeypatch)
         results = run_check_suite(seed=42, Ls=[64], **grid)
-        capacity = [r for r in results if r.case_id.startswith(prefix)]
-        assert len(capacity) == cases
-        assert not any(r.ok for r in capacity)
-        assert all(r.sram_ok for r in capacity)  # the kernel still refused
-        assert all(r.max_err == float("inf") for r in capacity)
+        assert [r.case_id for r in results if not r.case_id.startswith("roundtrip_")] == cases
+        assert all(r.ok for r in results)
+        assert all(r.max_err == 0.0 for r in results if r.case_id.startswith("capacity_"))
+        assert calls == compared
+
+    def test_the_reference_runs_only_at_shapes_where_a_pass_fits(self, monkeypatch):
+        # Every pass at L=1024 is refused by the default capacity; every one at L=64 fits.
+        calls = self._reference_calls(monkeypatch)
+        results = run_check_suite(seed=42, Ls=[64, 1024], Cs=[16], r_values=[1, 2])
+        assert all(r.ok for r in results)
+        assert "capacity_fwd_L1024_C16_r2" in {r.case_id for r in results}
+        assert calls == [("naive_forward", (64, 16)), ("naive_backward", (64, 16))]
 
     # L*C > 256 keeps the finite-difference oracle, which also runs the
     # untiled forward, out of these grids.
@@ -177,8 +176,8 @@ class TestCheckSuite:
         assert peak < 40e6
 
     def test_reference_never_holds_a_whole_1024x1024_score_array(self):
-        # The forward reference at L=1024 runs in 128-row blocks of 1 MiB scores; the
-        # whole call's scores alone would take 8 MiB.
+        # Every pass at L=1024 is refused, so no reference runs there; the whole call's
+        # scores alone would take 8 MiB.
         tracemalloc.start()
         try:
             results = run_check_suite(seed=42, Ls=[1024], Cs=[64], r_values=[1])
@@ -202,57 +201,6 @@ class TestCheckSuite:
         results = run_check_suite(seed=42, Ls=[64, 1024], Cs=[16], r_values=[1])
         assert all(r.ok for r in results)
         assert Counter(drawn)[(64, 16)] == 4 and Counter(drawn)[(1024, 16)] == 3
-
-    def test_reference_runs_in_row_blocks_of_the_stack_bound(self, monkeypatch):
-        # 1024 elements per block at L=64: 4 blocks of 16 Q rows, each against all 64 keys;
-        # the backward cases then need the whole P, made by one whole call.
-        grid = dict(seed=42, Ls=[64], Cs=[16], r_values=[1, 2])
-        calls = []
-        real = harness.naive_forward
-
-        def recorded(q, k, v, *args):
-            calls.append((q.shape, k.shape, v.shape))
-            return real(q, k, v, *args)
-
-        monkeypatch.setattr(harness, "naive_forward", recorded)
-        whole = render_suite_table(run_check_suite(**grid))
-        assert calls == [((64, 16), (64, 16), (64, 16))]
-        calls.clear()
-        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 1024)
-        assert render_suite_table(run_check_suite(**grid)) == whole
-        assert calls == [((16, 16), (64, 16), (64, 16))] * 4 + [((64, 16), (64, 16), (64, 16))]
-
-    @pytest.mark.parametrize(
-        "stack_elems", [reference.FD_STACK_ELEMS, 1 << 20], ids=["blocks", "whole"]
-    )
-    @pytest.mark.parametrize(
-        "operand, where",
-        [(0, np.s_[-1, 5]), (1, np.s_[3, 0])],
-        ids=["nan_in_last_q_block", "inf_in_k"],
-    )
-    def test_a_non_finite_score_in_any_block_fails_the_capacity_case(
-        self, monkeypatch, stack_elems, operand, where
-    ):
-        # The blocked reference (8 blocks of 128 rows) fails as the one whole call does.
-        monkeypatch.setattr(reference, "FD_STACK_ELEMS", stack_elems)
-        drawn = []
-        real = harness._rand
-
-        def poisoned(rng, shape):
-            t = real(rng, shape)
-            if tuple(shape) != (1024, 16):
-                return t
-            drawn.append(t)
-            if len(drawn) - 1 != operand:
-                return t
-            bad = t.array.copy()
-            bad[where] = np.nan if operand == 0 else np.inf
-            return DenseTensor(shape, bad)
-
-        monkeypatch.setattr(harness, "_rand", poisoned)
-        [case] = [r for r in run_check_suite(42, [1024], [16], [1]) if "L1024" in r.case_id]
-        assert case.case_id == "capacity_fwd_L1024_C16_r1"
-        assert case.max_err == math.inf and case.sram_ok and not case.ok
 
     def test_gradient_cases_only_on_small_shapes(self):
         results = run_check_suite(seed=42, Ls=[2, 64], Cs=[16], r_values=[2])
@@ -368,6 +316,14 @@ class TestBench:
         monkeypatch.setattr(harness, "_rand", no_inputs)
         with pytest.raises(ShapeError, match="^at least one batch is needed$"):
             run_bench([], heads, 8, [16])
+
+    def test_an_unknown_pass_is_refused_before_any_input(self, monkeypatch):
+        def no_inputs(*args):
+            raise AssertionError("inputs made for an unknown pass")
+
+        monkeypatch.setattr(harness, "_rand", no_inputs)
+        with pytest.raises(FlashwinError, match="^pass must be fwd or fwd_bwd, got 'bwd'$"):
+            run_bench([2], 1, 8, [16], pass_="bwd")
 
     def test_too_few_repeats_rejected(self):
         with pytest.raises(InvalidRangeError, match=r"^repeats must be an integer >= 3, got 2$"):

@@ -1,5 +1,6 @@
 """Scratchpad arena bookkeeping, per-call reports and traffic-report merging."""
 
+import math
 import re
 
 import numpy as np
@@ -156,12 +157,16 @@ def test_over_capacity_allocation_names_required_and_available():
     assert arena.live_bytes == 80  # failed allocation leaves occupancy untouched
 
 
-def test_request_too_large_for_the_host_is_still_a_capacity_error():
+# Too large for the host's memory, and two requests too large for numpy to index.
+@pytest.mark.parametrize("shape", [(10**15,), (10**20,), (2**31, 2**31)], ids=repr)
+def test_request_too_large_for_the_host_is_still_a_capacity_error(shape):
     arena = ScratchpadArena(capacity_bytes=100)
-    with arena.kernel_call("forward", 0) as report:
-        with pytest.raises(CapacityError, match="4000000000000000 bytes requested"):
-            arena.allocate("huge", (10**15,), 4)
-    assert arena.live_bytes == 0 and report().peak_sram_bytes == 0
+    with arena.kernel_call("forward", 16) as report:
+        arena.allocate("base", (2,), 8)
+        with pytest.raises(CapacityError, match=f"'huge': {math.prod(shape) * 4} bytes requested"):
+            arena.allocate("huge", shape, 4)
+        assert arena.live_bytes == 16
+    assert report().peak_sram_bytes == 16
 
 
 def test_negative_extent_is_a_shape_error_and_leaves_occupancy_untouched():

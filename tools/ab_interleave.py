@@ -20,7 +20,10 @@ it on both trees, alternating which goes first. The first failed gate
 ends the run with a non-zero exit naming the tree and its problems.
 
 Pairing in one process removes the drift between processes that dominates
-short separate runs.
+short separate runs. It also hides a change in heap trimming: both trees
+share one malloc heap, so one tree's large frees raise glibc's trim
+threshold for the other too. A change that moves allocation sizes needs
+separate ``flashbench/run.py`` processes per tree as well.
 
 Prints, per tree, the min, p10 and median batch and naive times in ms,
 then the median over pairs of change/base for each, and how many pairs
