@@ -117,6 +117,51 @@ class TestCheckSuite:
         assert "capacity_fwd_L1024_C16_r2" in {r.case_id for r in results}
         assert calls == [("naive_forward", (64, 16)), ("naive_backward", (64, 16))]
 
+    # The same grids as above: the plan refuses every forward at 16000 B, and only the
+    # backward of C=64, r=1 at 50000 B.
+    @pytest.mark.parametrize(
+        "grid, case",
+        [(dict(Cs=[16], capacity_bytes=16000), "capacity_fwd_L64_C16_r1"),
+         (dict(Cs=[64], capacity_bytes=50000), "capacity_bwd_L64_C64_r1")],
+        ids=["forward", "backward"],
+    )
+    def test_a_capacity_case_fails_when_the_run_does_not_refuse(self, monkeypatch, grid, case):
+        def roomy(*args, _real=harness._tiled):
+            return _real(*args[:-1], 10**9)  # an arena every pass fits on
+
+        monkeypatch.setattr(harness, "_tiled", roomy)
+        results = {r.case_id: r for r in run_check_suite(seed=42, Ls=[64], r_values=[1], **grid)}
+        assert not results[case].ok and not results[case].sram_ok
+        assert results[case].max_err == 0.0
+        assert all(r.ok for case_id, r in results.items() if case_id != case)
+
+    @pytest.mark.parametrize(
+        "operand, where",
+        [(0, np.s_[-1, 5]), (1, np.s_[3, 0])],
+        ids=["nan_in_q", "inf_in_k"],
+    )
+    def test_a_capacity_case_judges_the_refusal_alone(self, monkeypatch, operand, where):
+        # No score of a refused shape is made, so a non-finite input cannot fail its case.
+        drawn = []
+        real = harness._rand
+
+        def poisoned(rng, shape):
+            t = real(rng, shape)
+            if tuple(shape) != (1024, 16):
+                return t
+            drawn.append(t)
+            if len(drawn) - 1 != operand:
+                return t
+            bad = t.array.copy()
+            bad[where] = np.nan if operand == 0 else np.inf
+            return DenseTensor(shape, bad)
+
+        monkeypatch.setattr(harness, "_rand", poisoned)
+        [case] = [r for r in run_check_suite(42, [1024], [16], [1]) if "L1024" in r.case_id]
+        assert len(drawn) == 3
+        assert case.case_id == "capacity_fwd_L1024_C16_r1"
+        assert case.ok and case.sram_ok and case.max_err == 0.0
+
     # L*C > 256 keeps the finite-difference oracle, which also runs the
     # untiled forward, out of these grids.
     KERNEL_GRID = dict(Ls=[16], Cs=[32, 64], r_values=[1, 2, 4])
@@ -420,6 +465,29 @@ class TestHelpers:
     def test_naive_traffic_model(self):
         assert naive_total_elements(64, 64, "fwd") == 4 * 4096 + 4 * 4096
         assert naive_total_elements(8, 4, "fwd_bwd") == (4 * 32 + 4 * 64) + (7 * 64 + 8 * 32)
+
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 3)], ids=["2d", "3d", "4d"])
+    def test_the_tiled_path_runs_any_stack_window_by_window(self, stack):
+        # An (L, C) operand is one window; a stack runs its windows in order on one arena.
+        rng = harness.Rng(80)
+        q, k, v, do = (harness._rand(rng, stack + (8, 16)) for _ in range(4))
+        cfg = TileConfig(r=2)
+        calls = list(harness._tiled(q, k, v, do, cfg, harness.DEFAULT_CAPACITY_BYTES))
+        want = []
+        window = lambda t, w: DenseTensor._adopt(t.array[w])
+        for w in np.ndindex(*stack):
+            arena = harness.ScratchpadArena()
+            o, ctx, rep = flash.flash_forward(*(window(t, w) for t in (q, k, v)), cfg, arena)
+            want.append(("forward", [o], rep, 0))
+            *grads, rep = flash.flash_backward(ctx, window(do, w), arena)
+            want.append(("backward", grads, rep, 0))
+        assert len(calls) == len(want) == 2 * math.prod(stack)
+        for (pass_, outs, rep, held), (want_pass, want_outs, want_rep, want_held) in zip(
+            calls, want
+        ):
+            assert (pass_, rep, held) == (want_pass, want_rep, want_held)
+            assert len(outs) == len(want_outs)
+            assert all(np.array_equal(a.array, b.array) for a, b in zip(outs, want_outs))
 
 
 class TestDemo:
