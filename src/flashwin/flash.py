@@ -141,7 +141,8 @@ def flash_forward(
     Returns the output, a context holding the Q/K/V references needed to
     recompute the weights in backward, and the instrumented traffic report.
     The call is one :meth:`ScratchpadArena.kernel_call` scope: it is refused
-    up front when ``peak_sram_forward`` exceeds the arena's free bytes, its
+    up front when ``peak_sram_forward`` exceeds the arena's free bytes, so
+    a refused call allocates no host memory, not even its output; its
     report's peak is its own and equals that formula, and any exception
     leaves the arena exactly as it was on entry.
 
@@ -155,9 +156,9 @@ def flash_forward(
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
     vg = v.array
-    og = np.empty((L, C), dtype=np.float64)
 
     with arena.kernel_call("forward", peak_sram_forward(L, C, cfg)) as report:
+        og = np.empty((L, C), dtype=np.float64)
         weights = _weights(arena, q.array, k.array, spans, cfg)
         for lo, hi in spans:
             vi = arena.load("V", vg[:, lo:hi], eb)
@@ -193,9 +194,9 @@ def flash_backward(
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
     qg, kg, vg, dog = ctx.q.array, ctx.k.array, ctx.v.array, dO.array
-    dqg, dkg, dvg = (np.empty((L, C), dtype=np.float64) for _ in range(3))
 
     with arena.kernel_call("backward", peak_sram_backward(L, C, cfg)) as report:
+        dqg, dkg, dvg = (np.empty((L, C), dtype=np.float64) for _ in range(3))
         # Phase 1: rebuild the attention weights from Q, K.
         weights = _weights(arena, qg, kg, spans, cfg)
         dweights = arena.allocate("dP", (L, L), eb)

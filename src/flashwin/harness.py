@@ -22,7 +22,7 @@ from .errors import CapacityError, FlashwinError, ShapeError, _integer
 from .flash import TileConfig, _slice_calls, _slices, peak_sram_backward, peak_sram_forward
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, merge_reports
 from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
-from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff
+from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff, zeros
 from .windowing import WindowConfig, window_partition, window_reverse
 
 ORACLE_TOL = 1e-10
@@ -179,8 +179,10 @@ def run_check_suite(
     one call of it. A pass that ``_plan`` finds does not fit is an expected-error case that
     passes exactly when the run refuses at that pass (a refusal at any other propagates).
     The untiled reference runs only for a case that compares a tiled output with it, at
-    most once per (L, C) for every chunk count, so a refused pass runs none. The whole grid
-    is planned before the first case runs.
+    most once per (L, C) for every chunk count, so a refused pass runs none. Each (L, C)
+    splits its own stream off the master; a shape whose every forward is refused draws
+    nothing from it and runs on one zero (L, C) input and no dO, which the refusal never
+    reads. The whole grid is planned before the first case runs.
     """
     points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
     master = Rng(seed)
@@ -188,10 +190,12 @@ def run_check_suite(
 
     for (L, C), shape_points in groupby(points, key=lambda point: point[:2]):
         shape_points = list(shape_points)
-        rng = master.split()
-        q, k, v = (_rand(rng, (L, C)) for _ in range(3))
-        # dO, drawn after q, k and v, only where some chunk count's forward pass fits
-        do = _rand(rng, (L, C)) if any(unfit != "forward" for *_, unfit in shape_points) else None
+        rng = master.split()  # split at every shape, so no later shape's draws move
+        if any(unfit != "forward" for *_, unfit in shape_points):
+            q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
+        else:  # every forward is refused on its closed-form need before it reads an input
+            q = k = v = zeros((L, C))
+            do = None
         ref = _Reference(q, k, v, do)
         # Outputs of each chunk count, for the chunk-count invariance case.
         fwd_runs: list[Sequence[DenseTensor]] = []
@@ -384,10 +388,11 @@ def run_bench(
 ) -> tuple[list[BenchRow], list[str]]:
     """Median-of-repeats timings for the untiled and tiled paths, and the broken claims.
 
-    Timings (after one warm-up run) are informational. The run is planned first: ``_plan``'s
-    rules and every footprint, then at least one batch and every (batch, heads, L, C) extent,
-    are checked before any input is made. The tiled path is ``_tiled``, and its last
-    run's calls are judged by ``_broken_claims``; a flash row merges their reports.
+    Timings (after one warm-up run of each path) are informational; the two paths' repeats
+    alternate, so drift during a config falls on both alike. The run is planned first:
+    ``_plan``'s rules and every footprint, then at least one batch and every (batch, heads,
+    L, C) extent, are checked before any input is made. The tiled path is ``_tiled``, and
+    its last run's calls are judged by ``_broken_claims``; a flash row merges their reports.
     """
     repeats = _integer("repeats", repeats, minimum=3)
     if pass_ not in ("fwd", "fwd_bwd"):
@@ -410,8 +415,7 @@ def run_bench(
 
         # Each call's (pass, report, held bytes) only: no output outlives its call.
         run = lambda: [(p, rep, n) for p, _, rep, n in _tiled(q, k, v, do, cfg, capacity_bytes)]
-        flash_ns, ran = _median_ns(run, repeats)
-        naive_ns = _time_naive(q, k, v, do, repeats)
+        (flash_ns, naive_ns), (ran, _) = _medians_ns([run, _naive(q, k, v, do)], repeats)
         broken = _broken_claims(ran, L, C, cfg)
         failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
         merged = merge_reports(rep for _, rep, _ in ran)
@@ -450,25 +454,30 @@ def _broken_claims(calls, L, C, cfg) -> list[str]:
     return list(dict.fromkeys(claims))  # one line per distinct claim
 
 
-def _median_ns(run: Callable[[], object], repeats: int) -> tuple[int, object]:
-    """Median wall time of ``repeats`` calls after one warm-up call, and the last result."""
-    result = run()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        result = run()
-        samples.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(samples)), result
+def _medians_ns(runs: Sequence[Callable[[], object]], repeats: int) -> tuple[list[int], list]:
+    """Median wall time of each of ``runs`` over ``repeats`` rounds after one warm-up round,
+    and the last result of each. A round calls every run once, in order on even rounds and
+    in reverse on odd ones, so neither side is always the one that runs first."""
+    results = [run() for run in runs]  # warm-up
+    samples = [[] for _ in runs]
+    for i in range(repeats):
+        for j in range(len(runs))[:: 1 if i % 2 == 0 else -1]:
+            t0 = time.perf_counter_ns()
+            results[j] = runs[j]()
+            samples[j].append(time.perf_counter_ns() - t0)
+    return [int(statistics.median(ns)) for ns in samples], results
 
 
-def _time_naive(q, k, v, do, repeats):
+def _naive(q, k, v, do) -> Callable[[], None]:
+    """The untiled path over every (batch, head) slice, forward and, given ``do``, backward."""
+
     def run() -> None:
         for sq, sk, sv, sdo in zip(*map(_slices, (q, k, v, do))):
             _, p = naive_forward(sq, sk, sv)
             if sdo is not None:
                 naive_backward(sq, sk, sv, p, sdo)
 
-    return _median_ns(run, repeats)[0]
+    return run
 
 
 def run_demo(

@@ -34,11 +34,15 @@ class AttnParams:
 
 
 # Largest number of float64 elements in one stacked array of the reference
-# checks (2**17 elements, 1 MiB): the finite-difference oracle's (m, *x.shape)
+# checks (2**14 elements, 128 KiB): the finite-difference oracle's (m, *x.shape)
 # perturbed copies and their (m, L, L) scores, with L = x.shape[0], and the
 # demo's window groups, (m, L, L) weights of as many whole windows as fit
-# (at least one) per untiled reference call.
-FD_STACK_ELEMS = 1 << 17
+# (at least one) per untiled reference call. It sets only how many problems
+# share one call, never a result: each stacked problem runs the same per-item
+# matmuls and row reductions. At 2**14 a call's few live arrays stay in cache
+# and glibc malloc reuses their memory in place; from 2**15 on, an oracle run
+# alone returned its freed stacks to the OS and faulted them back in each pass.
+FD_STACK_ELEMS = 1 << 14
 FD_STEP = 1e-5  # the central-difference step h of finite_diff_grad
 
 

@@ -67,8 +67,9 @@ def test_runs_one_gated_operation_of_each_workload_on_the_bound_package(
     assert set(workloads.WORKLOADS) == {"wide_fwd", "swin_train", "verify"}
     for name, make in workloads.WORKLOADS.items():
         wl = make()
-        batch_ns, naive_ns, computed = tool.operation(workloads, wl, wl.make_inputs(1)[0])
+        batch_ns, naive_ns, faults, computed = tool.operation(workloads, wl, wl.make_inputs(1)[0])
         assert batch_ns > 0 and naive_ns > 0 and computed, name
+        assert isinstance(faults, int) and faults >= 0, name
     assert list(prefix.rglob("workloads*")) == []  # the package's own bytecode went there
     assert _files(BENCH) == before
 
@@ -90,3 +91,44 @@ def test_workload_choices_are_the_benchmarks(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         tool.main(["--workload", "wide_naive"])
     assert "(choose from 'wide_fwd', 'swin_train', 'verify')" in capsys.readouterr().err
+
+
+def test_an_operation_counts_the_minor_faults_around_all_three_steps(copy_package, monkeypatch):
+    workloads = tool.bind(copy_package("flashwin_ab_faults"))
+    wl = workloads.WORKLOADS["verify"]()
+    readings = iter([100, 107])
+    monkeypatch.setattr(tool, "minor_faults", lambda: next(readings))
+    steps = []
+    for step in ("tiled", "naive", "check"):
+
+        def spy(*args, _step=step, _real=getattr(wl, step)):
+            steps.append(_step)
+            return _real(*args)
+
+        monkeypatch.setattr(wl, step, spy)
+    assert tool.operation(workloads, wl, 1)[2] == 7
+    assert steps == ["tiled", "naive", "check"]
+    assert next(readings, None) is None  # read once before the first step, once after the last
+
+
+def test_each_tree_prints_its_median_minor_faults_per_operation(monkeypatch, capsys):
+    # The working tree's package stands in for the rev's, so no git is needed.
+    for var in tool.BLAS_ENV:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(
+        tool, "extract", lambda rev, dest: shutil.copytree(
+            ROOT / "src" / "flashwin", dest / "flashwin_base",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    )
+    try:
+        assert tool.main(["--pairs", "2", "--workload", "verify"]) == 0
+    finally:
+        for key in [k for k in sys.modules if k.startswith("flashwin_base")]:
+            del sys.modules[key]
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("base", "change"):
+        [line] = [line for line in lines if line.startswith(label)]
+        assert float(line.split("minor faults/op ")[1]) >= 0
+    assert lines[-1] == "byte-equal outputs: 2/2"

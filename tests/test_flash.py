@@ -1,6 +1,7 @@
 """Tiled kernels: oracle equivalence, traffic exactness, occupancy, batching."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,27 @@ class TestFlashBackward:
                 run(arena)
             assert arena.live_bytes == 4
             assert arena.names == ["held"]
+
+    def test_a_refused_call_allocates_no_host_memory(self):
+        # Each (100000, 64) output would take 51.2 MB; a refusal makes none of them.
+        L, C = 100000, 64
+        q = zeros([L, C])  # calloc'd, never touched, and made before tracing starts
+        cfg = TileConfig(r=1)
+        ctx = FlashContext(q=q, k=q, v=q, cfg=cfg)
+        for run in (
+            lambda a: flash_forward(q, q, q, cfg, a),
+            lambda a: flash_backward(ctx, q, a),
+        ):
+            arena = ScratchpadArena()
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    run(arena)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            assert arena.live_bytes == 0
 
     def test_nan_in_q_raises_like_the_reference_and_frees_the_scores(self):
         q, k, v = make_qkv(58, 8, 16)

@@ -141,24 +141,26 @@ class TestCheckSuite:
         ids=["nan_in_q", "inf_in_k"],
     )
     def test_a_capacity_case_judges_the_refusal_alone(self, monkeypatch, operand, where):
-        # No score of a refused shape is made, so a non-finite input cannot fail its case.
+        # A shape whose every pass is refused draws no input, and its refusal reads none:
+        # a non-finite operand handed to its run cannot fail its case.
         drawn = []
-        real = harness._rand
+        real_rand, real_tiled = harness._rand, harness._tiled
 
-        def poisoned(rng, shape):
-            t = real(rng, shape)
-            if tuple(shape) != (1024, 16):
-                return t
-            drawn.append(t)
-            if len(drawn) - 1 != operand:
-                return t
-            bad = t.array.copy()
+        def recorded(rng, shape):
+            drawn.append(tuple(shape))
+            return real_rand(rng, shape)
+
+        def poisoned(*args):
+            operands = list(args[:3])
+            bad = operands[operand].array.copy()
             bad[where] = np.nan if operand == 0 else np.inf
-            return DenseTensor(shape, bad)
+            operands[operand] = DenseTensor(bad.shape, bad)
+            return real_tiled(*operands, *args[3:])
 
-        monkeypatch.setattr(harness, "_rand", poisoned)
+        monkeypatch.setattr(harness, "_rand", recorded)
+        monkeypatch.setattr(harness, "_tiled", poisoned)
         [case] = [r for r in run_check_suite(42, [1024], [16], [1]) if "L1024" in r.case_id]
-        assert len(drawn) == 3
+        assert Counter(drawn)[(1024, 16)] == 0
         assert case.case_id == "capacity_fwd_L1024_C16_r1"
         assert case.ok and case.sram_ok and case.max_err == 0.0
 
@@ -234,7 +236,7 @@ class TestCheckSuite:
         assert peak < 4e6
 
     def test_do_is_drawn_only_where_a_forward_pass_fits(self, monkeypatch):
-        # At L=1024 every forward is refused, so no case reads a dO there.
+        # At L=1024 every forward is refused, so no case reads an input there: none is drawn.
         drawn = []
         real = harness._rand
 
@@ -245,7 +247,15 @@ class TestCheckSuite:
         monkeypatch.setattr(harness, "_rand", recorded)
         results = run_check_suite(seed=42, Ls=[64, 1024], Cs=[16], r_values=[1])
         assert all(r.ok for r in results)
-        assert Counter(drawn)[(64, 16)] == 4 and Counter(drawn)[(1024, 16)] == 3
+        assert Counter(drawn)[(64, 16)] == 4 and Counter(drawn)[(1024, 16)] == 0
+
+    def test_a_refused_shape_still_takes_its_stream(self):
+        # L=1024 draws nothing from its split stream, yet the shape after it gets the
+        # same stream, and the same errors, as after a shape that draws.
+        after = lambda first: {
+            r.case_id: r for r in run_check_suite(42, [first, 64], [16], [1]) if "L64" in r.case_id
+        }
+        assert after(1024) == after(2)
 
     def test_gradient_cases_only_on_small_shapes(self):
         results = run_check_suite(seed=42, Ls=[2, 64], Cs=[16], r_values=[2])
@@ -347,6 +357,21 @@ class TestBench:
     def test_timings_are_positive_but_not_compared(self):
         rows, _ = run_bench(batches=[2], heads=1, L=8, Cs=[16], repeats=3)
         assert all(r.elapsed_ns > 0 for r in rows)
+
+    def test_the_two_paths_alternate_their_repeats(self, monkeypatch):
+        # One warm-up run of each, then rounds that swap which path runs first.
+        order = []
+        for name, label in (("_tiled", "flash"), ("naive_forward", "naive")):
+
+            def recorded(*args, _label=label, _real=getattr(harness, name)):
+                order.append(_label)
+                return _real(*args)
+
+            monkeypatch.setattr(harness, name, recorded)
+        rows, failed = run_bench(batches=[1], heads=1, L=8, Cs=[16], repeats=4)
+        warm_up, even, odd = ["flash", "naive"], ["flash", "naive"], ["naive", "flash"]
+        assert order == warm_up + even + odd + even + odd
+        assert failed == [] and len(rows) == 2
 
     def test_rows_sorted_canonically(self):
         rows, _ = run_bench(batches=[4, 2], heads=1, L=8, Cs=[32, 16], repeats=3)

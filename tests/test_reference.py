@@ -24,7 +24,7 @@ from flashwin import (
     softmax_rows,
     zeros,
 )
-from flashwin import reference
+from flashwin import harness, reference
 
 FD_STEP = 1e-5
 
@@ -378,6 +378,23 @@ class TestFiniteDiffGrad:
             f_minus = float((do.array * naive_forward(DenseTensor((5, 3), bumped), k, v)[0].array).sum())
             want[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
         assert np.array_equal(grad.array.reshape(-1), want)
+
+    def test_the_stack_bound_moves_no_bit_of_the_oracle_or_the_demo(self, monkeypatch):
+        # FD_STACK_ELEMS sets only how many problems share a call: the gradients of every
+        # grad_ shape of the L 1..1024, C 16..64 check grid, and the demo text, are the same
+        # bytes at every bound, from one problem per call up.
+        shapes = [(L, C) for L in (1, 2, 8, 49, 64, 1024) for C in (16, 32, 64) if L * C <= 256]
+        outputs = set()
+        for exponent in (9, 12, 15, 17):
+            monkeypatch.setattr(reference, "FD_STACK_ELEMS", 1 << exponent)
+            rng = Rng(42)
+            grads = b"".join(
+                g.array.tobytes()
+                for shape in shapes
+                for g in harness._Reference(*(rand(rng, shape) for _ in range(4))).fd_grads
+            )
+            outputs.add((grads, harness.run_demo(H=28, W=28, C=32, k=7, seed=3)[0]))
+        assert len(shapes) == 8 and len(outputs) == 1
 
     def test_non_finite_evaluation_names_element_of_later_chunk(self, monkeypatch):
         # 4x3 operand, per-copy bound 4*4 elements: 4 elements per stack of 8

@@ -25,10 +25,14 @@ share one malloc heap, so one tree's large frees raise glibc's trim
 threshold for the other too. A change that moves allocation sizes needs
 separate ``flashbench/run.py`` processes per tree as well.
 
-Prints, per tree, the min, p10 and median batch and naive times in ms,
-then the median over pairs of change/base for each, and how many pairs
-had byte-equal outputs (both paths' output images, or the check pass's
-case results). Dev tooling only: needs git and numpy.
+Prints, per tree, the min, p10 and median batch and naive times in ms and
+the median minor page faults per operation (the ``ru_minflt`` delta of the
+process around its tiled, naive and check steps), then the median over
+pairs of change/base for each time, and how many pairs had byte-equal
+outputs (both paths' output images, or the check pass's case results).
+Heap trimming still acts on both trees at once, but a tree that faults
+its heap back in on every operation shows it in its count. Dev tooling
+only: needs git and numpy.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import importlib
 import importlib.util
 import io
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -83,9 +88,14 @@ def bind(fw):
     return module
 
 
-def operation(workloads, wl, inputs) -> tuple[int, int, bytes]:
-    """One gated operation of ``wl``: (batch ns, naive ns, the bytes it computed)."""
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def operation(workloads, wl, inputs) -> tuple[int, int, int, bytes]:
+    """One gated operation of ``wl``: (batch ns, naive ns, minor faults, the bytes it computed)."""
     now = time.perf_counter_ns
+    faults = minor_faults()
     t0 = now()
     result = wl.tiled(inputs, workloads.fw.ScratchpadArena)
     t1 = now()
@@ -93,6 +103,7 @@ def operation(workloads, wl, inputs) -> tuple[int, int, bytes]:
     t2 = now()
     outcome = wl.check(result, reference)
     t3 = now()
+    faults = minor_faults() - faults
     if outcome.failed:
         raise SystemExit(f"gate failed in {workloads.fw.__name__}: " + "; ".join(outcome.problems))
     sample = wl.sample(t1 - t0, t2 - t1, t3 - t2, result)
@@ -100,7 +111,7 @@ def operation(workloads, wl, inputs) -> tuple[int, int, bytes]:
         computed = repr(result).encode()
     else:
         computed = b"".join(image.array.tobytes() for image in result.outputs + reference)
-    return sample.tiled_ns, sample.naive_ns, computed
+    return sample.tiled_ns, sample.naive_ns, faults, computed
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -141,7 +152,7 @@ def main(argv=None) -> int:
         for label, workloads in (("base", base), ("change", change)):
             wl = workloads.WORKLOADS[args.workload]()
             sides.append((label, workloads, wl, wl.make_inputs(SEED)))
-        times = {label: ([], []) for label, *_ in sides}
+        times = {label: ([], [], []) for label, *_ in sides}
         ratios, equal = ([], []), 0
         for i in range(WARMUP + args.pairs):
             got = {
@@ -150,15 +161,19 @@ def main(argv=None) -> int:
             }
             if i < WARMUP:
                 continue
-            for k in (0, 1):
-                for label, side in got.items():
+            for label, side in got.items():
+                for k in (0, 1, 2):
                     times[label][k].append(side[k])
+            for k in (0, 1):
                 ratios[k].append(got["change"][k] / got["base"][k])
-            equal += got["change"][2] == got["base"][2]
+            equal += got["change"][3] == got["base"][3]
 
     print(f"{args.workload}, {args.pairs} pairs after {WARMUP} warm-up, base = {args.rev}")
-    for label, (batch, naive) in times.items():
-        print(f"{label:<7} batch {summary(batch)}   naive {summary(naive)}")
+    for label, (batch, naive, faults) in times.items():
+        print(
+            f"{label:<7} batch {summary(batch)}   naive {summary(naive)}   "
+            f"minor faults/op {statistics.median(faults):g}"
+        )
     batch_ratio, naive_ratio = (statistics.median(r) for r in ratios)
     print(f"paired median change/base: batch {batch_ratio:.3f}, naive {naive_ratio:.3f}")
     print(f"byte-equal outputs: {equal}/{args.pairs}")
