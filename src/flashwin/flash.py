@@ -36,9 +36,9 @@ features in the widest chunk):
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,16 +85,17 @@ class FlashContext:
 
 def peak_sram_forward(L: int, C: int, cfg: TileConfig) -> int:
     """Closed-form forward scratchpad peak: (L^2 + 2*L*cw) elements in bytes."""
-    return _peak_sram(L, C, cfg, score_buffers=1)
+    return _peak_sram("peak_sram_forward", L, C, cfg, score_buffers=1)
 
 
 def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
     """Closed-form backward scratchpad peak: (2*L^2 + 2*L*cw) elements in bytes."""
-    return _peak_sram(L, C, cfg, score_buffers=2)
+    return _peak_sram("peak_sram_backward", L, C, cfg, score_buffers=2)
 
 
-def _peak_sram(L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
+def _peak_sram(fn: str, L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
     # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
+    _tensors(fn, TileConfig, cfg=cfg)
     L, C = _validated((L, C))
     return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
 
@@ -152,6 +153,8 @@ def flash_forward(
     ``naive_forward``.
     """
     _tensors("flash_forward", q=q, k=k, v=v)
+    _tensors("flash_forward", TileConfig, cfg=cfg)
+    _tensors("flash_forward", ScratchpadArena, arena=arena)
     L, C = _check_qkv_2d(q, k, v)
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
@@ -182,11 +185,11 @@ def flash_backward(
     recomputed scores are checked for finiteness: a NaN in V or dO reaches
     dQ, dK and dV in the same positions as in ``naive_backward``.
     """
-    if not isinstance(ctx, FlashContext) or not all(
-        isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)
-    ):
+    made = isinstance(ctx, FlashContext) and isinstance(ctx.cfg, TileConfig)
+    if not made or not all(isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)):
         raise FlashwinError("backward requires the context returned by flash_forward")
     _tensors("flash_backward", dO=dO)
+    _tensors("flash_backward", ScratchpadArena, arena=arena)
     L, C = _check_qkv_2d(ctx.q, ctx.k, ctx.v)
     if dO.shape != (L, C):
         raise ShapeError(f"dO shape {dO.shape} does not match forward shape {(L, C)}")
@@ -244,6 +247,8 @@ def batched_flash_forward(
     the (batch, head) of the offending slice. The benchmark's workloads call it by name.
     """
     _tensors("batched_flash_forward", q=q, k=k, v=v)
+    _tensors("batched_flash_forward", TileConfig, cfg=cfg)
+    _tensors("batched_flash_forward", Sequence, arenas=arenas)
     if q.ndim != 4 or not (q.shape == k.shape == v.shape):
         raise ShapeError(
             f"batched Q/K/V must share a 4-D shape, got {q.shape}, {k.shape}, {v.shape}"
@@ -251,12 +256,15 @@ def batched_flash_forward(
     if len(arenas) != 1:
         raise InvalidRangeError(f"exactly one arena is required, got {len(arenas)}")
     [arena] = arenas
+    _tensors("batched_flash_forward", ScratchpadArena, arenas=arena)
     B, h, L, C = q.shape
-    out = np.empty((B * h, L, C), dtype=np.float64)
+    out = None  # made once the first slice's call has fit, so a refused stack allocates none
     contexts: list[list[FlashContext]] = [[] for _ in range(B)]
     reports: list[TrafficReport] = []
     try:
         for _, [o], ctx, rep, _ in _slice_calls(q, k, v, None, cfg, arena):
+            if out is None:
+                out = np.empty((B * h, L, C), dtype=np.float64)
             out[len(reports)] = o.array  # no slice's output outlives its call
             contexts[len(reports) // h].append(ctx)
             reports.append(rep)

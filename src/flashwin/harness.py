@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from collections import deque
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapacityError, FlashwinError, ShapeError, _integer
 from .flash import TileConfig, _slice_calls, _slices, peak_sram_backward, peak_sram_forward
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, merge_reports
-from .reference import FD_STEP, _stack_len, finite_diff_grad, naive_backward, naive_forward
+from .reference import FD_STEP, finite_diff_grad, naive_backward, naive_forward
 from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff, zeros
 from .windowing import WindowConfig, window_partition, window_reverse
 
@@ -178,11 +178,11 @@ def run_check_suite(
     Each (L, C, r) point is one ``_tiled`` run on its (L, C) inputs, and each kernel case
     one call of it. A pass that ``_plan`` finds does not fit is an expected-error case that
     passes exactly when the run refuses at that pass (a refusal at any other propagates).
-    The untiled reference runs only for a case that compares a tiled output with it, at
-    most once per (L, C) for every chunk count, so a refused pass runs none. Each (L, C)
-    splits its own stream off the master; a shape whose every forward is refused draws
-    nothing from it and runs on one zero (L, C) input and no dO, which the refusal never
-    reads. The whole grid is planned before the first case runs.
+    Each (L, C) splits its own stream off the master. Where some forward fits, the shape
+    draws its inputs and runs ``_untiled`` once for every chunk count, with dO only where
+    some backward fits; a pass whose reference raised has no entry, which fails its cases.
+    Elsewhere it draws nothing and runs no reference, on one zero (L, C) input and no dO,
+    which the refusal never reads. The whole grid is planned before the first case runs.
     """
     points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
     master = Rng(seed)
@@ -191,12 +191,18 @@ def run_check_suite(
     for (L, C), shape_points in groupby(points, key=lambda point: point[:2]):
         shape_points = list(shape_points)
         rng = master.split()  # split at every shape, so no later shape's draws move
+        ref, fd = {}, None  # per pass the reference's outputs; then the central differences
         if any(unfit != "forward" for *_, unfit in shape_points):
             q, k, v, do = (_rand(rng, (L, C)) for _ in range(4))
+            backward = any(unfit is None for *_, unfit in shape_points)
+            try:
+                for pass_, outputs in _untiled(q, k, v, do if backward else None):
+                    ref[pass_] = outputs
+            except FlashwinError:
+                pass  # the pass that raised, and any after it, has no entry
         else:  # every forward is refused on its closed-form need before it reads an input
             q = k = v = zeros((L, C))
             do = None
-        ref = _Reference(q, k, v, do)
         # Outputs of each chunk count, for the chunk-count invariance case.
         fwd_runs: list[Sequence[DenseTensor]] = []
         bwd_runs: list[Sequence[DenseTensor]] = []
@@ -214,18 +220,18 @@ def run_check_suite(
                 refused = True
             if unfit != "forward":
                 fwd_runs.append(calls["forward"][0])
-                want = None if ref.forward is None else ref.forward[:1]
-                results.append(_kernel_case(f"fwd_{tag}", *calls["forward"], want, "forward", cfg))
+                results.append(_kernel_case(f"fwd_{tag}", "forward", calls, ref, cfg))
             if unfit:
                 case = {"forward": "capacity_fwd_", "backward": "capacity_bwd_"}[unfit] + tag
                 results.append(_result(case, 0.0, sram_ok=refused))
                 continue
 
-            grads, *bwd = calls["backward"]
+            grads = calls["backward"][0]
             bwd_runs.append(grads)
-            results.append(_kernel_case(f"bwd_{tag}", grads, *bwd, ref.grads, "backward", cfg))
+            results.append(_kernel_case(f"bwd_{tag}", "backward", calls, ref, cfg))
             if L * C <= 256:
-                err = _max_diff(zip(grads, ref.fd_grads))
+                fd = fd or _fd_grads(q, k, v, do)  # once per shape, at its first grad_ case
+                err = _max_diff(zip(grads, fd))
                 results.append(_result(f"grad_{tag}", err, tol=GRAD_TOL))
 
         if len(fwd_runs) >= 2:
@@ -256,8 +262,10 @@ def _result(
     return SuiteResult(case_id, err, traffic_ok, sram_ok, err <= tol and traffic_ok and sram_ok)
 
 
-def _kernel_case(case_id, got, report, held, want, pass_, cfg) -> SuiteResult:
-    """One call's outputs (each L x C) against the shared reference's (None: it raised), judged."""
+def _kernel_case(case_id, pass_, calls, ref, cfg) -> SuiteResult:
+    """The ``pass_`` call's outputs (each L x C) against the reference's (none: it raised)."""
+    got, report, held = calls[pass_]
+    want = ref.get(pass_)
     err = math.inf if want is None else _max_diff(zip(got, want))
     traffic_ok, peak_ok = _judge(report, pass_, *got[0].shape, cfg)
     return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and held == 0)
@@ -269,57 +277,18 @@ def _max_diff(pairs: Iterable[tuple[DenseTensor, DenseTensor]]) -> float:
     return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
-@dataclass
-class _Reference:
-    """Untiled results for one (L, C), computed on first use and shared by every r.
+def _fd_grads(q, k, v, do) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
+    """Central differences of <dO, O> through ``naive_forward``: each probe stacks perturbed
+    copies of one operand, broadcast against the other two; ``dot`` gives one per copy."""
 
-    The reference depends only on the inputs, not on the chunk count. None
-    means it raised, which fails every case of the shape that needs it. Only
-    a case that compares a kernel output with it runs it: where a kernel
-    pass fits, the kernel itself holds an L x L buffer, so the whole call's
-    L x L scores cost about as much.
-    """
+    def dot(qkv):
+        o = naive_forward(*qkv)[0].array
+        return (do.array * o).reshape(o.shape[0], -1).sum(axis=1)
 
-    q: DenseTensor
-    k: DenseTensor
-    v: DenseTensor
-    do: DenseTensor
-
-    @cached_property
-    def forward(self):
-        """(O, P) of ``naive_forward``, or None."""
-        try:
-            return naive_forward(self.q, self.k, self.v)
-        except FlashwinError:
-            return None
-
-    @cached_property
-    def grads(self):
-        """(dQ, dK, dV) of ``naive_backward`` with the forward's P, or None."""
-        if self.forward is None:
-            return None
-        try:
-            return naive_backward(self.q, self.k, self.v, self.forward[1], self.do)
-        except FlashwinError:
-            return None
-
-    @cached_property
-    def fd_grads(self):
-        """Central differences of <dO, O> through the untiled forward pass.
-
-        Each probe stacks perturbed copies of one operand; ``naive_forward``
-        broadcasts the other two, and ``dot`` gives one value per copy.
-        """
-        q, k, v, do = self.q, self.k, self.v, self.do
-
-        def dot(qkv):
-            o = naive_forward(*qkv)[0].array
-            return (do.array * o).reshape(o.shape[0], -1).sum(axis=1)
-
-        fd_q = finite_diff_grad(lambda t: dot((t, k, v)), q, FD_STEP)
-        fd_k = finite_diff_grad(lambda t: dot((q, t, v)), k, FD_STEP)
-        fd_v = finite_diff_grad(lambda t: dot((q, k, t)), v, FD_STEP)
-        return fd_q, fd_k, fd_v
+    fd_q = finite_diff_grad(lambda t: dot((t, k, v)), q, FD_STEP)
+    fd_k = finite_diff_grad(lambda t: dot((q, t, v)), k, FD_STEP)
+    fd_v = finite_diff_grad(lambda t: dot((q, k, t)), v, FD_STEP)
+    return fd_q, fd_k, fd_v
 
 
 def render_suite_table(results: list[SuiteResult]) -> str:
@@ -393,6 +362,8 @@ def run_bench(
     ``_plan``'s rules and every footprint, then at least one batch and every (batch, heads,
     L, C) extent, are checked before any input is made. The tiled path is ``_tiled``, and
     its last run's calls are judged by ``_broken_claims``; a flash row merges their reports.
+    The untiled path is ``_untiled`` on the same stacks, one reference call per (batch,
+    head) slice and pass; it keeps no output.
     """
     repeats = _integer("repeats", repeats, minimum=3)
     if pass_ not in ("fwd", "fwd_bwd"):
@@ -415,7 +386,8 @@ def run_bench(
 
         # Each call's (pass, report, held bytes) only: no output outlives its call.
         run = lambda: [(p, rep, n) for p, _, rep, n in _tiled(q, k, v, do, cfg, capacity_bytes)]
-        (flash_ns, naive_ns), (ran, _) = _medians_ns([run, _naive(q, k, v, do)], repeats)
+        untiled = lambda: deque(_untiled(q, k, v, do), maxlen=0)
+        (flash_ns, naive_ns), (ran, _) = _medians_ns([run, untiled], repeats)
         broken = _broken_claims(ran, L, C, cfg)
         failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
         merged = merge_reports(rep for _, rep, _ in ran)
@@ -434,6 +406,17 @@ def _tiled(q, k, v, do, cfg, capacity_bytes) -> Iterator[tuple]:
     module's ``ScratchpadArena``. Yields per call its pass, outputs, report and held bytes."""
     calls = _slice_calls(q, k, v, do, cfg, ScratchpadArena(capacity_bytes))
     return ((pass_, outputs, rep, held) for pass_, outputs, _, rep, held in calls)
+
+
+def _untiled(q, k, v, do) -> Iterator[tuple]:
+    """The untiled twin of ``_tiled``: per (L, C) slice of ``_slices``, its ``("forward",
+    [O])`` from ``naive_forward``, then given ``do`` its ``("backward", [dQ, dK, dV])`` from
+    ``naive_backward`` with that forward's P. A reference that raises ends the iteration."""
+    for sq, sk, sv, sdo in zip(*map(_slices, (q, k, v, do))):
+        o, p = naive_forward(sq, sk, sv)
+        yield "forward", [o]
+        if sdo is not None:
+            yield "backward", [*naive_backward(sq, sk, sv, p, sdo)]
 
 
 def _broken_claims(calls, L, C, cfg) -> list[str]:
@@ -468,18 +451,6 @@ def _medians_ns(runs: Sequence[Callable[[], object]], repeats: int) -> tuple[lis
     return [int(statistics.median(ns)) for ns in samples], results
 
 
-def _naive(q, k, v, do) -> Callable[[], None]:
-    """The untiled path over every (batch, head) slice, forward and, given ``do``, backward."""
-
-    def run() -> None:
-        for sq, sk, sv, sdo in zip(*map(_slices, (q, k, v, do))):
-            _, p = naive_forward(sq, sk, sv)
-            if sdo is not None:
-                naive_backward(sq, sk, sv, p, sdo)
-
-    return run
-
-
 def run_demo(
     H: int,
     W: int,
@@ -493,8 +464,7 @@ def run_demo(
 
     Planned first: the geometry, the capacity and one window's forward fit precede the image.
     The windows run through ``_tiled`` as one (N, 1, L, C) stack, one forward call each, and
-    the untiled reference checks them in groups of as many whole windows as ``_stack_len``
-    fits in FD_STACK_ELEMS, one ``naive_forward`` call per group.
+    ``_untiled`` checks them window by window, one ``naive_forward`` call each.
     """
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     N, L = cfg.num_windows, cfg.seq_len
@@ -508,14 +478,11 @@ def run_demo(
 
     stacked = DenseTensor._adopt(windows.array.reshape(N, 1, L, C))
     calls = list(_tiled(stacked, stacked, stacked, None, tile, capacity_bytes))
+    ref = _untiled(windows, windows, windows, None)
+    oracle_err = _max_diff((got, want) for (_, [got], _, _), (_, [want]) in zip(calls, ref))
     o = DenseTensor._adopt(np.stack([out.array for _, [out], _, _ in calls]))
     calls = [(pass_, rep, held) for pass_, _, rep, held in calls]  # no output kept twice
     report = merge_reports(rep for _, rep, _ in calls)
-    step = _stack_len(L * max(L, C))
-    part = lambda t, lo: DenseTensor._adopt(t.array[lo : lo + step])
-    oracle_err = _max_diff(
-        (part(o, lo), naive_forward(*[part(windows, lo)] * 3)[0]) for lo in range(0, N, step)
-    )
     image = window_reverse(o, cfg)
     peak = _peak("forward", L, C, tile)
     lines = [

@@ -33,22 +33,15 @@ class AttnParams:
         object.__setattr__(self, "scale", _real("scale", self.scale, positive=True))
 
 
-# Largest number of float64 elements in one stacked array of the reference
-# checks (2**14 elements, 128 KiB): the finite-difference oracle's (m, *x.shape)
-# perturbed copies and their (m, L, L) scores, with L = x.shape[0], and the
-# demo's window groups, (m, L, L) weights of as many whole windows as fit
-# (at least one) per untiled reference call. It sets only how many problems
-# share one call, never a result: each stacked problem runs the same per-item
-# matmuls and row reductions. At 2**14 a call's few live arrays stay in cache
-# and glibc malloc reuses their memory in place; from 2**15 on, an oracle run
-# alone returned its freed stacks to the OS and faulted them back in each pass.
+# Largest number of float64 elements in one stacked array of the finite-difference
+# oracle (2**14 elements, 128 KiB): its (m, *x.shape) perturbed copies and their
+# (m, L, L) scores, with L = x.shape[0]. It sets only how many probes share one
+# call, never a result: each stacked problem runs the same per-item matmuls and
+# row reductions. At 2**14 a call's few live arrays stay in cache and glibc
+# malloc reuses their memory in place; from 2**15 on, an oracle run alone
+# returned its freed stacks to the OS and faulted them back in each pass.
 FD_STACK_ELEMS = 1 << 14
 FD_STEP = 1e-5  # the central-difference step h of finite_diff_grad
-
-
-def _stack_len(elems_per_problem: int) -> int:
-    """How many problems of ``elems_per_problem`` elements fit in FD_STACK_ELEMS: at least 1."""
-    return max(1, FD_STACK_ELEMS // elems_per_problem)
 
 
 def softmax_rows(S: DenseTensor) -> DenseTensor:
@@ -103,6 +96,7 @@ def naive_forward(
     per call.
     """
     _tensors("naive_forward", q=q, k=k, v=v)
+    _tensors("naive_forward", AttnParams, params=params)
     _check_qkv(q, k, v)
     s = q.array @ k.array.swapaxes(-1, -2)
     s *= params.scale
@@ -143,6 +137,7 @@ def naive_backward(
     its gradient summed over the stack.
     """
     _tensors("naive_backward", q=q, k=k, v=v, P=P, dO=dO)
+    _tensors("naive_backward", AttnParams, params=params)
     shape = _check_qkv(q, k, v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(
@@ -180,7 +175,7 @@ def finite_diff_grad(
     h = _real("step", h, positive=True)
     base = x.array.reshape(-1)
     grad = np.empty_like(base)
-    step = _stack_len(2 * max(base.size, x.shape[0] ** 2))  # the +h and -h copies
+    step = max(1, FD_STACK_ELEMS // (2 * max(base.size, x.shape[0] ** 2)))  # +h and -h copies
     for start in range(0, base.size, step):
         idx = np.arange(start, min(start + step, base.size))
         n = idx.size

@@ -150,12 +150,14 @@ def _validated(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def _tensors(fn: str, **operands) -> None:
-    """The one operand rule of the public functions: each of ``operands`` is a DenseTensor,
-    else :class:`FlashwinError` names ``fn`` and the first parameter that is not."""
+def _tensors(fn: str, kind: type = DenseTensor, **operands) -> None:
+    """The one operand rule of the public functions: each of ``operands`` is a ``kind`` (a
+    DenseTensor by default; a subclass passes), else :class:`FlashwinError` names ``fn``,
+    the class and the first parameter that is not, as in "fn needs TileConfigs"."""
     for name, t in operands.items():
-        if not isinstance(t, DenseTensor):
-            raise FlashwinError(f"{fn} needs DenseTensors, got {type(t).__name__} for {name}")
+        if not isinstance(t, kind):
+            what = kind.__name__ + ("" if kind.__name__.endswith("s") else "s")
+            raise FlashwinError(f"{fn} needs {what}, got {type(t).__name__} for {name}")
 
 
 def _host_array(make, shape: tuple[int, ...]) -> np.ndarray:

@@ -41,6 +41,7 @@ class WindowConfig:
 def window_partition(x: DenseTensor, cfg: WindowConfig) -> DenseTensor:
     """Rearrange an H x W x C image into an N x L x C window stack."""
     _tensors("window_partition", x=x)
+    _tensors("window_partition", WindowConfig, cfg=cfg)
     if x.shape != (cfg.H, cfg.W, cfg.C):
         raise ShapeError(f"expected image shape {(cfg.H, cfg.W, cfg.C)}, got {x.shape}")
     k = cfg.k
@@ -55,6 +56,7 @@ def window_partition(x: DenseTensor, cfg: WindowConfig) -> DenseTensor:
 def window_reverse(y: DenseTensor, cfg: WindowConfig) -> DenseTensor:
     """Invert :func:`window_partition`, restoring the H x W x C image."""
     _tensors("window_reverse", y=y)
+    _tensors("window_reverse", WindowConfig, cfg=cfg)
     if y.shape != (cfg.num_windows, cfg.seq_len, cfg.C):
         raise ShapeError(
             f"expected window stack shape {(cfg.num_windows, cfg.seq_len, cfg.C)}, "

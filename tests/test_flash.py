@@ -343,6 +343,10 @@ class TestFlashBackward:
                 zeros([2, 2]),
                 ScratchpadArena(),
             )
+        x = zeros([2, 2])
+        for cfg in ("x", None):  # it used to die on cfg.chunk_spans with an AttributeError
+            with pytest.raises(FlashwinError, match="backward requires the context"):
+                flash_backward(FlashContext(q=x, k=x, v=x, cfg=cfg), x, ScratchpadArena())
 
     def test_budget_enforced_before_any_work(self):
         q, k, v = make_qkv(56, 16, 16)
@@ -626,6 +630,21 @@ class TestBatchedForward:
         q, k, v = (rand(rng, (2, 2, 64, 64)) for _ in range(3))
         with pytest.raises(CapacityError, match=r"slice \(b=0, head=0\)"):
             batched_flash_forward(q, k, v, TileConfig(r=1), [ScratchpadArena(1024)])
+
+    def test_a_refused_stack_allocates_no_host_memory(self):
+        # The (1, 1, 100000, 64) output would take 51.2 MB; it is made only once the first
+        # slice's call has fit, so a refusal there makes none.
+        q = zeros([1, 1, 100000, 64])  # calloc'd, never touched, and made before tracing
+        arena = ScratchpadArena()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"^slice \(b=0, head=0\): "):
+                batched_flash_forward(q, q, q, TileConfig(r=1), [arena])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert arena.live_bytes == 0
 
     def test_requires_4d_inputs_and_an_arena(self):
         rng = Rng(75)

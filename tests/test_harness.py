@@ -373,6 +373,25 @@ class TestBench:
         assert order == warm_up + even + odd + even + odd
         assert failed == [] and len(rows) == 2
 
+    @pytest.mark.parametrize("pass_", ["fwd", "fwd_bwd"])
+    def test_the_untiled_side_makes_one_reference_call_per_slice(self, monkeypatch, pass_):
+        # Each of the 1 + 3 runs (warm-up and repeats) of the untiled side runs every
+        # (batch, head) slice once: batch * heads forward calls, and as many backward.
+        calls = Counter()
+        for name in ("naive_forward", "naive_backward"):
+
+            def counted(*args, _name=name, _real=getattr(harness, name)):
+                calls[_name, args[0].shape] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        _, failed = run_bench(batches=[2], heads=3, L=8, Cs=[16], pass_=pass_, repeats=3)
+        runs = 4 * 2 * 3
+        want = {("naive_forward", (8, 16)): runs}
+        if pass_ == "fwd_bwd":
+            want[("naive_backward", (8, 16))] = runs
+        assert calls == want and failed == []
+
     def test_rows_sorted_canonically(self):
         rows, _ = run_bench(batches=[4, 2], heads=1, L=8, Cs=[32, 16], repeats=3)
         keys = [(r.batch, r.heads, r.L, r.C, r.r, r.impl, r.pass_) for r in rows]
@@ -545,11 +564,11 @@ class TestDemo:
         monkeypatch.setattr(harness, "naive_forward", counted)
         text, _ = run_demo(H=8, W=8, C=4, k=2, seed=1)
         assert "16 windows" in text
-        assert calls == [(16, 4, 4)]
+        assert calls == [(4, 4)] * 16  # one untiled call per window
         calls.clear()
-        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 5 * 4 * 4)  # 5 windows of 4x4 weights
+        monkeypatch.setattr(reference, "FD_STACK_ELEMS", 5 * 4 * 4)  # bounds the oracle alone
         assert run_demo(H=8, W=8, C=4, k=2, seed=1)[0] == text
-        assert calls == [(5, 4, 4)] * 3 + [(1, 4, 4)]
+        assert calls == [(4, 4)] * 16
 
     def test_never_holds_every_windows_weights_at_once(self):
         # 64 windows of L = 121: their (64, 121, 121) weights alone take 7.5 MB.

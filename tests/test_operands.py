@@ -1,15 +1,20 @@
-"""Every tensor parameter of the public API against operands that are not tensors.
+"""Every tensor and config parameter of the public API against operands of another class.
 
-A numpy array, a string and None in place of each DenseTensor parameter are refused with one
-:class:`FlashwinError` that names the function and the parameter, never a bare
-``AttributeError`` or ``TypeError`` from inside the call. The other operands are valid, so
-the refusal is the operand rule's and not a shape check's.
+A numpy array, a string and None in place of each DenseTensor parameter, and a float, a
+string and None in place of each config parameter (AttnParams, TileConfig, ScratchpadArena,
+WindowConfig, the arena list), are refused with one :class:`FlashwinError` that names the
+function, the class and the parameter, never a bare ``AttributeError`` or ``TypeError`` from
+inside the call. The other operands are valid, so the refusal is the operand rule's and not
+a shape check's. A subclass of each config class passes.
 """
+
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from flashwin import (
+    AttnParams,
     FlashwinError,
     ScratchpadArena,
     TileConfig,
@@ -22,6 +27,8 @@ from flashwin import (
     max_abs_diff,
     naive_backward,
     naive_forward,
+    peak_sram_backward,
+    peak_sram_forward,
     softmax_backward,
     softmax_rows,
     window_partition,
@@ -85,3 +92,68 @@ def test_the_valid_operands_of_each_row_run(row):
     # Else a row could pass by refusing its valid operands too.
     _, call, operands = row
     call(*(valid for _, valid in operands))
+
+
+def _flash_backward(arena):
+    _, ctx, _ = flash_forward(X, X, X, TileConfig(1), ScratchpadArena())
+    return flash_backward(ctx, X, arena)
+
+
+def _batched(cfg=TileConfig(1), arenas=(ScratchpadArena(),)):
+    return batched_flash_forward(S4, S4, S4, cfg, arenas)
+
+
+BAD_CONFIGS = [2.0, "x", None]
+# Per config parameter: its function, the call on it, its name, the class it must be and a
+# maker of a valid value of a given subclass of it, and its wrong values.
+CONFIGS = [
+    ("naive_forward", lambda p: naive_forward(X, X, X, p), "params", AttnParams,
+     lambda cls: cls(scale=0.5), BAD_CONFIGS),
+    ("naive_backward", lambda p: naive_backward(X, X, X, P, X, p), "params", AttnParams,
+     lambda cls: cls(scale=0.5), BAD_CONFIGS),
+    ("flash_forward", lambda c: flash_forward(X, X, X, c, ScratchpadArena()), "cfg", TileConfig,
+     lambda cls: cls(1), BAD_CONFIGS),
+    ("flash_forward", lambda a: flash_forward(X, X, X, TileConfig(1), a), "arena",
+     ScratchpadArena, lambda cls: cls(), BAD_CONFIGS),
+    ("flash_backward", _flash_backward, "arena", ScratchpadArena, lambda cls: cls(), BAD_CONFIGS),
+    ("batched_flash_forward", lambda c: _batched(cfg=c), "cfg", TileConfig, lambda cls: cls(1),
+     BAD_CONFIGS),
+    # The arena list, then its one item: a string is a sequence of one.
+    ("batched_flash_forward", lambda a: _batched(arenas=a), "arenas", Sequence,
+     lambda cls: cls([ScratchpadArena()]), [2.0, {}, None]),
+    ("batched_flash_forward", lambda a: _batched(arenas=[a]), "arenas", ScratchpadArena,
+     lambda cls: cls(), BAD_CONFIGS),
+    ("window_partition", lambda c: window_partition(zeros([4, 4, 2]), c), "cfg", WindowConfig,
+     lambda cls: cls(H=4, W=4, C=2, k=2), BAD_CONFIGS),
+    ("window_reverse", lambda c: window_reverse(zeros([4, 4, 2]), c), "cfg", WindowConfig,
+     lambda cls: cls(H=4, W=4, C=2, k=2), BAD_CONFIGS),
+    ("peak_sram_forward", lambda c: peak_sram_forward(4, 4, c), "cfg", TileConfig,
+     lambda cls: cls(1), BAD_CONFIGS),
+    ("peak_sram_backward", lambda c: peak_sram_backward(4, 4, c), "cfg", TileConfig,
+     lambda cls: cls(1), BAD_CONFIGS),
+]
+CONFIG_CASES = [(row, bad) for row in CONFIGS for bad in row[5]]
+
+
+@pytest.mark.parametrize(
+    "row, bad",
+    CONFIG_CASES,
+    ids=[f"{row[0]}.{row[2]}:{row[3].__name__}-{type(bad).__name__}" for row, bad in CONFIG_CASES],
+)
+def test_a_config_of_another_class_is_refused_by_name(row, bad):
+    fn_name, call, name, kind, _, _ = row
+    msg = f"^{fn_name} needs {kind.__name__}s?, got {type(bad).__name__} for {name}$"
+    with pytest.raises(FlashwinError, match=msg):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "row", CONFIGS, ids=[f"{row[0]}.{row[2]}:{row[3].__name__}" for row in CONFIGS]
+)
+def test_a_subclass_of_each_config_class_passes(row):
+    # The valid value itself, then one of a subclass: the benchmark traces the kernels on
+    # a ScratchpadArena subclass.
+    _, call, _, kind, make, _ = row
+    base = list if kind is Sequence else kind
+    call(make(base))
+    call(make(type(f"Sub{base.__name__}", (base,), {})))
