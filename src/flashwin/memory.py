@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, FlashwinError, InvalidRangeError, ShapeError, _integer
+from .tensor import _tensors
 
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
 ELEM_BYTES = (4, 8)  # the element sizes byte accounting accepts
@@ -77,8 +78,11 @@ class ScratchpadArena:
         allocated inside is no longer held; one freed inside is held again) and
         no report is made. One call runs on an arena at a time: entering a
         second one raises :class:`FlashwinError`, with the running call's ledger
-        and the live bytes untouched.
+        and the live bytes untouched. A ``need`` that is not an integer >= 0 is
+        refused with :class:`InvalidRangeError`; ``kind`` only names the call.
         """
+        if type(need) is not int or need < 0:
+            need = _integer("need", need, minimum=0)
         if self._in_call:
             raise FlashwinError(f"{kind} pass entered while another kernel call runs on the arena")
         entry = self.live_bytes
@@ -185,11 +189,17 @@ class TrafficReport:
 
 
 def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:
-    """Sum counts across independent kernel calls; the peak is the largest, not summed."""
+    """Sum counts across independent kernel calls; the peak is the largest, not summed.
+
+    ``reports`` is read once; an item that is not a :class:`TrafficReport` is
+    refused with :class:`FlashwinError`, named by its index.
+    """
     loads: dict[str, int] = {}
     stores: dict[str, int] = {}
     peak = 0
-    for rep in reports:
+    for i, rep in enumerate(reports):
+        if type(rep) is not TrafficReport:  # the operand rule, kept off the common path
+            _tensors("merge_reports", TrafficReport, **{f"reports[{i}]": rep})
         for name, n in rep.loads.items():
             loads[name] = loads.get(name, 0) + n
         for name, n in rep.stores.items():

@@ -89,6 +89,13 @@ def _allocate(shape, elem_bytes):
     return buf.shape, arena.live_bytes
 
 
+def _kernel_call(need):
+    arena = ScratchpadArena(64)
+    with arena.kernel_call("forward", need) as report:
+        arena.allocate("x", (2,), 4)
+    return report(), arena.live_bytes
+
+
 def _fill(shape, lo, hi):
     rng = Rng(1)
     t = fill_uniform(rng, shape, lo, hi)
@@ -130,6 +137,7 @@ TABLE = [
           lambda v: ScratchpadArena(v).capacity_bytes),
     Param("allocate.shape", Kind("extent", 0), 2, lambda v: _allocate((v, 3), 4)),
     Param("allocate.elem_bytes", ELEM, 4, lambda v: _allocate((2, 3), v)),
+    Param("kernel_call.need", CAPACITY, 64, _kernel_call),
     Param("fill_uniform.shape", EXTENT, 2, lambda v: _fill([v, 2], -1.0, 1.0)),
     Param("fill_uniform.lo", REAL, -4, lambda v: _fill([3], v, 10.0)),
     Param("fill_uniform.hi", REAL, 4, lambda v: _fill([3], -10.0, v)),

@@ -8,6 +8,7 @@ inside the call. The other operands are valid, so the refusal is the operand rul
 a shape check's. A subclass of each config class passes.
 """
 
+import re
 from collections.abc import Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from flashwin import (
     FlashwinError,
     ScratchpadArena,
     TileConfig,
+    TrafficReport,
     WindowConfig,
     batched_flash_forward,
     finite_diff_grad,
@@ -25,6 +27,7 @@ from flashwin import (
     flash_forward,
     matmul,
     max_abs_diff,
+    merge_reports,
     naive_backward,
     naive_forward,
     peak_sram_backward,
@@ -131,6 +134,11 @@ CONFIGS = [
      lambda cls: cls(1), BAD_CONFIGS),
     ("peak_sram_backward", lambda c: peak_sram_backward(4, 4, c), "cfg", TileConfig,
      lambda cls: cls(1), BAD_CONFIGS),
+    # Each report by its index, in a list and in a one-pass iterator.
+    ("merge_reports", lambda rep: merge_reports([rep]), "reports[0]", TrafficReport,
+     lambda cls: cls(), BAD_CONFIGS),
+    ("merge_reports", lambda rep: merge_reports(iter([TrafficReport(), rep])), "reports[1]",
+     TrafficReport, lambda cls: cls(), BAD_CONFIGS),
 ]
 CONFIG_CASES = [(row, bad) for row in CONFIGS for bad in row[5]]
 
@@ -142,7 +150,7 @@ CONFIG_CASES = [(row, bad) for row in CONFIGS for bad in row[5]]
 )
 def test_a_config_of_another_class_is_refused_by_name(row, bad):
     fn_name, call, name, kind, _, _ = row
-    msg = f"^{fn_name} needs {kind.__name__}s?, got {type(bad).__name__} for {name}$"
+    msg = f"^{fn_name} needs {kind.__name__}s?, got {type(bad).__name__} for {re.escape(name)}$"
     with pytest.raises(FlashwinError, match=msg):
         call(bad)
 
@@ -157,3 +165,8 @@ def test_a_subclass_of_each_config_class_passes(row):
     base = list if kind is Sequence else kind
     call(make(base))
     call(make(type(f"Sub{base.__name__}", (base,), {})))
+
+
+def test_merge_reports_checks_each_report_as_it_reads_a_generator_once():
+    reports = [TrafficReport({"Q": 1}, {}, 8), TrafficReport({"Q": 2}, {"O": 3}, 4)]
+    assert merge_reports(rep for rep in reports) == TrafficReport({"Q": 3}, {"O": 3}, 8)
