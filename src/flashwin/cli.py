@@ -51,7 +51,6 @@ def _r_list(text: str) -> list[int | str]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_int, default=DEFAULT_SEED, help="master RNG seed")
     p.add_argument(
         "--capacity-bytes",
         type=_int,
@@ -70,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _common(args) -> dict:
     """The flags of ``_add_common`` (all but ``--out``) as keyword arguments of a run."""
-    return dict(seed=args.seed, capacity_bytes=args.capacity_bytes, elem_bytes=args.elem_bytes)
+    return dict(capacity_bytes=args.capacity_bytes, elem_bytes=args.elem_bytes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the correctness/traffic/occupancy suite")
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED, help="master RNG seed")
     _add_common(p)
     p.add_argument("--L", type=_int_list, default=[1, 2, 8, 49, 64], help="sequence lengths")
     p.add_argument("--C", type=_int_list, default=[16, 32, 64], help="channel counts")
@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo", help="partition -> attention -> reverse walkthrough")
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED, help="master RNG seed")
     _add_common(p)
     p.add_argument("--H", type=_int, default=224)
     p.add_argument("--W", type=_int, default=224)
@@ -125,7 +126,7 @@ def _verdict(failed: list[str]) -> int:
 
 
 def cmd_check(args, out) -> int:
-    results = run_check_suite(Ls=args.L, Cs=args.C, r_values=args.r, **_common(args))
+    results = run_check_suite(args.seed, args.L, args.C, args.r, **_common(args))
     (out or sys.stdout).write(render_suite_table(results))
     failing = [r.case_id for r in results if not r.ok]
     return _verdict(["failing cases: " + ", ".join(failing)] if failing else [])
@@ -160,7 +161,7 @@ def cmd_bench(args, out) -> int:
 
 
 def cmd_demo(args, out) -> int:
-    text, failed = run_demo(H=args.H, W=args.W, C=args.C, k=args.k, **_common(args))
+    text, failed = run_demo(args.H, args.W, args.C, args.k, args.seed, **_common(args))
     (out or sys.stdout).write(text)
     return _verdict(failed)
 

@@ -12,7 +12,7 @@ digits, and those digits are rounding error: their bits depend on which BLAS and
 kernels the CPU selects. So these three files are written and compared in a subprocess
 under pinned kernels (:data:`PINNED_KERNELS`): OpenBLAS's Haswell (AVX2) kernels, numpy's
 own dispatch held below AVX-512, and one BLAS thread, a level that every x86-64 machine
-with AVX2 has. CI diffs them under the same environment.
+with AVX2 has.
 """
 
 import csv

@@ -249,6 +249,27 @@ class TestCheckSuite:
         assert all(r.ok for r in results)
         assert Counter(drawn)[(64, 16)] == 4 and Counter(drawn)[(1024, 16)] == 0
 
+    def test_a_shape_whose_every_pass_is_refused_costs_the_refusal_alone(self, monkeypatch):
+        # L=100000 needs 80 GB of scores per pass: only the round-trip images are drawn,
+        # and no reference runs.
+        drawn = []
+        real = harness._rand
+
+        def recorded(rng, shape):
+            drawn.append(tuple(shape))
+            return real(rng, shape)
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference ran at a refused shape")
+
+        monkeypatch.setattr(harness, "_rand", recorded)
+        for name in ("naive_forward", "naive_backward"):
+            monkeypatch.setattr(harness, name, no_reference)
+        results = run_check_suite(42, [100000], [16], [1])
+        assert render_suite_table(results).endswith("\n6/6 cases passed\n")
+        assert results[-1].case_id == "capacity_fwd_L100000_C16_r1"
+        assert drawn == [(H, W, C) for H, W, C, _ in harness.ROUNDTRIP_GEOMETRIES]
+
     def test_a_refused_shape_still_takes_its_stream(self):
         # L=1024 draws nothing from its split stream, yet the shape after it gets the
         # same stream, and the same errors, as after a shape that draws.
@@ -449,7 +470,8 @@ class TestExtents:
         def no_inputs(*args):
             raise AssertionError("inputs made for a non-integer extent")
 
-        monkeypatch.setattr(harness, "_rand", no_inputs)
+        for maker in ("_rand", "zeros"):  # traffic's one input is zeros
+            monkeypatch.setattr(harness, maker, no_inputs)
         run, extent = self.RUNS[name]
         shape = tuple(bad if e == "?" else e for e in extent)
         message = f"extents must be integers, got {shape}"
@@ -469,14 +491,13 @@ class TestExtents:
 
 
 class TestSeeds:
-    """A run's seed is an integer: a float, bool or string is refused, not truncated or parsed."""
+    """The seed of check and demo is an integer: a float, bool or string is refused, not
+    truncated or parsed. Traffic and bench take none: no seed changes their output."""
 
     @pytest.mark.parametrize("seed", [2.5, "3", True], ids=repr)
     def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
         runs = [
-            lambda: run_traffic(8, 16, 1, 4, seed=seed),
             lambda: run_check_suite(seed, [2], [16], [1]),
-            lambda: run_bench([1], 1, 8, [16], seed=seed),
             lambda: run_demo(14, 14, 16, 7, seed=seed),
         ]
         message = f"seed must be an integer, got {seed!r}"
@@ -580,6 +601,12 @@ class TestDemo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * L * L
+
+    def test_the_default_checks_every_window_against_the_reference(self):
+        # The README's default demo: 1024 windows of 49 x 32.
+        text, failed = run_demo(224, 224, 32, 7)
+        assert "\nmax oracle error over 1024 windows: " in text
+        assert failed == []
 
     def test_multi_window_geometry(self):
         text, failed = run_demo(H=28, W=28, C=32, k=7, seed=1)
@@ -747,7 +774,7 @@ class TestCli:
         def no_work(*args, **kwargs):
             raise AssertionError("work done before the run was planned")
 
-        for name in ("_rand", "window_partition", "_tiled"):
+        for name in ("_rand", "zeros", "window_partition", "_tiled"):
             monkeypatch.setattr(harness, name, no_work)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -772,7 +799,8 @@ class TestCli:
         def exhausted(*args):
             raise exc
 
-        monkeypatch.setattr(harness, "_rand", exhausted)
+        for maker in ("_rand", "zeros"):  # traffic's one input is zeros
+            monkeypatch.setattr(harness, maker, exhausted)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -863,6 +891,20 @@ class TestCli:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(f"error: {message}\n") and "_int_list" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["traffic", "--L", "8", "--C", "16"],
+         ["bench", "--batch", "1", "--heads", "1", "--L", "8", "--C", "16"]],
+        ids=["traffic", "bench"],
+    )
+    def test_traffic_and_bench_take_no_seed(self, capsys, argv):
+        # Traffic runs on zeros and bench reports no input value: a seed would change nothing.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --seed 1\n")
 
     def test_chunk_count_below_one_is_an_error(self, capsys):
         assert main(["check", "--L", "4", "--C", "4", "--r", "0"]) == 2

@@ -107,10 +107,9 @@ def _check(seed=1, L=2, C=2, r=1, capacity_bytes=4096, elem_bytes=4):
                            elem_bytes=elem_bytes)
 
 
-def _bench(batch=1, heads=1, L=2, C=2, r=1, repeats=3, seed=1, capacity_bytes=4096,
-           elem_bytes=4):
-    rows, failed = run_bench([batch], heads, L, [C], r, "fwd_bwd", repeats, seed,
-                             capacity_bytes, elem_bytes)
+def _bench(batch=1, heads=1, L=2, C=2, r=1, repeats=3, capacity_bytes=4096, elem_bytes=4):
+    rows, failed = run_bench([batch], heads, L, [C], r, "fwd_bwd", repeats, capacity_bytes,
+                             elem_bytes)
     return [replace(row, elapsed_ns=0) for row in rows], failed  # the one timed field
 
 
@@ -118,8 +117,8 @@ def _demo(H=4, W=4, C=2, k=2, seed=1, capacity_bytes=4096, elem_bytes=4):
     return run_demo(H, W, C, k, seed, capacity_bytes, elem_bytes)
 
 
-def _traffic(L=2, C=2, r=1, elem_bytes=4, seed=1, capacity_bytes=4096):
-    return run_traffic(L, C, r, elem_bytes, seed, capacity_bytes)
+def _traffic(L=2, C=2, r=1, elem_bytes=4, capacity_bytes=4096):
+    return run_traffic(L, C, r, elem_bytes, capacity_bytes)
 
 
 CHUNKS, CAPACITY, ELEM = Kind("integer", 1), Kind("integer", 0), INTEGER
@@ -156,7 +155,6 @@ TABLE = [
     Param("run_traffic.C", EXTENT, 2, lambda v: _traffic(C=v)),
     Param("run_traffic.r_value", CHUNKS, 1, lambda v: _traffic(r=v)),
     Param("run_traffic.elem_bytes", ELEM, 8, lambda v: _traffic(elem_bytes=v)),
-    Param("run_traffic.seed", INTEGER, 1, lambda v: _traffic(seed=v)),
     Param("run_traffic.capacity_bytes", CAPACITY, 64, lambda v: _traffic(capacity_bytes=v)),
     Param("run_bench.batches", EXTENT, 1, lambda v: _bench(batch=v)),
     Param("run_bench.heads", EXTENT, 1, lambda v: _bench(heads=v)),
@@ -164,7 +162,6 @@ TABLE = [
     Param("run_bench.Cs", EXTENT, 2, lambda v: _bench(C=v)),
     Param("run_bench.r_value", CHUNKS, 1, lambda v: _bench(r=v)),
     Param("run_bench.repeats", Kind("integer", 3), 3, lambda v: _bench(repeats=v)),
-    Param("run_bench.seed", INTEGER, 1, lambda v: _bench(seed=v)),
     Param("run_bench.capacity_bytes", CAPACITY, 64, lambda v: _bench(capacity_bytes=v)),
     Param("run_bench.elem_bytes", ELEM, 8, lambda v: _bench(elem_bytes=v)),
     Param("run_demo.H", EXTENT, 4, lambda v: _demo(H=v)),

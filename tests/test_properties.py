@@ -181,7 +181,7 @@ def test_traffic_refuses_a_pass_if_and_only_if_check_makes_it_a_capacity_case(L,
     about_peaks = st.sampled_from([bwd, bwd - 1, fwd, fwd - 1]) | st.integers(0, bwd + 1)
     capacity = data.draw(about_peaks, label="capacity")
     try:
-        run_traffic(L, C, r, eb, seed=1, capacity_bytes=capacity)
+        run_traffic(L, C, r, eb, capacity_bytes=capacity)
         refused = set()
     except CapacityError as exc:
         refused = {str(exc).split()[0]}  # "forward pass at ..." or "backward pass at ..."

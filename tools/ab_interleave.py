@@ -8,8 +8,9 @@ Usage (from the repository root)::
 Each tree runs in a worker process of its own, so each keeps its own heap.
 A worker imports its tree's ``src/flashwin`` (the rev's from ``git
 archive``) as ``flashwin`` and runs the working tree's
-``flashbench/workloads.py`` on it: the benchmark's own workloads (the
-choices of ``--workload``), inputs and gate. An operation is what
+``flashbench/workloads.py`` on it, under ``flashbench/run.py``'s BLAS
+thread cap: the benchmark's own workloads (the choices of ``--workload``),
+inputs and gate. An operation is what
 ``flashbench/run.py``'s ``iterate`` times and checks: ``tiled`` (the
 batch), ``naive`` (the untiled path on the same inputs), then ``check``.
 Each pair asks both workers for one operation in turn, alternating which
@@ -41,7 +42,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_PY = ROOT / "flashbench" / "workloads.py"
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1
 WARMUP = 5  # untimed pairs first: caches, lazy imports, the heap
 
@@ -78,10 +78,11 @@ def worker(conn, tree: str) -> None:
     """Send the workload names, take one, then answer each pair index with an operation."""
     with conn:
         try:
-            for var in BLAS_ENV:  # before numpy loads, as flashbench/run.py does
-                os.environ[var] = "1"
             sys.dont_write_bytecode = True
             sys.path[:0] = [tree, str(WORKLOADS_PY.parent)]  # tree's flashwin, then workloads
+            import run  # the benchmark's BLAS thread cap; it loads no numpy
+            for var in run.BLAS_ENV:  # before workloads loads numpy, as run.main does
+                os.environ[var] = str(run.BLAS_THREADS)
             import workloads
             conn.send(tuple(workloads.WORKLOADS))
             wl = workloads.WORKLOADS[conn.recv()]()
