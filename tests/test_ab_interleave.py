@@ -1,14 +1,14 @@
 """``tools/ab_interleave.py`` runs flashbench's own workloads and gate on each tree in a worker.
 
-The rev's package is a copy of ``src/flashwin`` (``extract`` is replaced), so no git
-checkout is needed. The benchmark files are only read.
+``extract`` is wrapped so that the rev's package is also a copy of the working tree's
+``src/flashwin``, and no git checkout is needed, except to show that a rev git cannot read
+ends the run. The benchmark files are only read.
 """
 
 import importlib
 import importlib.util
 import multiprocessing.context
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -51,20 +51,24 @@ def _alive(pids) -> list:
     return alive
 
 
-def _base_copy(tool, monkeypatch, edit_flash=None):
-    """Make ``extract`` copy the working tree's package, optionally editing its flash.py."""
+def _base_copy(tool, monkeypatch, edit_flash=None) -> dict:
+    """Make ``extract`` copy the working tree's package for the rev too, optionally editing
+    the rev's flash.py only; returns each tree's flash.py text by rev, once it is made."""
+    real, flash_texts = tool.extract, {}
 
     def extract(rev, dest):
-        shutil.copytree(ROOT / "src" / "flashwin", dest / "flashwin",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        if edit_flash is not None:
-            flash = dest / "flashwin" / "flash.py"
-            text = flash.read_text(encoding="utf-8")
+        real(None, dest)
+        flash = dest / "flashwin" / "flash.py"
+        text = flash.read_text(encoding="utf-8")
+        if rev is not None and edit_flash is not None:
             edited = edit_flash(text)
             assert edited != text
-            flash.write_text(edited, encoding="utf-8")
+            text = edited
+            flash.write_text(text, encoding="utf-8")
+        flash_texts[rev] = text
 
     monkeypatch.setattr(tool, "extract", extract)
+    return flash_texts
 
 
 def _files(root: Path) -> dict:
@@ -124,8 +128,46 @@ def test_a_failed_gate_in_the_base_names_it_and_leaves_no_worker_alive(
     def scale_o(text):
         return text.replace("DenseTensor._adopt(og),", "DenseTensor._adopt(og * (1 + 1e-6)),")
 
-    _base_copy(tool, monkeypatch, scale_o)
+    flash_texts = _base_copy(tool, monkeypatch, scale_o)
     with pytest.raises(SystemExit) as exc:
         tool.main(["--pairs", "2", "--workload", "wide_fwd"])
     assert str(exc.value.code).startswith("base: gate failed: O differs from")
     assert len(spawned) == 2 and _alive(spawned) == []
+    checkout = (ROOT / "src" / "flashwin" / "flash.py").read_text(encoding="utf-8")
+    assert flash_texts == {None: checkout, "HEAD": scale_o(checkout)}
+
+
+def test_a_rev_git_cannot_read_ends_the_run_in_one_line_and_leaves_no_worker_alive(
+    tool, spawned
+):
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--rev", "nosuchrev", "--pairs", "2", "--workload", "verify"])
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("base: fatal: ")
+    assert "\n" not in message
+    assert len(spawned) == 1 and _alive(spawned) == []
+
+
+def test_both_trees_are_sibling_copies_of_equal_path_length_outside_the_checkout(
+    tool, spawned, monkeypatch, tmp_path
+):
+    imported = tmp_path / "imported"
+    real = tool.extract
+
+    def extract(rev, dest):  # each tree's flashwin records where it was imported from
+        real(None, dest)
+        with open(dest / "flashwin" / "__init__.py", "a", encoding="utf-8") as init:
+            init.write(
+                f"\nwith open({str(imported)!r}, 'a', encoding='utf-8') as _log:\n"
+                "    _log.write(__file__ + '\\n')\n"
+            )
+
+    monkeypatch.setattr(tool, "extract", extract)
+    assert tool.main(["--pairs", "1", "--workload", "verify"]) == 0
+    assert len(spawned) == 2 and _alive(spawned) == []
+    files = imported.read_text(encoding="utf-8").splitlines()
+    trees = [Path(file).parent.parent for file in files]
+    assert len(trees) == 2 and trees[0] != trees[1]
+    assert trees[0].parent == trees[1].parent
+    assert len(str(trees[0])) == len(str(trees[1]))
+    assert all(ROOT not in tree.parents for tree in trees)

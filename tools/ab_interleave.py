@@ -5,17 +5,19 @@ Usage (from the repository root)::
     python tools/ab_interleave.py --rev HEAD~1 --pairs 200
     python tools/ab_interleave.py --rev HEAD~1 --pairs 50 --workload swin_train
 
-Each tree runs in a worker process of its own, so each keeps its own heap.
-A worker imports its tree's ``src/flashwin`` (the rev's from ``git
-archive``) as ``flashwin`` and runs the working tree's
-``flashbench/workloads.py`` on it, under ``flashbench/run.py``'s BLAS
-thread cap: the benchmark's own workloads (the choices of ``--workload``),
-inputs and gate. An operation is what
-``flashbench/run.py``'s ``iterate`` times and checks: ``tiled`` (the
-batch), ``naive`` (the untiled path on the same inputs), then ``check``.
-Each pair asks both workers for one operation in turn, alternating which
-goes first. The first failed gate ends the run with a non-zero exit naming
-the tree and its problems.
+One function builds both trees, in sibling directories ``base`` and ``work``
+of one temporary directory, so neither imports from the checkout: the rev's
+``src/flashwin`` comes from ``git archive``, the working tree's is copied
+without ``__pycache__``. Each tree has one spawned process, the one worker of
+its own ``ProcessPoolExecutor``. It imports the tree's package as
+``flashwin`` and runs the working tree's ``flashbench/workloads.py`` on it,
+under ``flashbench/run.py``'s BLAS thread cap: the benchmark's workloads
+(the choices of ``--workload``), inputs and gate. An operation is what
+``run.py``'s ``iterate`` times and checks: ``tiled`` (the batch), ``naive``
+(the untiled path on the same inputs), then ``check``. Each pair asks both
+workers for one operation in turn, alternating which goes first. A rev git
+cannot read, a failed gate or a worker's exception ends the run with a
+non-zero exit and one line naming the tree and the problem.
 
 Prints, per tree, the min, p10 and median batch and naive times in ms and
 the median minor page faults per operation, then the median and quartiles
@@ -27,17 +29,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import multiprocessing
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import zipfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,57 +79,51 @@ def operation(workloads, wl, inputs) -> tuple[int, int, int, bytes]:
     return sample.tiled_ns, sample.naive_ns, faults, digest.digest()
 
 
-def worker(conn, tree: str) -> None:
-    """Send the workload names, take one, then answer each pair index with an operation."""
-    with conn:
-        try:
-            sys.dont_write_bytecode = True
-            sys.path[:0] = [tree, str(WORKLOADS_PY.parent)]  # tree's flashwin, then workloads
-            import run  # the benchmark's BLAS thread cap; it loads no numpy
-            for var in run.BLAS_ENV:  # before workloads loads numpy, as run.main does
-                os.environ[var] = str(run.BLAS_THREADS)
-            import workloads
-            conn.send(tuple(workloads.WORKLOADS))
-            wl = workloads.WORKLOADS[conn.recv()]()
-            pool = wl.make_inputs(SEED)
-            while True:
-                i = conn.recv()
-                conn.send(operation(workloads, wl, pool[i % len(pool)]))
-        except EOFError:  # the driver closed its end: the run is over
-            pass
-        except BaseException as exc:  # the driver names the tree
-            conn.send(str(exc) if isinstance(exc, SystemExit) else repr(exc))
+def load(tree: str) -> tuple[str, ...]:
+    """A worker's first task: import the workloads on ``tree``'s flashwin; return their names."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [tree, str(WORKLOADS_PY.parent)]
+    import run  # the benchmark's BLAS thread cap; it loads no numpy
+    for var in run.BLAS_ENV:  # before workloads loads numpy, as run.main does
+        os.environ[var] = str(run.BLAS_THREADS)
+    import workloads
+    return tuple(workloads.WORKLOADS)
 
 
-@contextlib.contextmanager
-def serving(tree: Path):
-    """A worker on ``tree``'s package; yields our end of its pipe, whose close ends it."""
-    ctx = multiprocessing.get_context("spawn")
-    ours, theirs = ctx.Pipe()
-    proc = ctx.Process(target=worker, args=(theirs, str(tree)))
-    proc.start()
-    theirs.close()
+@functools.cache  # a worker runs one workload: its inputs are made once
+def prepared(name: str):
+    import workloads
+    wl = workloads.WORKLOADS[name]()
+    return workloads, wl, wl.make_inputs(SEED)
+
+
+def timed(name: str, i: int) -> tuple[int, int, int, bytes]:
+    """Pair ``i``'s operation, on input ``i`` of the pool."""
+    workloads, wl, pool = prepared(name)
+    return operation(workloads, wl, pool[i % len(pool)])
+
+
+def result(label: str, future):
+    """``future``'s result; a worker's exception ends the run, naming its tree."""
     try:
-        yield ours
-    finally:
-        ours.close()
-        proc.join()
-        proc.close()
+        return future.result()
+    except (Exception, SystemExit) as exc:
+        raise SystemExit(f"{label}: {exc if isinstance(exc, SystemExit) else repr(exc)}") from None
 
 
-def receive(label: str, conn):
-    """The worker's next reply; a failure it reports ends the run, naming its tree."""
-    reply = conn.recv()
-    if isinstance(reply, str):
-        raise SystemExit(f"{label}: {reply}")
-    return reply
+def extract(rev: str | None, dest: Path) -> None:
+    """Write ``rev``'s src/flashwin, or the working tree's if ``rev`` is None, to dest/flashwin.
 
-
-def extract(rev: str, dest: Path) -> None:
-    """Write ``rev``'s src/flashwin to ``dest/flashwin``."""
+    A rev git cannot read ends the run with git's message, naming the base."""
+    if rev is None:
+        ignore = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src" / "flashwin", dest / "flashwin", ignore=ignore)
+        return
     git = ["git", "-C", str(ROOT), "archive", "--format=zip", "--prefix=flashwin/"]
-    archive = subprocess.run([*git, f"{rev}:src/flashwin"], capture_output=True, check=True).stdout
-    zipfile.ZipFile(io.BytesIO(archive)).extractall(dest)
+    archive = subprocess.run([*git, f"{rev}:src/flashwin"], capture_output=True)
+    if archive.returncode:
+        raise SystemExit("base: " + archive.stderr.decode(errors="replace").strip())
+    zipfile.ZipFile(io.BytesIO(archive.stdout)).extractall(dest)
 
 
 def summary(ns: list[int]) -> str:
@@ -139,29 +138,29 @@ def paired(ratios: list[float]) -> str:
 
 
 def main(argv=None) -> int:
+    spawn = multiprocessing.get_context("spawn")
     with contextlib.ExitStack() as stack:
-        change = stack.enter_context(serving(ROOT / "src"))
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        extract(None, tmp / "work")
+        change = stack.enter_context(ProcessPoolExecutor(max_workers=1, mp_context=spawn))
         p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
         p.add_argument("--rev", default="HEAD", help="git rev to compare against (default HEAD)")
         p.add_argument("--pairs", type=int, default=200, help="timed pairs (default 200)")
-        p.add_argument("--workload", choices=receive("change", change), default="wide_fwd")
+        choices = result("change", change.submit(load, str(tmp / "work")))
+        p.add_argument("--workload", choices=choices, default="wide_fwd")
         args = p.parse_args(argv)
         if args.pairs < 1:
             p.error("--pairs must be >= 1")
 
-        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        extract(args.rev, tmp)
-        base = stack.enter_context(serving(tmp))
-        receive("base", base)  # the same names: both run the working tree's workloads
+        extract(args.rev, tmp / "base")
+        base = stack.enter_context(ProcessPoolExecutor(max_workers=1, mp_context=spawn))
+        result("base", base.submit(load, str(tmp / "base")))  # the same names: one workloads.py
         workers = [("base", base), ("change", change)]
-        for _, conn in workers:
-            conn.send(args.workload)
         pairs = []
         for i in range(WARMUP + args.pairs):
             pair = {}
-            for label, conn in workers[::-1] if i % 2 else workers:
-                conn.send(i)
-                pair[label] = receive(label, conn)
+            for label, pool in workers[::-1] if i % 2 else workers:
+                pair[label] = result(label, pool.submit(timed, args.workload, i))
             if i >= WARMUP:
                 pairs.append(pair)
 
