@@ -45,7 +45,7 @@ import numpy as np
 from .errors import FlashwinError, InvalidRangeError, ShapeError, _integer, _real
 from .memory import ScratchpadArena, TrafficReport, _checked_elem_bytes, merge_reports
 from .reference import _softmax_rows
-from .tensor import DenseTensor, _tensors, _validated
+from .tensor import DenseTensor, _shaped, _tensors, _validated
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,16 @@ class TileConfig:
         object.__setattr__(self, "elem_bytes", _checked_elem_bytes(self.elem_bytes))
 
     def chunk_width(self, C: int) -> int:
-        """Widest chunk, ceil(C/r); the one rule is that r chunks need r <= C features."""
+        """Widest chunk, ceil(C/r), of an extent C; the one rule is that r chunks need r <= C."""
+        [C] = _validated((C,))
         if self.r > C:
             raise ShapeError(f"chunk count {self.r} exceeds feature count {C}")
         return -(-C // self.r)
 
     def chunk_spans(self, C: int) -> list[tuple[int, int]]:
         """Half-open feature spans of the r chunks, balanced: widths differ by at most 1."""
-        self.chunk_width(C)  # refuses r > C
+        self.chunk_width(C)  # refuses a C that is not an extent, and r > C
+        C = int(C)
         return [(i * C // self.r, (i + 1) * C // self.r) for i in range(self.r)]
 
 
@@ -155,7 +157,7 @@ def flash_forward(
     _tensors("flash_forward", q=q, k=k, v=v)
     _tensors("flash_forward", TileConfig, cfg=cfg)
     _tensors("flash_forward", ScratchpadArena, arena=arena)
-    L, C = _check_qkv_2d(q, k, v)
+    L, C = _check_qkv_2d("flash_forward", q, k=k, v=v)
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
     vg = v.array
@@ -190,9 +192,7 @@ def flash_backward(
         raise FlashwinError("backward requires the context returned by flash_forward")
     _tensors("flash_backward", dO=dO)
     _tensors("flash_backward", ScratchpadArena, arena=arena)
-    L, C = _check_qkv_2d(ctx.q, ctx.k, ctx.v)
-    if dO.shape != (L, C):
-        raise ShapeError(f"dO shape {dO.shape} does not match forward shape {(L, C)}")
+    L, C = _check_qkv_2d("flash_backward", ctx.q, k=ctx.k, v=ctx.v, dO=dO)
     cfg = ctx.cfg
     spans = cfg.chunk_spans(C)
     eb = cfg.elem_bytes
@@ -249,15 +249,13 @@ def batched_flash_forward(
     _tensors("batched_flash_forward", q=q, k=k, v=v)
     _tensors("batched_flash_forward", TileConfig, cfg=cfg)
     _tensors("batched_flash_forward", Sequence, arenas=arenas)
-    if q.ndim != 4 or not (q.shape == k.shape == v.shape):
-        raise ShapeError(
-            f"batched Q/K/V must share a 4-D shape, got {q.shape}, {k.shape}, {v.shape}"
-        )
+    if q.ndim != 4:
+        raise ShapeError(f"batched Q/K/V must be 4-D, got {q.shape}")
+    B, h, L, C = _shaped("batched_flash_forward", q.shape, k=k, v=v)
     if len(arenas) != 1:
         raise InvalidRangeError(f"exactly one arena is required, got {len(arenas)}")
     [arena] = arenas
     _tensors("batched_flash_forward", ScratchpadArena, arenas=arena)
-    B, h, L, C = q.shape
     out = None  # made once the first slice's call has fit, so a refused stack allocates none
     contexts: list[list[FlashContext]] = [[] for _ in range(B)]
     reports: list[TrafficReport] = []
@@ -297,9 +295,7 @@ def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
     return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[-2:])]
 
 
-def _check_qkv_2d(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, int]:
+def _check_qkv_2d(fn: str, q: DenseTensor, **operands) -> tuple[int, int]:
     if q.ndim != 2:
         raise ShapeError(f"Q/K/V must be 2-D, got {q.shape}")
-    if not (q.shape == k.shape == v.shape):
-        raise ShapeError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    return q.shape
+    return _shaped(fn, q.shape, **operands)

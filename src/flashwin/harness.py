@@ -495,4 +495,6 @@ def run_demo(
     broken = _broken_claims(calls, L, C, tile)
     if not oracle_err <= ORACLE_TOL:
         broken.insert(0, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}")
+    if not roundtrip <= 0.0:  # exact, as check's roundtrip_ cases; a NaN fails too
+        broken.insert(0, f"round trip error {roundtrip:g} exceeds 0")
     return "\n".join(lines) + "\n", broken

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericsError, ShapeError, _real
-from .tensor import DenseTensor, _tensors
+from .tensor import DenseTensor, _shaped, _tensors
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,9 @@ def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
     :func:`softmax_rows`.
     """
     _tensors("softmax_backward", P=P, dP=dP)
-    if P.ndim < 2 or P.shape != dP.shape:
-        raise ShapeError(f"shape mismatch: P {P.shape} vs dP {dP.shape}")
+    if P.ndim < 2:
+        raise ShapeError(f"softmax_backward needs at least 2 axes, got {P.shape}")
+    _shaped("softmax_backward", P.shape, dP=dP)
     p, dp = P.array, dP.array
     row_dot = (p * dp).sum(axis=-1, keepdims=True)
     return DenseTensor._adopt(p * (dp - row_dot))
@@ -138,15 +139,9 @@ def naive_backward(
     """
     _tensors("naive_backward", q=q, k=k, v=v, P=P, dO=dO)
     _tensors("naive_backward", AttnParams, params=params)
-    shape = _check_qkv(q, k, v)
-    if not (q.shape == k.shape == v.shape):
-        raise ShapeError(
-            f"naive_backward needs Q/K/V of one shape, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    if dO.shape != shape:
-        raise ShapeError(f"dO shape {dO.shape} does not match Q/K/V shape {shape}")
-    if P.shape != shape[:-1] + (shape[-2],):
-        raise ShapeError(f"P shape {P.shape} inconsistent with Q/K/V shape {shape}")
+    _shaped("naive_backward", q.shape, k=k, v=v, dO=dO)
+    _check_qkv(q, k, v)  # at least 2 axes
+    _shaped("naive_backward", q.shape[:-1] + q.shape[-2:-1], P=P)
     p = P.array
     dv = p.swapaxes(-1, -2) @ dO.array
     dp = dO.array @ v.array.swapaxes(-1, -2)
@@ -184,8 +179,7 @@ def finite_diff_grad(
         stack[rows, idx] = base[idx] + h
         stack[rows + n, idx] = base[idx] - h
         values = np.asarray(f(DenseTensor._adopt(stack.reshape((2 * n,) + x.shape))))
-        if values.shape != (2 * n,):
-            raise ShapeError(f"f returned shape {values.shape} for a stack of {2 * n}")
+        _shaped("finite_diff_grad", (2 * n,), **{"f's values": values})
         f_plus, f_minus = values[:n], values[n:]
         bad = ~(np.isfinite(f_plus) & np.isfinite(f_minus))
         if bad.any():

@@ -160,6 +160,17 @@ def _tensors(fn: str, kind: type = DenseTensor, **operands) -> None:
             raise FlashwinError(f"{fn} needs {what}, got {type(t).__name__} for {name}")
 
 
+def _shaped(fn: str, shape: tuple[int, ...], **operands) -> tuple[int, ...]:
+    """The one shape-agreement rule of the public functions: ``shape``, once each of
+    ``operands`` (anything with a ``.shape``) has it, else :class:`ShapeError` names ``fn``,
+    the first operand that has not and both shapes, as in "fn needs k of shape (4, 2), got
+    (4, 3)"."""
+    for name, operand in operands.items():
+        if operand.shape != shape:
+            raise ShapeError(f"{fn} needs {name} of shape {shape}, got {operand.shape}")
+    return shape
+
+
 def _host_array(make, shape: tuple[int, ...]) -> np.ndarray:
     """``make(shape)`` (``np.empty`` or ``np.zeros``) for a validated shape. An array numpy
     cannot index is refused as the host's MemoryError, as one it cannot allocate is."""
@@ -234,7 +245,7 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:
     """Largest elementwise absolute difference; 0 iff values are equal."""
     _tensors("max_abs_diff", a=a, b=b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.shape != b.shape:  # the shape rule, kept off the common path
+        _shaped("max_abs_diff", a.shape, b=b)
     diff = a.array - b.array
     return float(np.abs(diff, out=diff).max())  # one temporary of the operands' size, not two

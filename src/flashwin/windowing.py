@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .tensor import DenseTensor, _tensors, _validated
+from .tensor import DenseTensor, _shaped, _tensors, _validated
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ def window_partition(x: DenseTensor, cfg: WindowConfig) -> DenseTensor:
     """Rearrange an H x W x C image into an N x L x C window stack."""
     _tensors("window_partition", x=x)
     _tensors("window_partition", WindowConfig, cfg=cfg)
-    if x.shape != (cfg.H, cfg.W, cfg.C):
-        raise ShapeError(f"expected image shape {(cfg.H, cfg.W, cfg.C)}, got {x.shape}")
+    _shaped("window_partition", (cfg.H, cfg.W, cfg.C), x=x)
     k = cfg.k
     windows = (
         x.array.reshape(cfg.H // k, k, cfg.W // k, k, cfg.C)
@@ -57,11 +56,7 @@ def window_reverse(y: DenseTensor, cfg: WindowConfig) -> DenseTensor:
     """Invert :func:`window_partition`, restoring the H x W x C image."""
     _tensors("window_reverse", y=y)
     _tensors("window_reverse", WindowConfig, cfg=cfg)
-    if y.shape != (cfg.num_windows, cfg.seq_len, cfg.C):
-        raise ShapeError(
-            f"expected window stack shape {(cfg.num_windows, cfg.seq_len, cfg.C)}, "
-            f"got {y.shape}"
-        )
+    _shaped("window_reverse", (cfg.num_windows, cfg.seq_len, cfg.C), y=y)
     k = cfg.k
     image = (
         y.array.reshape(cfg.H // k, cfg.W // k, k, k, cfg.C)

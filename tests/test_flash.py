@@ -98,6 +98,17 @@ class TestTileConfig:
         with pytest.raises(ShapeError):
             TileConfig(r=5).chunk_spans(4)
 
+    @pytest.mark.parametrize("method", ["chunk_width", "chunk_spans"])
+    @pytest.mark.parametrize(
+        "C, message",
+        [(5.0, r"extents must be integers, got \(5\.0,\)"), (True, r"extents must be integers"),
+         (0, r"all extents must be >= 1, got \(0,\)"), (-3, r"all extents must be >= 1")],
+    )
+    def test_the_feature_count_is_an_extent(self, method, C, message):
+        # The extent rule before the r <= C rule: 0 features are no extent, not too few.
+        with pytest.raises(ShapeError, match=f"^{message}"):
+            getattr(TileConfig(r=2), method)(C)
+
 
 class TestPeakFormulas:
     def test_forward_peak_at_typical_setting(self):

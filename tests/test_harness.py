@@ -614,6 +614,28 @@ class TestDemo:
         assert "Q=25088" in text  # 16 windows x 49 x 32, each element loaded once
         assert failed == []
 
+    @pytest.mark.parametrize("error, shown", [(1.0, "1"), (math.nan, "nan")])
+    def test_a_round_trip_that_is_not_exact_fails_the_demo(self, monkeypatch, capsys, error, shown):
+        # Only the round trip's image is off; the attention output's reverse is the real one.
+        real, calls = harness.window_reverse, []
+
+        def off_once(y, cfg):
+            image = real(y, cfg)
+            calls.append(y.shape)
+            if len(calls) > 1:
+                return image
+            array = image.array.copy()
+            array[3, 5, 1] += error
+            return DenseTensor._adopt(array)
+
+        monkeypatch.setattr(harness, "window_reverse", off_once)
+        assert main(["demo", "--H", "28", "--W", "28", "--C", "32", "--k", "7"]) == 1
+        out, err = capsys.readouterr()
+        assert f"\nround_trip_max_abs_diff: {shown}\n" in out
+        assert "\nmax oracle error over 16 windows: " in out
+        assert err == f"round trip error {shown} exceeds 0\n"
+        assert len(calls) == 2
+
 
 class TestCli:
     def test_check_exits_zero_on_pass(self, capsys):
