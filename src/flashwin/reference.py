@@ -141,7 +141,7 @@ def naive_backward(
     _tensors("naive_backward", AttnParams, params=params)
     _shaped("naive_backward", q.shape, k=k, v=v, dO=dO)
     _check_qkv(q, k, v)  # at least 2 axes
-    _shaped("naive_backward", q.shape[:-1] + q.shape[-2:-1], P=P)
+    _shaped("naive_backward", q.shape[:-1] + (q.shape[-2],), P=P)
     p = P.array
     dv = p.swapaxes(-1, -2) @ dO.array
     dp = dO.array @ v.array.swapaxes(-1, -2)

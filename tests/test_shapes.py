@@ -7,8 +7,7 @@ needs name of shape (4, 2), got (4, 3)", naming the first operand that differs. 
 comes before any work: an arena keeps the bytes it held and enters no kernel call, and no
 output is allocated. The checks that keep their own rule (the axis counts, ``matmul``'s
 inner extents, ``naive_forward``'s stack broadcasting) are listed in ``OWN_RULE``; a public
-name that takes a tensor and is in neither list fails ``test_every_public_taker_of_a_tensor_
-is_swept_or_keeps_its_own_rule``.
+name that takes a tensor and is in neither list fails the last test of this file.
 """
 
 import inspect
@@ -161,5 +160,6 @@ def _takes_a_tensor(obj) -> bool:
 
 def test_every_public_taker_of_a_tensor_is_swept_or_keeps_its_own_rule():
     takers = {name for name in flashwin.__all__ if _takes_a_tensor(getattr(flashwin, name))}
-    listed = {row.fn for row in SWEEP} | set(OWN_RULE) | {"finite_diff_grad"}
+    swept = {row.fn for row in SWEEP} | {"finite_diff_grad"}  # f's values: the test above
+    listed = swept | set(OWN_RULE)
     assert takers == listed
