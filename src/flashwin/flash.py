@@ -17,7 +17,8 @@ every on-chip buffer is a plain float64 array that the arena holds from
 
 One driver, ``_slice_calls``, runs every (L, C) window or (..., L, C) stack, one
 window per kernel call on one arena: the harness's tiled path for all four
-subcommands, and ``batched_flash_forward`` for the benchmark's workloads.
+subcommands, and ``batched_flash_forward`` for the benchmark's workloads. One
+preamble, ``_window``, checks everything a kernel call needs, once per call.
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
@@ -96,10 +97,27 @@ def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
 
 
 def _peak_sram(fn: str, L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
-    # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
     _tensors(fn, TileConfig, cfg=cfg)
     L, C = _validated((L, C))
-    return (score_buffers * L * L + 2 * L * cfg.chunk_width(C)) * cfg.elem_bytes
+    return _peak(L, cfg.chunk_width(C), cfg, score_buffers)
+
+
+def _peak(L: int, cw: int, cfg: TileConfig, score_buffers: int) -> int:
+    # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
+    return (score_buffers * L * L + 2 * L * cw) * cfg.elem_bytes
+
+
+def _window(fn, cfg, arena, score_buffers, q, **operands) -> tuple[int, int, list, int]:
+    """A kernel call's one preamble, each rule run once: (L, C, the chunk spans, the bytes the
+    call needs) once the classes, Q's 2 axes, the operands' shapes and r <= C hold."""
+    _tensors(fn, q=q, **operands)
+    _tensors(fn, TileConfig, cfg=cfg)
+    _tensors(fn, ScratchpadArena, arena=arena)
+    if q.ndim != 2:
+        raise ShapeError(f"Q/K/V must be 2-D, got {q.shape}")
+    L, C = _shaped(fn, q.shape, **operands)
+    spans = cfg.chunk_spans(C)  # the last span is the widest, ceil(C/r) features
+    return L, C, spans, _peak(L, spans[-1][1] - spans[-1][0], cfg, score_buffers)
 
 
 def _emit(arena, operand, dest, a, b, elem_bytes) -> None:
@@ -154,15 +172,11 @@ def flash_forward(
     untiled reference. A NaN in V reaches O in the same positions as in
     ``naive_forward``.
     """
-    _tensors("flash_forward", q=q, k=k, v=v)
-    _tensors("flash_forward", TileConfig, cfg=cfg)
-    _tensors("flash_forward", ScratchpadArena, arena=arena)
-    L, C = _check_qkv_2d("flash_forward", q, k=k, v=v)
-    spans = cfg.chunk_spans(C)
+    L, C, spans, need = _window("flash_forward", cfg, arena, 1, q, k=k, v=v)
     eb = cfg.elem_bytes
     vg = v.array
 
-    with arena.kernel_call("forward", peak_sram_forward(L, C, cfg)) as report:
+    with arena.kernel_call("forward", need) as report:
         og = np.empty((L, C), dtype=np.float64)
         weights = _weights(arena, q.array, k.array, spans, cfg)
         for lo, hi in spans:
@@ -190,15 +204,12 @@ def flash_backward(
     made = isinstance(ctx, FlashContext) and isinstance(ctx.cfg, TileConfig)
     if not made or not all(isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)):
         raise FlashwinError("backward requires the context returned by flash_forward")
-    _tensors("flash_backward", dO=dO)
-    _tensors("flash_backward", ScratchpadArena, arena=arena)
-    L, C = _check_qkv_2d("flash_backward", ctx.q, k=ctx.k, v=ctx.v, dO=dO)
     cfg = ctx.cfg
-    spans = cfg.chunk_spans(C)
+    L, C, spans, need = _window("flash_backward", cfg, arena, 2, ctx.q, k=ctx.k, v=ctx.v, dO=dO)
     eb = cfg.elem_bytes
     qg, kg, vg, dog = ctx.q.array, ctx.k.array, ctx.v.array, dO.array
 
-    with arena.kernel_call("backward", peak_sram_backward(L, C, cfg)) as report:
+    with arena.kernel_call("backward", need) as report:
         dqg, dkg, dvg = (np.empty((L, C), dtype=np.float64) for _ in range(3))
         # Phase 1: rebuild the attention weights from Q, K.
         weights = _weights(arena, qg, kg, spans, cfg)
@@ -293,9 +304,3 @@ def _slices(t: DenseTensor | None) -> Iterable[DenseTensor | None]:
     if t is None:
         return repeat(None)
     return [DenseTensor._adopt(a) for a in t.array.reshape(-1, *t.shape[-2:])]
-
-
-def _check_qkv_2d(fn: str, q: DenseTensor, **operands) -> tuple[int, int]:
-    if q.ndim != 2:
-        raise ShapeError(f"Q/K/V must be 2-D, got {q.shape}")
-    return _shaped(fn, q.shape, **operands)

@@ -113,8 +113,11 @@ class ScratchpadArena:
         return buf
 
     def store(self, operand: str, dest: np.ndarray, buf: np.ndarray) -> None:
-        """Copy the held buffer ``buf`` out to the global slice ``dest``; count what it writes."""
-        self._key(buf, "store")
+        """Copy the held buffer ``buf`` out to the global slice ``dest``; count what it writes.
+        Refuses with :class:`FlashwinError`, changing nothing, a buffer the arena does not hold:
+        one already freed, one a failed call allocated, a view of a held buffer, another arena's."""
+        if id(buf) not in self._held:
+            raise FlashwinError("cannot store a buffer the arena does not hold")
         dest[...] = buf
         self._stores[operand] = self._stores.get(operand, 0) + dest.size
 
@@ -155,20 +158,11 @@ class ScratchpadArena:
         )
 
     def free(self, buf: np.ndarray) -> None:
-        """Release the held buffer ``buf`` and its bytes."""
-        self.live_bytes -= self._held.pop(self._key(buf, "free"))[1]
-
-    def _key(self, buf: np.ndarray, action: str) -> int:
-        """The held-map key of ``buf``.
-
-        Raises :class:`FlashwinError`, changing nothing, for a buffer the
-        arena does not hold: one already freed, one a failed call allocated,
-        a view of a buffer and a buffer of another arena.
-        """
-        key = id(buf)
-        if key not in self._held:
-            raise FlashwinError(f"cannot {action} a buffer the arena does not hold")
-        return key
+        """Release the held buffer ``buf`` and its bytes; refuses as :meth:`store` does: one
+        already freed, one a failed call allocated, a view of a held buffer, another arena's."""
+        if (held := self._held.pop(id(buf), None)) is None:
+            raise FlashwinError("cannot free a buffer the arena does not hold")
+        self.live_bytes -= held[1]
 
 
 @dataclass(frozen=True)

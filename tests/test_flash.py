@@ -440,6 +440,28 @@ class TestFlashBackward:
         assert rep.peak_sram_bytes == 768  # measured above the live bytes on entry
         assert arena.live_bytes == 4
 
+    def test_each_call_runs_the_chunk_rule_and_the_extent_rule_once(self, monkeypatch):
+        q, k, v, do = make_qkv(62, 8, 16, n=4)
+        cfg = TileConfig(r=3)  # ragged spans: the needed bytes come from the widest one
+        calls = {"chunk_width": 0, "_validated": 0}
+
+        def counted(name, rule):
+            def run(*args):
+                calls[name] += 1
+                return rule(*args)
+            return run
+
+        for owner, name in ((TileConfig, "chunk_width"), (flash, "_validated")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        arena = ScratchpadArena()
+        _, ctx, fwd = flash_forward(q, k, v, cfg, arena)
+        assert calls == {"chunk_width": 1, "_validated": 1}
+        *_, bwd = flash_backward(ctx, do, arena)
+        assert calls == {"chunk_width": 2, "_validated": 2}
+        monkeypatch.undo()
+        assert fwd.peak_sram_bytes == peak_sram_forward(8, 16, cfg)
+        assert bwd.peak_sram_bytes == peak_sram_backward(8, 16, cfg)
+
 
 class _Poisoned(np.ndarray):
     """An array whose ufunc calls, matmul included, raise."""
