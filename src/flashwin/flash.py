@@ -18,7 +18,8 @@ every on-chip buffer is a plain float64 array that the arena holds from
 One driver, ``_slice_calls``, runs every (L, C) window or (..., L, C) stack, one
 window per kernel call on one arena: the harness's tiled path for all four
 subcommands, and ``batched_flash_forward`` for the benchmark's workloads. One
-preamble, ``_window``, checks everything a kernel call needs, once per call.
+preamble, ``_window``, checks everything a kernel call needs, once per call;
+slices and outputs of checked tensors are wrapped unchecked.
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import FlashwinError, InvalidRangeError, ShapeError, _integer, _real
 from .memory import ScratchpadArena, TrafficReport, _checked_elem_bytes, merge_reports
 from .reference import _softmax_rows
-from .tensor import DenseTensor, _shaped, _tensors, _validated
+from .tensor import DenseTensor, _axes, _shaped, _tensors, _validated
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,7 @@ def _window(fn, cfg, arena, score_buffers, q, **operands) -> tuple[int, int, lis
     _tensors(fn, q=q, **operands)
     _tensors(fn, TileConfig, cfg=cfg)
     _tensors(fn, ScratchpadArena, arena=arena)
-    if q.ndim != 2:
-        raise ShapeError(f"Q/K/V must be 2-D, got {q.shape}")
+    _axes(fn, (2,), q=q)
     L, C = _shaped(fn, q.shape, **operands)
     spans = cfg.chunk_spans(C)  # the last span is the widest, ceil(C/r) features
     return L, C, spans, _peak(L, spans[-1][1] - spans[-1][0], cfg, score_buffers)
@@ -201,9 +201,7 @@ def flash_backward(
     recomputed scores are checked for finiteness: a NaN in V or dO reaches
     dQ, dK and dV in the same positions as in ``naive_backward``.
     """
-    made = isinstance(ctx, FlashContext) and isinstance(ctx.cfg, TileConfig)
-    if not made or not all(isinstance(t, DenseTensor) for t in (ctx.q, ctx.k, ctx.v)):
-        raise FlashwinError("backward requires the context returned by flash_forward")
+    _tensors("flash_backward", FlashContext, ctx=ctx)
     cfg = ctx.cfg
     L, C, spans, need = _window("flash_backward", cfg, arena, 2, ctx.q, k=ctx.k, v=ctx.v, dO=dO)
     eb = cfg.elem_bytes
@@ -260,8 +258,7 @@ def batched_flash_forward(
     _tensors("batched_flash_forward", q=q, k=k, v=v)
     _tensors("batched_flash_forward", TileConfig, cfg=cfg)
     _tensors("batched_flash_forward", Sequence, arenas=arenas)
-    if q.ndim != 4:
-        raise ShapeError(f"batched Q/K/V must be 4-D, got {q.shape}")
+    _axes("batched_flash_forward", (4,), q=q)
     B, h, L, C = _shaped("batched_flash_forward", q.shape, k=k, v=v)
     if len(arenas) != 1:
         raise InvalidRangeError(f"exactly one arena is required, got {len(arenas)}")

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericsError, ShapeError, _real
-from .tensor import DenseTensor, _shaped, _tensors
+from .tensor import DenseTensor, _axes, _shaped, _tensors
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def softmax_rows(S: DenseTensor) -> DenseTensor:
     Leading axes beyond the last two are a stack of independent matrices.
     """
     _tensors("softmax_rows", S=S)
-    if S.ndim < 2:
-        raise ShapeError(f"softmax_rows needs at least 2 axes, got {S.shape}")
+    _axes("softmax_rows", (2, 3, 4), S=S)
     return DenseTensor._adopt(_softmax_rows(S.array, np.empty_like(S.array)))
 
 
@@ -69,20 +68,6 @@ def _softmax_rows(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_qkv(q: DenseTensor, k: DenseTensor, v: DenseTensor) -> tuple[int, ...]:
-    """Validate (..., L, C) operands; returns the broadcast shape of their stacks."""
-    if min(q.ndim, k.ndim, v.ndim) < 2:
-        raise ShapeError(f"Q/K/V need at least 2 axes, got {q.shape}, {k.shape}, {v.shape}")
-    if not (q.shape[-2:] == k.shape[-2:] == v.shape[-2:]):
-        raise ShapeError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    try:
-        return np.broadcast_shapes(q.shape, k.shape, v.shape)
-    except ValueError:
-        raise ShapeError(
-            f"Q/K/V stack axes do not broadcast: {q.shape}, {k.shape}, {v.shape}"
-        ) from None
-
-
 def naive_forward(
     q: DenseTensor, k: DenseTensor, v: DenseTensor, params: AttnParams = AttnParams()
 ) -> tuple[DenseTensor, DenseTensor]:
@@ -97,7 +82,14 @@ def naive_forward(
     """
     _tensors("naive_forward", q=q, k=k, v=v)
     _tensors("naive_forward", AttnParams, params=params)
-    _check_qkv(q, k, v)
+    _axes("naive_forward", (2, 3, 4), q=q, k=k, v=v)
+    first = lambda t: t.array[(0,) * (t.ndim - 2)]  # t's first (L, C) problem, a view
+    _shaped("naive_forward", q.shape[-2:], k=first(k), v=first(v))
+    shapes = q.shape, k.shape, v.shape
+    try:  # the stacks broadcast: naive_forward's own rule
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ShapeError(f"naive_forward needs stacks that broadcast, got {shapes}") from None
     s = q.array @ k.array.swapaxes(-1, -2)
     s *= params.scale
     p = _softmax_rows(s, s)
@@ -112,8 +104,7 @@ def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
     :func:`softmax_rows`.
     """
     _tensors("softmax_backward", P=P, dP=dP)
-    if P.ndim < 2:
-        raise ShapeError(f"softmax_backward needs at least 2 axes, got {P.shape}")
+    _axes("softmax_backward", (2, 3, 4), P=P)
     _shaped("softmax_backward", P.shape, dP=dP)
     p, dp = P.array, dP.array
     row_dot = (p * dp).sum(axis=-1, keepdims=True)
@@ -139,8 +130,8 @@ def naive_backward(
     """
     _tensors("naive_backward", q=q, k=k, v=v, P=P, dO=dO)
     _tensors("naive_backward", AttnParams, params=params)
+    _axes("naive_backward", (2, 3, 4), q=q)
     _shaped("naive_backward", q.shape, k=k, v=v, dO=dO)
-    _check_qkv(q, k, v)  # at least 2 axes
     _shaped("naive_backward", q.shape[:-1] + (q.shape[-2],), P=P)
     p = P.array
     dv = p.swapaxes(-1, -2) @ dO.array
@@ -163,10 +154,11 @@ def finite_diff_grad(
     ``(f(x + h e_i) - f(x - h e_i)) / 2h``; one call of ``f`` evaluates the
     +h and -h copies of several elements, with ``m`` chosen so that no
     stacked array, including ``(m, L, L)`` attention scores with
-    ``L = x.shape[0]``, exceeds :data:`FD_STACK_ELEMS` elements. ``x``
-    may have at most 3 axes, since the stack adds one.
+    ``L = x.shape[0]``, exceeds :data:`FD_STACK_ELEMS` elements. ``x`` has
+    1..3 axes, since the stack adds one; any other ``x`` is refused first.
     """
     _tensors("finite_diff_grad", x=x)
+    _axes("finite_diff_grad", (1, 2, 3), x=x)
     h = _real("step", h, positive=True)
     base = x.array.reshape(-1)
     grad = np.empty_like(base)

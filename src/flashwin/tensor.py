@@ -2,7 +2,8 @@
 
 A tensor is one read-only row-major float64 array with an explicit shape
 of up to 4 axes. All arithmetic here is backed by numpy; accumulation stays
-in 64-bit throughout.
+in 64-bit throughout. The public functions' input rules live here too, one
+per invariant: ``_validated``, ``_tensors``, ``_axes`` and ``_shaped``.
 """
 
 from __future__ import annotations
@@ -51,16 +52,16 @@ class DenseTensor:
 
     @classmethod
     def _adopt(cls, array: np.ndarray) -> "DenseTensor":
-        """Wrap an array without copying it, taking its shape.
+        """Wrap an array without copying it, taking its shape unchecked.
 
         Only for arrays the package has just created and never writes
         again, or for read-only views into another tensor's array (which
         is immutable too): the array and the array that owns its memory
         are marked read-only and shared, not copied. A non-contiguous input
-        is copied into contiguous order. Everything else goes through the
-        copying constructor.
+        is copied into contiguous order. The shape is not checked again: each
+        caller's comes from inputs that a public function has checked.
+        Everything else goes through the copying constructor.
         """
-        _validated(array.shape)
         tensor = object.__new__(cls)
         tensor._array = _read_only(np.ascontiguousarray(array, dtype=np.float64))
         return tensor
@@ -160,6 +161,16 @@ def _tensors(fn: str, kind: type = DenseTensor, **operands) -> None:
             raise FlashwinError(f"{fn} needs {what}, got {type(t).__name__} for {name}")
 
 
+def _axes(fn: str, counts: tuple[int, ...], **operands) -> None:
+    """The one axis-count rule of the public functions: each of ``operands`` has one of the
+    ascending, consecutive ``counts`` axes, else :class:`ShapeError` names ``fn``, the first
+    operand that has not, the counts and its shape: "fn needs S with 2..4 axes, got (5,)"."""
+    for name, t in operands.items():
+        if t.ndim not in counts:
+            want = f"{counts[0]}" + (f"..{counts[-1]}" if len(counts) > 1 else "")
+            raise ShapeError(f"{fn} needs {name} with {want} axes, got {t.shape}")
+
+
 def _shaped(fn: str, shape: tuple[int, ...], **operands) -> tuple[int, ...]:
     """The one shape-agreement rule of the public functions: ``shape``, once each of
     ``operands`` (anything with a ``.shape``) has it, else :class:`ShapeError` names ``fn``,
@@ -235,8 +246,7 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
 def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """2-D matrix product with 64-bit accumulation."""
     _tensors("matmul", a=a, b=b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
+    _axes("matmul", (2,), a=a, b=b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner extents differ: {a.shape} x {b.shape}")
     return DenseTensor._adopt(a.array @ b.array)

@@ -8,6 +8,7 @@ import pytest
 
 from flashwin import (
     AttnParams,
+    DEFAULT_CAPACITY_BYTES,
     CapacityError,
     DenseTensor,
     FlashContext,
@@ -24,12 +25,14 @@ from flashwin import (
     flash,
     flash_backward,
     flash_forward,
+    harness,
     max_abs_diff,
     naive_backward,
     naive_forward,
     peak_sram_backward,
     peak_sram_forward,
     softmax_rows,
+    tensor,
     zeros,
 )
 from flashwin.flash import _softmax_grad_inplace
@@ -237,7 +240,8 @@ class TestFlashForward:
     def test_operands_must_be_2d(self):
         q = zeros([1, 2, 4])
         arena = ScratchpadArena()
-        with pytest.raises(ShapeError, match=r"^Q/K/V must be 2-D, got \(1, 2, 4\)$"):
+        msg = r"^flash_forward needs q with 2 axes, got \(1, 2, 4\)$"
+        with pytest.raises(ShapeError, match=msg):
             flash_forward(q, q, q, TileConfig(r=1), arena)
         assert arena.live_bytes == 0
 
@@ -346,9 +350,12 @@ class TestFlashBackward:
             flash_backward(ctx, zeros([4, 6]), ScratchpadArena())
 
     def test_unusable_context_rejected(self):
-        with pytest.raises(FlashwinError, match="backward requires the context"):
+        # The context's class, then what it holds, each by the one operand rule.
+        msg = "^flash_backward needs FlashContexts, got NoneType for ctx$"
+        with pytest.raises(FlashwinError, match=msg):
             flash_backward(None, zeros([2, 2]), ScratchpadArena())
-        with pytest.raises(FlashwinError, match="backward requires the context"):
+        msg = "^flash_backward needs DenseTensors, got NoneType for q$"
+        with pytest.raises(FlashwinError, match=msg):
             flash_backward(
                 FlashContext(q=None, k=None, v=None, cfg=TileConfig(r=1)),
                 zeros([2, 2]),
@@ -356,7 +363,8 @@ class TestFlashBackward:
             )
         x = zeros([2, 2])
         for cfg in ("x", None):  # it used to die on cfg.chunk_spans with an AttributeError
-            with pytest.raises(FlashwinError, match="backward requires the context"):
+            msg = f"^flash_backward needs TileConfigs, got {type(cfg).__name__} for cfg$"
+            with pytest.raises(FlashwinError, match=msg):
                 flash_backward(FlashContext(q=x, k=x, v=x, cfg=cfg), x, ScratchpadArena())
 
     def test_budget_enforced_before_any_work(self):
@@ -461,6 +469,22 @@ class TestFlashBackward:
         monkeypatch.undo()
         assert fwd.peak_sram_bytes == peak_sram_forward(8, 16, cfg)
         assert bwd.peak_sram_bytes == peak_sram_backward(8, 16, cfg)
+
+
+    def test_the_tiled_path_wraps_slices_and_outputs_without_the_extent_rule(self, monkeypatch):
+        # Every slice is cut from a checked stack and every output is shaped like one, so
+        # the one tiled path wraps them unchecked: 0 runs of tensor._validated, not 16.
+        q = fill_uniform(Rng(63), (1, 4, 64, 64), -1.0, 1.0)
+        runs = []
+        rule = tensor._validated
+        monkeypatch.setattr(tensor, "_validated", lambda shape: runs.append(shape) or rule(shape))
+        calls = list(harness._tiled(q, q, q, None, TileConfig(r=4), DEFAULT_CAPACITY_BYTES))
+        monkeypatch.undo()
+        assert runs == []
+        assert [pass_ for pass_, *_ in calls] == ["forward"] * 4
+        last = DenseTensor((64, 64), q.array[0, 3])
+        o, _, _ = flash_forward(last, last, last, TileConfig(r=4), ScratchpadArena())
+        assert np.array_equal(calls[-1][1][0].array, o.array)  # the last slice's output
 
 
 class _Poisoned(np.ndarray):

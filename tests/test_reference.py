@@ -123,15 +123,24 @@ class TestNaiveForward:
             naive_forward(zeros([2, 3]), zeros([2, 3]), zeros([2, 4]))
 
     @pytest.mark.parametrize(
-        "shapes", [((3, 4), (5, 4), (5, 4)), ((5, 3), (5, 4), (5, 4)), ((5, 4), (5, 4), (6, 4))],
-        ids=["q_rows", "q_features", "v_length"],
+        "shapes, wrong",
+        [
+            (((3, 4), (5, 4), (5, 4)), "k of shape (3, 4), got (5, 4)"),
+            (((5, 3), (5, 4), (5, 4)), "k of shape (5, 3), got (5, 4)"),
+            (((5, 4), (5, 4), (6, 4)), "v of shape (5, 4), got (6, 4)"),
+            (((2, 5, 4), (5, 3), (5, 4)), "k of shape (5, 4), got (5, 3)"),
+            (((5, 4), (5, 4), (2, 6, 4)), "v of shape (5, 4), got (6, 4)"),
+        ],
+        ids=["q_rows", "q_features", "v_length", "stacked_q", "stacked_v"],
     )
-    def test_q_k_and_v_need_one_length_and_feature_count(self, shapes):
-        with pytest.raises(ShapeError, match=r"^Q/K/V shapes differ: \(\d"):
+    def test_q_k_and_v_need_one_length_and_feature_count(self, shapes, wrong):
+        # Through the shape rule, on each operand's (L, C): its stack axes may broadcast.
+        msg = f"naive_forward needs {wrong}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(msg)}$"):
             naive_forward(*(zeros(list(s)) for s in shapes))
 
     def test_1d_operand_rejected(self):
-        msg = r"^Q/K/V need at least 2 axes, got \(3,\), \(2, 3\), \(2, 3\)$"
+        msg = r"^naive_forward needs q with 2\.\.4 axes, got \(3,\)$"
         with pytest.raises(ShapeError, match=msg):
             naive_forward(zeros([3]), zeros([2, 3]), zeros([2, 3]))
 
@@ -172,7 +181,8 @@ class TestNaiveForward:
             naive_forward(q, DenseTensor(shape, bad), v)
 
     def test_stack_axes_must_broadcast(self):
-        with pytest.raises(ShapeError):
+        msg = "naive_forward needs stacks that broadcast, got ((2, 3, 4), (3, 3, 4), (3, 4))"
+        with pytest.raises(ShapeError, match=f"^{re.escape(msg)}$"):
             naive_forward(zeros([2, 3, 4]), zeros([3, 3, 4]), zeros([3, 4]))
 
     def test_nan_in_stacked_operand_reported(self):
@@ -348,6 +358,15 @@ class TestFiniteDiffGrad:
         x = rand(rng, (3, 3))
         grad = finite_diff_grad(lambda t: (a.array * t.array).sum(axis=(-2, -1)), x, 1e-3)
         assert max_abs_diff(grad, a) <= 1e-12
+
+    def test_x_with_4_axes_is_refused_by_the_axis_rule_before_f_is_called(self):
+        # The stack adds an axis, and a tensor has at most 4; the rule says so up front, not
+        # the 5-axis stack once made.
+        calls = []
+        msg = r"^finite_diff_grad needs x with 1\.\.3 axes, got \(1, 2, 2, 2\)$"
+        with pytest.raises(ShapeError, match=msg):
+            finite_diff_grad(lambda t: calls.append(t.shape), zeros([1, 2, 2, 2]))
+        assert calls == []
 
     def test_non_finite_evaluation_reported(self):
         with pytest.raises(NumericsError, match="non-finite evaluation at element 0$"):
