@@ -18,8 +18,8 @@ every on-chip buffer is a plain float64 array that the arena holds from
 One driver, ``_slice_calls``, runs every (L, C) window or (..., L, C) stack, one
 window per kernel call on one arena: the harness's tiled path for all four
 subcommands, and ``batched_flash_forward`` for the benchmark's workloads. One
-preamble, ``_window``, checks everything a kernel call needs, once per call;
-slices and outputs of checked tensors are wrapped unchecked.
+preamble, ``_window``, checks all a call needs once, r <= C by ``TileConfig._spans``
+on Q's checked C; slices and outputs of checked tensors are wrapped unchecked.
 
 Scratchpad schedules are arranged so that the instrumented peak equals the
 closed forms (L^2 + 2*L*cw forward, 2*L^2 + 2*L*cw backward, cw = ceil(C/r)
@@ -64,16 +64,17 @@ class TileConfig:
         object.__setattr__(self, "elem_bytes", _checked_elem_bytes(self.elem_bytes))
 
     def chunk_width(self, C: int) -> int:
-        """Widest chunk, ceil(C/r), of an extent C; the one rule is that r chunks need r <= C."""
-        [C] = _validated((C,))
-        if self.r > C:
-            raise ShapeError(f"chunk count {self.r} exceeds feature count {C}")
-        return -(-C // self.r)
+        """Widest chunk of an extent C, the last span's ceil(C/r) features; refused as below."""
+        lo, hi = self._spans(*_validated((C,)))[-1]
+        return hi - lo
 
     def chunk_spans(self, C: int) -> list[tuple[int, int]]:
-        """Half-open feature spans of the r chunks, balanced: widths differ by at most 1."""
-        self.chunk_width(C)  # refuses a C that is not an extent, and r > C
-        C = int(C)
+        """The r chunks' half-open spans, widths within 1, once C is an extent and r <= C."""
+        return self._spans(*_validated((C,)))
+
+    def _spans(self, C: int) -> list[tuple[int, int]]:
+        if self.r > C:  # chunk_spans for a C that is already an extent: r <= C is left
+            raise ShapeError(f"chunk count {self.r} exceeds feature count {C}")
         return [(i * C // self.r, (i + 1) * C // self.r) for i in range(self.r)]
 
 
@@ -100,24 +101,24 @@ def peak_sram_backward(L: int, C: int, cfg: TileConfig) -> int:
 def _peak_sram(fn: str, L: int, C: int, cfg: TileConfig, score_buffers: int) -> int:
     _tensors(fn, TileConfig, cfg=cfg)
     L, C = _validated((L, C))
-    return _peak(L, cfg.chunk_width(C), cfg, score_buffers)
+    return _peak(L, cfg._spans(C), cfg, score_buffers)
 
 
-def _peak(L: int, cw: int, cfg: TileConfig, score_buffers: int) -> int:
-    # Both passes hold L x L score buffers (S; or P and dP) next to two chunks.
-    return (score_buffers * L * L + 2 * L * cw) * cfg.elem_bytes
+def _peak(L: int, spans: list, cfg: TileConfig, score_buffers: int) -> int:
+    # Both passes hold L x L score buffers (S; or P and dP) next to two chunks as wide as the last.
+    return (score_buffers * L * L + 2 * L * (spans[-1][1] - spans[-1][0])) * cfg.elem_bytes
 
 
 def _window(fn, cfg, arena, score_buffers, q, **operands) -> tuple[int, int, list, int]:
     """A kernel call's one preamble, each rule run once: (L, C, the chunk spans, the bytes the
-    call needs) once the classes, Q's 2 axes, the operands' shapes and r <= C hold."""
+    call needs) once the classes, Q's 2 axes, the operands' shapes and r <= C on Q's C hold."""
     _tensors(fn, q=q, **operands)
     _tensors(fn, TileConfig, cfg=cfg)
     _tensors(fn, ScratchpadArena, arena=arena)
     _axes(fn, (2,), q=q)
     L, C = _shaped(fn, q.shape, **operands)
-    spans = cfg.chunk_spans(C)  # the last span is the widest, ceil(C/r) features
-    return L, C, spans, _peak(L, spans[-1][1] - spans[-1][0], cfg, score_buffers)
+    spans = cfg._spans(C)
+    return L, C, spans, _peak(L, spans, cfg, score_buffers)
 
 
 def _emit(arena, operand, dest, a, b, elem_bytes) -> None:
@@ -237,8 +238,7 @@ def flash_backward(
             arena.free(qi)
         arena.free(dweights)
 
-    dq, dk, dv = (DenseTensor._adopt(g) for g in (dqg, dkg, dvg))
-    return dq, dk, dv, report()
+    return (*map(DenseTensor._adopt, (dqg, dkg, dvg)), report())
 
 
 def batched_flash_forward(

@@ -101,14 +101,16 @@ def softmax_backward(P: DenseTensor, dP: DenseTensor) -> DenseTensor:
 
     dS[i][j] = P[i][j] * (dP[i][j] - sum_l P[i][l] * dP[i][l]); every row
     of the result sums to zero. Leading axes are a stack, as in
-    :func:`softmax_rows`.
+    :func:`softmax_rows`. It checks, then ``_softmax_grad`` computes.
     """
     _tensors("softmax_backward", P=P, dP=dP)
     _axes("softmax_backward", (2, 3, 4), P=P)
     _shaped("softmax_backward", P.shape, dP=dP)
-    p, dp = P.array, dP.array
-    row_dot = (p * dp).sum(axis=-1, keepdims=True)
-    return DenseTensor._adopt(p * (dp - row_dot))
+    return DenseTensor._adopt(_softmax_grad(P.array, dP.array))
+
+
+def _softmax_grad(p: np.ndarray, dp: np.ndarray) -> np.ndarray:  # on checked arrays
+    return p * (dp - (p * dp).sum(axis=-1, keepdims=True))
 
 
 def naive_backward(
@@ -122,7 +124,7 @@ def naive_backward(
     """Analytic gradients (dQ, dK, dV) of standard attention.
 
     ``P`` is the softmax output returned by :func:`naive_forward` on the
-    same operands. dV = P^T dO; dP = dO V^T; dS via :func:`softmax_backward`;
+    same operands. dV = P^T dO; dP = dO V^T; dS = ``_softmax_grad(P, dP)``;
     dQ = scale * dS K; dK = scale * dS^T Q. Q, K, V and dO must have one
     shape (..., L, C); leading axes are a stack of independent problems.
     Stacks do not broadcast here, since a broadcast operand would need
@@ -133,10 +135,8 @@ def naive_backward(
     _axes("naive_backward", (2, 3, 4), q=q)
     _shaped("naive_backward", q.shape, k=k, v=v, dO=dO)
     _shaped("naive_backward", q.shape[:-1] + (q.shape[-2],), P=P)
-    p = P.array
-    dv = p.swapaxes(-1, -2) @ dO.array
-    dp = dO.array @ v.array.swapaxes(-1, -2)
-    ds = softmax_backward(P, DenseTensor._adopt(dp)).array
+    dv = P.array.swapaxes(-1, -2) @ dO.array
+    ds = _softmax_grad(P.array, dO.array @ v.array.swapaxes(-1, -2))  # from dP = dO V^T
     dq = ds @ k.array
     dq *= params.scale
     dk = ds.swapaxes(-1, -2) @ q.array

@@ -136,6 +136,15 @@ class TestPeakFormulas:
         assert peak_sram_forward(16, 32, cfg) == (16 * 16 + 2 * 16) * 4
 
     @pytest.mark.parametrize("peak", [peak_sram_forward, peak_sram_backward])
+    def test_each_call_runs_the_extent_rule_once(self, peak, monkeypatch):
+        # One rule for both extents, L and C, then r <= C with no second extent rule.
+        calls = _count_rules(monkeypatch, (TileConfig, "chunk_width"))
+        results = [peak(8, 16, TileConfig(r=3)), peak(49, 32, TileConfig(r=2))]
+        assert calls == {"_validated": 2, "chunk_width": 0}
+        buffers = 1 if peak is peak_sram_forward else 2  # widest chunks: 6 and 16 features
+        assert results == [(buffers * 64 + 2 * 8 * 6) * 4, (buffers * 49 * 49 + 2 * 49 * 16) * 4]
+
+    @pytest.mark.parametrize("peak", [peak_sram_forward, peak_sram_backward])
     @pytest.mark.parametrize("L, C", [(0, 16), (16, 0), (-1, 16)])
     def test_extents_below_one_rejected(self, peak, L, C):
         with pytest.raises(ShapeError, match=rf"^all extents must be >= 1, got \({L}, {C}\)$"):
@@ -448,43 +457,52 @@ class TestFlashBackward:
         assert rep.peak_sram_bytes == 768  # measured above the live bytes on entry
         assert arena.live_bytes == 4
 
-    def test_each_call_runs_the_chunk_rule_and_the_extent_rule_once(self, monkeypatch):
+    def test_each_call_runs_the_chunk_rule_once_and_neither_the_extent_rule_nor_chunk_width(
+        self, monkeypatch
+    ):
+        # C comes from Q's checked shape, so a call checks r <= C only: one TileConfig._spans
+        # per call, and no extent rule through either binding of it.
         q, k, v, do = make_qkv(62, 8, 16, n=4)
         cfg = TileConfig(r=3)  # ragged spans: the needed bytes come from the widest one
-        calls = {"chunk_width": 0, "_validated": 0}
-
-        def counted(name, rule):
-            def run(*args):
-                calls[name] += 1
-                return rule(*args)
-            return run
-
-        for owner, name in ((TileConfig, "chunk_width"), (flash, "_validated")):
-            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        calls = _count_rules(monkeypatch, (TileConfig, "chunk_width"), (TileConfig, "_spans"))
         arena = ScratchpadArena()
         _, ctx, fwd = flash_forward(q, k, v, cfg, arena)
-        assert calls == {"chunk_width": 1, "_validated": 1}
+        assert calls == {"_validated": 0, "chunk_width": 0, "_spans": 1}
         *_, bwd = flash_backward(ctx, do, arena)
-        assert calls == {"chunk_width": 2, "_validated": 2}
+        assert calls == {"_validated": 0, "chunk_width": 0, "_spans": 2}
         monkeypatch.undo()
         assert fwd.peak_sram_bytes == peak_sram_forward(8, 16, cfg)
         assert bwd.peak_sram_bytes == peak_sram_backward(8, 16, cfg)
 
-
     def test_the_tiled_path_wraps_slices_and_outputs_without_the_extent_rule(self, monkeypatch):
-        # Every slice is cut from a checked stack and every output is shaped like one, so
-        # the one tiled path wraps them unchecked: 0 runs of tensor._validated, not 16.
+        # Every slice is cut from a checked stack and every output is shaped like one, and
+        # each call's C is Q's, so the one tiled path runs the extent rule through neither
+        # the tensor module's binding nor the flash module's: 0 runs, not 16 and then 4.
         q = fill_uniform(Rng(63), (1, 4, 64, 64), -1.0, 1.0)
-        runs = []
-        rule = tensor._validated
-        monkeypatch.setattr(tensor, "_validated", lambda shape: runs.append(shape) or rule(shape))
+        runs = _count_rules(monkeypatch)
         calls = list(harness._tiled(q, q, q, None, TileConfig(r=4), DEFAULT_CAPACITY_BYTES))
         monkeypatch.undo()
-        assert runs == []
+        assert runs == {"_validated": 0}
         assert [pass_ for pass_, *_ in calls] == ["forward"] * 4
         last = DenseTensor((64, 64), q.array[0, 3])
         o, _, _ = flash_forward(last, last, last, TileConfig(r=4), ScratchpadArena())
         assert np.array_equal(calls[-1][1][0].array, o.array)  # the last slice's output
+
+
+def _count_rules(monkeypatch, *methods):
+    """Count the runs of the extent rule, through the ``tensor`` and the ``flash`` binding
+    alike, and of each (owner, name) in ``methods``: {"_validated": n, name: n, ...}."""
+    calls = dict.fromkeys(["_validated", *(name for _, name in methods)], 0)
+
+    def counted(name, rule):
+        def run(*args):
+            calls[name] += 1
+            return rule(*args)
+        return run
+
+    for owner, name in ((tensor, "_validated"), (flash, "_validated"), *methods):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
 
 
 class _Poisoned(np.ndarray):

@@ -330,6 +330,36 @@ class TestNaiveBackward:
         with pytest.raises(ShapeError, match=msg):
             naive_backward(q, k, v, p, do)
 
+    def test_checks_its_operands_once_and_gets_ds_without_softmax_backward(self, monkeypatch):
+        # dP is made from checked operands, so dS comes from softmax_backward's arithmetic on
+        # the arrays, with none of softmax_backward's three rules run again.
+        rng = Rng(32)
+        q, k, v, do = (rand(rng, (2, 6, 4)) for _ in range(4))
+        params = AttnParams(scale=0.5)
+        _, p = naive_forward(q, k, v, params)
+        calls = dict.fromkeys(["_tensors", "_axes", "_shaped"], 0)
+
+        def counted(name, rule):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return rule(*args, **kwargs)
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(reference, name, counted(name, getattr(reference, name)))
+
+        def refuse(*args):
+            raise AssertionError("softmax_backward called")
+
+        monkeypatch.setattr(reference, "softmax_backward", refuse)
+        dq, dk, dv = naive_backward(q, k, v, p, do, params)
+        assert calls == {"_tensors": 2, "_axes": 1, "_shaped": 2}
+        monkeypatch.undo()
+        ds = softmax_backward(p, DenseTensor._adopt(do.array @ v.array.swapaxes(-1, -2))).array
+        assert np.array_equal(dq.array, (ds @ k.array) * 0.5)  # the public function's bits
+        assert np.array_equal(dk.array, (ds.swapaxes(-1, -2) @ q.array) * 0.5)
+        assert np.array_equal(dv.array, p.array.swapaxes(-1, -2) @ do.array)
+
     def test_p_shape_consistency_checked(self):
         rng = Rng(24)
         q, k, v, do = (rand(rng, (4, 3)) for _ in range(4))
