@@ -63,11 +63,6 @@ class TileConfig:
         object.__setattr__(self, "scale", _real("scale", self.scale, positive=True))
         object.__setattr__(self, "elem_bytes", _checked_elem_bytes(self.elem_bytes))
 
-    def chunk_width(self, C: int) -> int:
-        """Widest chunk of an extent C, the last span's ceil(C/r) features; refused as below."""
-        lo, hi = self._spans(*_validated((C,)))[-1]
-        return hi - lo
-
     def chunk_spans(self, C: int) -> list[tuple[int, int]]:
         """The r chunks' half-open spans, widths within 1, once C is an extent and r <= C."""
         return self._spans(*_validated((C,)))

@@ -85,8 +85,10 @@ def expected_backward_traffic(L: int, C: int) -> tuple[dict[str, int], dict[str,
     )
 
 
-# Each kernel pass's closed forms: (loads, stores) of one window, and the peak of every
-# call. Names resolve at call time, so a traced or patched function is the one judged.
+# Each kernel pass's closed forms: ((loads, stores) of one window, the peak of every call).
+# ``_plan`` is their one reader: it evaluates them once per point, and every refusal, printed
+# formula and verdict of the run reads that value. Names resolve when the plan runs, so a
+# traced or patched function is the one printed and judged.
 _CONTRACT = {
     "forward": lambda L, C, cfg: (expected_forward_traffic(L, C), peak_sram_forward(L, C, cfg)),
     "backward": lambda L, C, cfg: (expected_backward_traffic(L, C), peak_sram_backward(L, C, cfg)),
@@ -94,18 +96,15 @@ _CONTRACT = {
 _PASSES = tuple(_CONTRACT)  # ("forward", "backward"), in the order one window runs them
 
 
-def _judge(report, pass_, L, C, cfg) -> tuple[bool, bool]:
-    """(traffic_ok, peak_ok): one ``pass_`` call's report against one window's closed forms."""
-    traffic, peak = _CONTRACT[pass_](L, C, cfg)
+def _judge(report, form) -> tuple[bool, bool]:
+    """(traffic_ok, peak_ok): one call's report against its pass's evaluated closed forms."""
+    traffic, peak = form
     return (report.loads, report.stores) == traffic, report.peak_sram_bytes == peak
 
 
-def _peak(pass_: str, L: int, C: int, cfg: TileConfig) -> int:
-    return _CONTRACT[pass_](L, C, cfg)[1]
-
-
 def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
-    """The (L, C, tiling, first of ``passes`` that does not fit or None) points of a run.
+    """The (L, C, tiling, forms, first of ``passes`` that does not fit or None) points of a run,
+    where forms maps each of ``passes`` to its ``_CONTRACT`` closed forms at that point.
 
     Every rule is applied before any input, in this order: the arena's capacity rule; at
     least one value per axis; the tensor extent rule to each (L, C); TileConfig's chunk-count
@@ -131,20 +130,20 @@ def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
     tiles = {C: list({t[C].r: t[C] for t in tilings if t[C].r <= C}.values()) for C in Cs}
     for C in Cs:
         if not tiles[C]:
-            tilings[0][C].chunk_width(C)  # raises the first count's refusal at this C
-    return [
-        (L, C, cfg, next((p for p in passes if _peak(p, L, C, cfg) > capacity_bytes), None))
-        for L in Ls
-        for C in Cs
-        for cfg in tiles[C]
-    ]
+            tilings[0][C].chunk_spans(C)  # raises the first count's refusal at this C
+    points = []
+    for L, C, cfg in [(L, C, cfg) for L in Ls for C in Cs for cfg in tiles[C]]:
+        forms = {p: _CONTRACT[p](L, C, cfg) for p in passes}  # the run's one evaluation
+        unfit = next((p for p, (_, peak) in forms.items() if peak > capacity_bytes), None)
+        points.append((L, C, cfg, forms, unfit))
+    return points
 
 
 def _fitting(points, capacity_bytes) -> list[tuple]:
     """``_plan``'s points of a run that skips no pass: the first that does not fit is refused."""
-    for L, C, cfg, unfit in points:
+    for L, C, _, forms, unfit in points:
         if unfit:
-            need = _peak(unfit, L, C, cfg)
+            need = forms[unfit][1]
             msg = f"{unfit} pass at L={L}, C={C} needs {need} bytes of scratchpad"
             raise CapacityError(f"{msg}, capacity is {capacity_bytes}")
     return points
@@ -207,7 +206,7 @@ def run_check_suite(
         fwd_runs: list[Sequence[DenseTensor]] = []
         bwd_runs: list[Sequence[DenseTensor]] = []
 
-        for _, _, cfg, unfit in shape_points:
+        for _, _, cfg, forms, unfit in shape_points:
             tag = f"L{L}_C{C}_r{cfg.r}"
             calls, refused = {}, False
             try:
@@ -220,7 +219,7 @@ def run_check_suite(
                 refused = True
             if unfit != "forward":
                 fwd_runs.append(calls["forward"][0])
-                results.append(_kernel_case(f"fwd_{tag}", "forward", calls, ref, cfg))
+                results.append(_kernel_case(f"fwd_{tag}", "forward", calls, ref, forms))
             if unfit:
                 case = {"forward": "capacity_fwd_", "backward": "capacity_bwd_"}[unfit] + tag
                 results.append(_result(case, 0.0, sram_ok=refused))
@@ -228,7 +227,7 @@ def run_check_suite(
 
             grads = calls["backward"][0]
             bwd_runs.append(grads)
-            results.append(_kernel_case(f"bwd_{tag}", "backward", calls, ref, cfg))
+            results.append(_kernel_case(f"bwd_{tag}", "backward", calls, ref, forms))
             if L * C <= 256:
                 fd = fd or _fd_grads(q, k, v, do)  # once per shape, at its first grad_ case
                 err = _max_diff(zip(grads, fd))
@@ -262,12 +261,13 @@ def _result(
     return SuiteResult(case_id, err, traffic_ok, sram_ok, err <= tol and traffic_ok and sram_ok)
 
 
-def _kernel_case(case_id, pass_, calls, ref, cfg) -> SuiteResult:
-    """The ``pass_`` call's outputs (each L x C) against the reference's (none: it raised)."""
+def _kernel_case(case_id, pass_, calls, ref, forms) -> SuiteResult:
+    """The ``pass_`` call's outputs against the reference's (none: it raised), and its report
+    against the point's evaluated ``forms`` of that pass."""
     got, report, held = calls[pass_]
     want = ref.get(pass_)
     err = math.inf if want is None else _max_diff(zip(got, want))
-    traffic_ok, peak_ok = _judge(report, pass_, *got[0].shape, cfg)
+    traffic_ok, peak_ok = _judge(report, forms[pass_])
     return _result(case_id, err, traffic_ok=traffic_ok, sram_ok=peak_ok and held == 0)
 
 
@@ -318,13 +318,13 @@ def run_traffic(
     the report as text, its per-operand CSV rows (header first), and the broken claims. No
     count or peak reads an input, so one zero (L, C) tensor serves as Q, K, V and dO."""
     plan = _plan(_PASSES, [L], [C], [r_value], elem_bytes, capacity_bytes)
-    [(_, _, cfg, _)] = _fitting(plan, capacity_bytes)
+    [(_, _, cfg, forms, _)] = _fitting(plan, capacity_bytes)
     x = zeros((L, C))
     calls = [(pass_, rep, held) for pass_, _, rep, held in _tiled(x, x, x, x, cfg, capacity_bytes)]
-    failed = _broken_claims(calls, L, C, cfg)
+    failed = _broken_claims(calls, forms)
     lines = [f"shape L={L} C={C} r={cfg.r} elem_bytes={cfg.elem_bytes}"]
     for pass_, rep, _ in calls:
-        peak = _peak(pass_, L, C, cfg)
+        peak = forms[pass_][1]
         formula = f"formula {peak} B, {peak / 1000:.3f} kB"
         lines.append(f"{pass_:<8} peak: {rep.peak_sram_bytes} B ({formula})")
     for pass_, rep, _ in calls:
@@ -371,12 +371,12 @@ def run_bench(
     if not batches:
         raise ShapeError("at least one batch is needed")
     # Every extent is checked before a repeated batch is dropped (it runs once).
-    runs = [(_validated((b, heads, L, C)), cfg) for b in batches for _, C, cfg, _ in plan]
+    runs = {(_validated((b, heads, L, C)), cfg): f for b in batches for _, C, cfg, f, _ in plan}
     master = Rng(DEFAULT_SEED)
     rows: list[BenchRow] = []
     failed: list[str] = []
 
-    for shape, cfg in dict.fromkeys(runs):
+    for (shape, cfg), forms in runs.items():
         batch, heads, L, C = shape
         rng = master.split()
         q, k, v = (_rand(rng, shape) for _ in range(3))
@@ -386,7 +386,7 @@ def run_bench(
         run = lambda: [(p, rep, n) for p, _, rep, n in _tiled(q, k, v, do, cfg, capacity_bytes)]
         untiled = lambda: deque(_untiled(q, k, v, do), maxlen=0)
         (flash_ns, naive_ns), (ran, _) = _medians_ns([run, untiled], repeats)
-        broken = _broken_claims(ran, L, C, cfg)
+        broken = _broken_claims(ran, forms)
         failed += [f"bench batch={batch} C={C}: {claim}" for claim in broken]
         merged = merge_reports(rep for _, rep, _ in ran)
         for impl, ns, peak, elements in (
@@ -417,17 +417,18 @@ def _untiled(q, k, v, do) -> Iterator[tuple]:
             yield "backward", [*naive_backward(sq, sk, sv, p, sdo)]
 
 
-def _broken_claims(calls, L, C, cfg) -> list[str]:
-    """Per pass, the failed claims of a list of (pass, report, held bytes) calls: in how many
-    windows (calls) the traffic is not the closed form, each peak that is not its formula;
-    then the bytes each pass's calls left held on the arena."""
+def _broken_claims(calls, forms) -> list[str]:
+    """Per pass of ``forms`` (a point's evaluated closed forms), the failed claims of a list of
+    (pass, report, held bytes) calls: in how many windows (calls) the traffic is not the closed
+    form, each peak that is not its formula; then the bytes each pass's calls left held on the
+    arena. Every call is judged against the one value of its pass; nothing is re-evaluated."""
     claims, held = [], {}
-    for pass_ in _PASSES:
-        runs = [(rep, n, *_judge(rep, pass_, L, C, cfg)) for p, rep, n in calls if p == pass_]
+    for pass_, form in forms.items():
+        runs = [(rep, n, *_judge(rep, form)) for p, rep, n in calls if p == pass_]
         if broken := sum(not traffic_ok for _, _, traffic_ok, _ in runs):
             where = f"in {broken} of {len(runs)} windows"
             claims.append(f"{pass_} loads or stores differ from the closed form {where}")
-        peak = _peak(pass_, L, C, cfg)
+        peak = form[1]
         bad = [rep.peak_sram_bytes for rep, _, _, peak_ok in runs if not peak_ok]
         claims += [f"{pass_} peak {n} B differs from its formula {peak} B" for n in bad]
         held[pass_] = sum(n for _, n, _, _ in runs)
@@ -467,7 +468,7 @@ def run_demo(
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     N, L = cfg.num_windows, cfg.seq_len
     plan = _plan(_PASSES[:1], [L], [C], ["auto"], elem_bytes, capacity_bytes)
-    [(_, _, tile, _)] = _fitting(plan, capacity_bytes)
+    [(_, _, tile, forms, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     x = _rand(rng, (H, W, C))
     windows = window_partition(x, cfg)
@@ -482,7 +483,7 @@ def run_demo(
     calls = [(pass_, rep, held) for pass_, _, rep, held in calls]  # no output kept twice
     report = merge_reports(rep for _, rep, _ in calls)
     image = window_reverse(o, cfg)
-    peak = _peak("forward", L, C, tile)
+    peak = forms["forward"][1]
     lines = [
         f"image {H}x{W}x{C}, window {k}x{k} -> {N} windows of length {L}",
         f"round_trip_max_abs_diff: {roundtrip:g}",
@@ -492,7 +493,7 @@ def run_demo(
         f"merged stores: {_fmt_counts(report.stores)}",
         f"per-window peak: {report.peak_sram_bytes} B (forward formula {peak} B at r={tile.r})",
     ]
-    broken = _broken_claims(calls, L, C, tile)
+    broken = _broken_claims(calls, forms)
     if not oracle_err <= ORACLE_TOL:
         broken.insert(0, f"oracle error {oracle_err:.3e} exceeds {ORACLE_TOL:g}")
     if not roundtrip <= 0.0:  # exact, as check's roundtrip_ cases; a NaN fails too

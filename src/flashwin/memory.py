@@ -132,15 +132,15 @@ class ScratchpadArena:
         elem_bytes = _checked_elem_bytes(elem_bytes)
         try:
             array = np.zeros(shape)  # float64, numpy's default
-        except (TypeError, ValueError) as exc:  # numpy refuses a float or bool extent too
-            # Integer extents whose float64 bytes numpy cannot index: too large for the host.
-            counts = isinstance(exc, ValueError) and all(isinstance(e, Integral) for e in shape)
-            if counts and min(shape) >= 0 and math.prod(shape) * 8 > sys.maxsize:
-                raise self._overflow(name, math.prod(shape) * elem_bytes) from None
+        except (TypeError, ValueError, MemoryError) as exc:  # numpy refuses a float or bool too
+            dims = (shape,) if isinstance(shape, Integral) else shape  # a bare extent: its 1-tuple
+            # Too large for the host, so far larger than any scratchpad: integer extents whose
+            # bytes the host cannot hold, or whose float64 bytes numpy cannot index.
+            if not isinstance(exc, TypeError) and all(isinstance(e, Integral) for e in dims):
+                count = math.prod(int(e) for e in dims)  # in Python ints: numpy's would wrap
+                if min(dims) >= 0 and (isinstance(exc, MemoryError) or count * 8 > sys.maxsize):
+                    raise self._overflow(name, count * elem_bytes) from None
             raise ShapeError(f"invalid shape {shape!r} for '{name}': {exc}") from exc
-        except MemoryError:
-            # Too large for the host, so far larger than any scratchpad.
-            raise self._overflow(name, math.prod(shape) * elem_bytes) from None
         nbytes = array.size * elem_bytes
         live = self.live_bytes + nbytes
         if live > self.capacity_bytes:

@@ -63,10 +63,10 @@ def make_qkv(seed, L, C, n=3):
 
 
 class TestTileConfig:
-    def test_chunk_width_is_ceiling(self):
-        assert TileConfig(r=4).chunk_width(64) == 16
-        assert TileConfig(r=4).chunk_width(10) == 3
-        assert TileConfig(r=1).chunk_width(7) == 7
+    def test_the_widest_chunk_is_the_ceiling(self):
+        for r, C, widest in ((4, 64, 16), (4, 10, 3), (1, 7, 7)):
+            spans = TileConfig(r=r).chunk_spans(C)
+            assert max(hi - lo for lo, hi in spans) == widest == -(-C // r)
 
     def test_ragged_spans_are_balanced(self):
         assert TileConfig(r=4).chunk_spans(10) == [(0, 2), (2, 5), (5, 7), (7, 10)]
@@ -81,7 +81,7 @@ class TestTileConfig:
                 assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
                 widths = [hi - lo for lo, hi in spans]
                 assert max(widths) - min(widths) <= 1 and min(widths) >= 1
-                assert max(widths) == cfg.chunk_width(C)
+                assert max(widths) == -(-C // r)
                 if C % r == 0:  # the spans every golden file was made with
                     cw = C // r
                     assert spans == [(i * cw, (i + 1) * cw) for i in range(r)]
@@ -97,20 +97,17 @@ class TestTileConfig:
         with pytest.raises(InvalidRangeError):
             TileConfig(r=1, scale=-1.0)
         with pytest.raises(ShapeError, match="^chunk count 5 exceeds feature count 4$"):
-            TileConfig(r=5).chunk_width(4)
-        with pytest.raises(ShapeError):
             TileConfig(r=5).chunk_spans(4)
 
-    @pytest.mark.parametrize("method", ["chunk_width", "chunk_spans"])
     @pytest.mark.parametrize(
         "C, message",
         [(5.0, r"extents must be integers, got \(5\.0,\)"), (True, r"extents must be integers"),
          (0, r"all extents must be >= 1, got \(0,\)"), (-3, r"all extents must be >= 1")],
     )
-    def test_the_feature_count_is_an_extent(self, method, C, message):
+    def test_the_feature_count_is_an_extent(self, C, message):
         # The extent rule before the r <= C rule: 0 features are no extent, not too few.
         with pytest.raises(ShapeError, match=f"^{message}"):
-            getattr(TileConfig(r=2), method)(C)
+            TileConfig(r=2).chunk_spans(C)
 
 
 class TestPeakFormulas:
@@ -132,15 +129,15 @@ class TestPeakFormulas:
 
     def test_maximal_tiling_has_unit_chunks(self):
         cfg = TileConfig(r=32, elem_bytes=4)
-        assert cfg.chunk_width(32) == 1
+        assert cfg.chunk_spans(32) == [(i, i + 1) for i in range(32)]
         assert peak_sram_forward(16, 32, cfg) == (16 * 16 + 2 * 16) * 4
 
     @pytest.mark.parametrize("peak", [peak_sram_forward, peak_sram_backward])
     def test_each_call_runs_the_extent_rule_once(self, peak, monkeypatch):
         # One rule for both extents, L and C, then r <= C with no second extent rule.
-        calls = _count_rules(monkeypatch, (TileConfig, "chunk_width"))
+        calls = _count_rules(monkeypatch, (TileConfig, "_spans"))
         results = [peak(8, 16, TileConfig(r=3)), peak(49, 32, TileConfig(r=2))]
-        assert calls == {"_validated": 2, "chunk_width": 0}
+        assert calls == {"_validated": 2, "_spans": 2}
         buffers = 1 if peak is peak_sram_forward else 2  # widest chunks: 6 and 16 features
         assert results == [(buffers * 64 + 2 * 8 * 6) * 4, (buffers * 49 * 49 + 2 * 49 * 16) * 4]
 
@@ -457,19 +454,17 @@ class TestFlashBackward:
         assert rep.peak_sram_bytes == 768  # measured above the live bytes on entry
         assert arena.live_bytes == 4
 
-    def test_each_call_runs_the_chunk_rule_once_and_neither_the_extent_rule_nor_chunk_width(
-        self, monkeypatch
-    ):
+    def test_each_call_runs_the_chunk_rule_once_and_not_the_extent_rule(self, monkeypatch):
         # C comes from Q's checked shape, so a call checks r <= C only: one TileConfig._spans
         # per call, and no extent rule through either binding of it.
         q, k, v, do = make_qkv(62, 8, 16, n=4)
         cfg = TileConfig(r=3)  # ragged spans: the needed bytes come from the widest one
-        calls = _count_rules(monkeypatch, (TileConfig, "chunk_width"), (TileConfig, "_spans"))
+        calls = _count_rules(monkeypatch, (TileConfig, "_spans"))
         arena = ScratchpadArena()
         _, ctx, fwd = flash_forward(q, k, v, cfg, arena)
-        assert calls == {"_validated": 0, "chunk_width": 0, "_spans": 1}
+        assert calls == {"_validated": 0, "_spans": 1}
         *_, bwd = flash_backward(ctx, do, arena)
-        assert calls == {"_validated": 0, "chunk_width": 0, "_spans": 2}
+        assert calls == {"_validated": 0, "_spans": 2}
         monkeypatch.undo()
         assert fwd.peak_sram_bytes == peak_sram_forward(8, 16, cfg)
         assert bwd.peak_sram_bytes == peak_sram_backward(8, 16, cfg)

@@ -525,7 +525,7 @@ class TestHelpers:
             widths = [hi - lo for lo, hi in spans]
             assert spans[0][0] == 0 and spans[-1][1] == C and sum(widths) == C
             assert max(widths) - min(widths) <= 1
-            assert max(widths) == cfg.chunk_width(C)
+            assert max(widths) == -(-C // cfg.r)
 
     def test_naive_traffic_model(self):
         assert naive_total_elements(64, 64, "fwd") == 4 * 4096 + 4 * 4096
@@ -676,6 +676,33 @@ class TestCli:
         assert "forward  peak: 24576 B (formula 24577 B," in out
         assert out.endswith("match closed form: NO\n")
         assert err == "forward peak 24576 B differs from its formula 24577 B\n"
+        # So does demo: its printed forward formula and its claim read the one patched value.
+        assert main(["demo", "--H", "8", "--W", "8", "--C", "16", "--k", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("per-window peak: 3072 B (forward formula 3073 B at r=1)\n")
+        assert err == "forward peak 3072 B differs from its formula 3073 B\n"
+
+    FORMULAS = ("expected_forward_traffic", "peak_sram_forward",
+                "expected_backward_traffic", "peak_sram_backward")
+
+    @pytest.mark.parametrize(
+        "argv, evaluated",
+        [(["demo"], FORMULAS[:2]), (["traffic", "--L", "64", "--C", "64", "--r", "4"], FORMULAS)],
+        ids=["demo", "traffic"],
+    )
+    def test_each_closed_form_is_evaluated_once_per_run(self, monkeypatch, capsys, argv, evaluated):
+        # The plan evaluates them; every refusal, printed formula and verdict reads that value,
+        # so the default demo's 1024 windows do not evaluate one per window.
+        counts = dict.fromkeys(self.FORMULAS, 0)
+        for name in counts:
+
+            def counted(*args, name=name, formula=getattr(harness, name)):
+                counts[name] += 1
+                return formula(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        assert main(argv) == 0
+        assert counts == {name: int(name in evaluated) for name in counts}
 
     def test_traffic_mismatch_exits_one(self, monkeypatch, capsys):
         self._break_flash_forward(monkeypatch)

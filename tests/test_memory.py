@@ -179,6 +179,24 @@ def test_negative_extent_is_a_shape_error_and_leaves_occupancy_untouched():
     assert report().peak_sram_bytes == 16
 
 
+# An extent passed bare, as numpy takes it, meets the refusals of its 1-tuple, as (-2,) does
+# above; the bytes of numpy integers too large for the host are counted in Python ints.
+@pytest.mark.parametrize(
+    "shape, error, message",
+    [(-1, ShapeError, "'x'"), (np.int64(-2), ShapeError, "'x'"),
+     (10**20, CapacityError, f"'x': {4 * 10**20} bytes requested"),
+     (np.int64(10**18), CapacityError, f"'x': {4 * 10**18} bytes requested"),
+     ((np.int64(2 * 10**18),), CapacityError, f"'x': {8 * 10**18} bytes requested")],
+    ids=["-1", "np.int64(-2)", "10**20", "np.int64(10**18)", "(np.int64(2*10**18),)"],
+)
+def test_a_bare_or_numpy_extent_is_refused_as_its_1_tuple(shape, error, message):
+    arena = ScratchpadArena(capacity_bytes=100)
+    arena.allocate("base", (2,), 8)
+    with pytest.raises(error, match=message):
+        arena.allocate("x", shape, 4)
+    assert arena.live_bytes == 16 and len(arena._held) == 1
+
+
 def test_buffer_workspace_is_zeroed_and_writable():
     arena = ScratchpadArena()
     buf = arena.allocate("s", (3, 3), 4)

@@ -127,7 +127,6 @@ TABLE = [
     Param("TileConfig.r", CHUNKS, 1, lambda v: TileConfig(r=v)),
     Param("TileConfig.scale", POSITIVE, 1, lambda v: TileConfig(r=1, scale=v)),
     Param("TileConfig.elem_bytes", ELEM, 4, lambda v: TileConfig(r=1, elem_bytes=v)),
-    Param("TileConfig.chunk_width.C", EXTENT, 5, lambda v: TileConfig(r=2).chunk_width(v)),
     Param("TileConfig.chunk_spans.C", EXTENT, 5, lambda v: TileConfig(r=2).chunk_spans(v)),
     Param("AttnParams.scale", POSITIVE, 1, lambda v: AttnParams(scale=v)),
     Param("WindowConfig.H", EXTENT, 4, lambda v: WindowConfig(v, 4, 1, 2)),
