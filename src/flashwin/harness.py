@@ -12,9 +12,9 @@ import math
 import statistics
 import time
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import CapacityError, FlashwinError, ShapeError, _integer
 from .flash import TileConfig, _slice_calls, _slices, peak_sram_backward, peak_sram_forward
 from .memory import DEFAULT_CAPACITY_BYTES, ScratchpadArena, merge_reports
 from .reference import FD_STEP, finite_diff_grad, naive_backward, naive_forward
-from .tensor import DenseTensor, Rng, _validated, fill_uniform, max_abs_diff, zeros
+from .tensor import DenseTensor, Rng, _tensors, _validated, fill_uniform, max_abs_diff, zeros
 from .windowing import WindowConfig, window_partition, window_reverse
 
 ORACLE_TOL = 1e-10
@@ -70,8 +70,8 @@ BENCH_COLUMNS = [f.name.rstrip("_") for f in fields(BenchRow)]
 
 
 def resolve_r(value: str | int, C: int) -> int:
-    """'auto' is one chunk per 16 features; any other value must pass TileConfig's rule as is."""
-    return TileConfig(r=max(1, C // 16) if value == "auto" else value).r
+    """'auto' is one chunk per 16 features of the extent C; else TileConfig's rule as is."""
+    return TileConfig(r=max(1, _validated((C,))[0] // 16) if value == "auto" else value).r
 
 
 def expected_forward_traffic(L: int, C: int) -> tuple[dict[str, int], dict[str, int]]:
@@ -102,20 +102,21 @@ def _judge(report, form) -> tuple[bool, bool]:
     return (report.loads, report.stores) == traffic, report.peak_sram_bytes == peak
 
 
-def _plan(passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
+def _plan(fn, passes, Ls, Cs, r_values, elem_bytes, capacity_bytes) -> list[tuple]:
     """The (L, C, tiling, forms, first of ``passes`` that does not fit or None) points of a run,
     where forms maps each of ``passes`` to its ``_CONTRACT`` closed forms at that point.
 
-    Every rule is applied before any input, in this order: the arena's capacity rule; at
-    least one value per axis; the tensor extent rule to each (L, C); TileConfig's chunk-count
-    rule; the coverage rule, by which a chunk count above a C is skipped for that C, but each
-    count must tile some C and each C be tiled by some count; and each pass's closed-form peak.
-    Repeated values run once; points are in run order.
+    Every rule is applied before any input, in this order: the arena's capacity rule; at least
+    one value per axis, each an iterable (the operand rule, naming ``fn``); the tensor extent
+    rule to each (L, C); TileConfig's chunk-count rule; the coverage rule, by which a chunk count
+    above a C is skipped for that C, but each count must tile some C and each C be tiled by some
+    count; and each pass's closed-form peak. Repeated values run once; points are in run order.
     """
     capacity_bytes = _integer("capacity", capacity_bytes, minimum=0)  # the arena's rule
     for axis, values in (("L", Ls), ("C", Cs), ("chunk count", r_values)):
         if not values:
             raise ShapeError(f"at least one {axis} is needed")
+    _tensors(fn, Iterable, Ls=Ls, Cs=Cs, r_values=r_values)
     for extent in [(L, C) for L in Ls for C in Cs]:
         _validated(extent)  # before repeats go, so 1 cannot hide a True, nor 2 a 2.0
     Ls, Cs = list(dict.fromkeys(Ls)), list(dict.fromkeys(Cs))
@@ -183,7 +184,7 @@ def run_check_suite(
     Elsewhere it draws nothing and runs no reference, on one zero (L, C) input and no dO,
     which the refusal never reads. The whole grid is planned before the first case runs.
     """
-    points = _plan(_PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
+    points = _plan("run_check_suite", _PASSES, Ls, Cs, r_values, elem_bytes, capacity_bytes)
     master = Rng(seed)
     results = [_roundtrip_case(master.split(), *g) for g in ROUNDTRIP_GEOMETRIES]
 
@@ -317,7 +318,7 @@ def run_traffic(
     """One window's forward and backward through the tiled path (``_tiled``), planned first:
     the report as text, its per-operand CSV rows (header first), and the broken claims. No
     count or peak reads an input, so one zero (L, C) tensor serves as Q, K, V and dO."""
-    plan = _plan(_PASSES, [L], [C], [r_value], elem_bytes, capacity_bytes)
+    plan = _plan("run_traffic", _PASSES, [L], [C], [r_value], elem_bytes, capacity_bytes)
     [(_, _, cfg, forms, _)] = _fitting(plan, capacity_bytes)
     x = zeros((L, C))
     calls = [(pass_, rep, held) for pass_, _, rep, held in _tiled(x, x, x, x, cfg, capacity_bytes)]
@@ -367,9 +368,11 @@ def run_bench(
     if pass_ not in ("fwd", "fwd_bwd"):
         raise FlashwinError(f"pass must be fwd or fwd_bwd, got {pass_!r}")
     passes = _PASSES if pass_ == "fwd_bwd" else _PASSES[:1]
-    plan = _fitting(_plan(passes, [L], Cs, [r_value], elem_bytes, capacity_bytes), capacity_bytes)
+    plan = _plan("run_bench", passes, [L], Cs, [r_value], elem_bytes, capacity_bytes)
+    plan = _fitting(plan, capacity_bytes)
     if not batches:
         raise ShapeError("at least one batch is needed")
+    _tensors("run_bench", Iterable, batches=batches)
     # Every extent is checked before a repeated batch is dropped (it runs once).
     runs = {(_validated((b, heads, L, C)), cfg): f for b in batches for _, C, cfg, f, _ in plan}
     master = Rng(DEFAULT_SEED)
@@ -467,7 +470,7 @@ def run_demo(
     """
     cfg = WindowConfig(H=H, W=W, C=C, k=k)
     N, L = cfg.num_windows, cfg.seq_len
-    plan = _plan(_PASSES[:1], [L], [C], ["auto"], elem_bytes, capacity_bytes)
+    plan = _plan("run_demo", _PASSES[:1], [L], [C], ["auto"], elem_bytes, capacity_bytes)
     [(_, _, tile, forms, _)] = _fitting(plan, capacity_bytes)
     rng = Rng(seed)
     x = _rand(rng, (H, W, C))

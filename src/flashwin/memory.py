@@ -27,16 +27,14 @@ arena's own bookkeeping is part of what a wall-clock benchmark measures;
 from __future__ import annotations
 
 import math
-import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Integral
-from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FlashwinError, InvalidRangeError, ShapeError, _integer
-from .tensor import _tensors
+from .errors import CapacityError, FlashwinError, InvalidRangeError, _integer
+from .tensor import _MAX_AXES, _tensors, _validated
 
 DEFAULT_CAPACITY_BYTES = 131072  # 128 KB
 ELEM_BYTES = (4, 8)  # the element sizes byte accounting accepts
@@ -124,23 +122,18 @@ class ScratchpadArena:
     def allocate(self, name: str, shape: Sequence[int], elem_bytes: int) -> np.ndarray:
         """Charge ``prod(shape) * elem_bytes`` bytes and return a zeroed float64 buffer.
 
-        Raises :class:`InvalidRangeError` unless ``elem_bytes`` is 4 or 8,
-        :class:`ShapeError` for an extent that is negative or not an integer, and
-        :class:`CapacityError` when the request does not fit, including one too
-        large for the host; in all three cases the arena is left as it was.
+        Raises :class:`InvalidRangeError` unless ``elem_bytes`` is 4 or 8, :class:`ShapeError`
+        for a shape the extent rule refuses at bound 0 (``tensor._validated``), and
+        :class:`CapacityError` when the request does not fit, even one too large for the host.
+        Each leaves the arena as it was. The kernels' tuples of 1..4 extents skip the rule.
         """
         elem_bytes = _checked_elem_bytes(elem_bytes)
         try:
             array = np.zeros(shape)  # float64, numpy's default
-        except (TypeError, ValueError, MemoryError) as exc:  # numpy refuses a float or bool too
-            dims = (shape,) if isinstance(shape, Integral) else shape  # a bare extent: its 1-tuple
-            # Too large for the host, so far larger than any scratchpad: integer extents whose
-            # bytes the host cannot hold, or whose float64 bytes numpy cannot index.
-            if not isinstance(exc, TypeError) and all(isinstance(e, Integral) for e in dims):
-                count = math.prod(int(e) for e in dims)  # in Python ints: numpy's would wrap
-                if min(dims) >= 0 and (isinstance(exc, MemoryError) or count * 8 > sys.maxsize):
-                    raise self._overflow(name, count * elem_bytes) from None
-            raise ShapeError(f"invalid shape {shape!r} for '{name}': {exc}") from exc
+        except (TypeError, ValueError, MemoryError):  # malformed, else too large for the host
+            raise self._overflow(name, math.prod(_validated(shape, 0)) * elem_bytes) from None
+        if type(shape) is not tuple or not 0 < len(shape) <= _MAX_AXES:
+            _validated(shape, 0)  # a list, or what numpy takes but the rule refuses: 5, (), 5 axes
         nbytes = array.size * elem_bytes
         live = self.live_bytes + nbytes
         if live > self.capacity_bytes:
@@ -185,9 +178,10 @@ class TrafficReport:
 def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:
     """Sum counts across independent kernel calls; the peak is the largest, not summed.
 
-    ``reports`` is read once; an item that is not a :class:`TrafficReport` is
-    refused with :class:`FlashwinError`, named by its index.
+    ``reports``, an iterable (else :class:`FlashwinError`), is read once; an item that is
+    not a :class:`TrafficReport` is refused with :class:`FlashwinError`, named by its index.
     """
+    _tensors("merge_reports", Iterable, reports=reports)
     loads: dict[str, int] = {}
     stores: dict[str, int] = {}
     peak = 0

@@ -134,20 +134,23 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _validated(shape: Sequence[int]) -> tuple[int, ...]:
-    """``shape`` as a tuple of Python ints, once it has 1..4 axes and every extent is an
-    integer >= 1. A float, bool or string extent is refused, never truncated."""
-    shape = tuple(shape)
+def _validated(shape: Sequence[int], minimum: int = 1) -> tuple[int, ...]:
+    """The one extent rule: ``shape`` as a tuple of Python ints, once it is a sequence of 1..4
+    integer extents >= ``minimum``. A float, bool or string extent is refused, not truncated."""
+    try:
+        shape = tuple(shape)
+    except TypeError:  # a bare extent or None
+        raise ShapeError(f"a shape is a sequence of extents, got {shape!r}") from None
     if not shape or len(shape) > _MAX_AXES:
         raise ShapeError(f"shape must have 1..{_MAX_AXES} axes, got {shape}")
     for e in shape:
         if type(e) is not int:  # arrays' shapes never get here: their extents are ints
             try:
-                return _validated([_integer("extent", e) for e in shape])  # Python ints
+                return _validated([_integer("extent", e) for e in shape], minimum)  # Python ints
             except InvalidRangeError:
                 raise ShapeError(f"extents must be integers, got {shape}") from None
-    if min(shape) < 1:
-        raise ShapeError(f"all extents must be >= 1, got {shape}")
+    if min(shape) < minimum:
+        raise ShapeError(f"all extents must be >= {minimum}, got {shape}")
     return shape
 
 
@@ -213,11 +216,10 @@ def fill_uniform(rng: Rng, shape: Sequence[int], lo: float, hi: float) -> DenseT
     width = hi - lo
     if not (lo < hi and math.isfinite(width)):
         raise InvalidRangeError(f"need lo < hi and a finite hi - lo, got lo={lo}, hi={hi}")
+    _tensors("fill_uniform", Rng, rng=rng)
     n = math.prod(shape)
     out = _host_array(np.empty, shape).reshape(n)
-    # Vectorized SplitMix64: the state for draw i (from 1) is seed + i*GOLDEN
-    # mod 2^64. Blocks are mixed in place in two reused buffers, so no
-    # temporary grows with n and the working set stays in cache.
+    # Vectorized SplitMix64: the state for draw i (from 1) is seed + i*GOLDEN mod 2^64.
     m = min(n, _FILL_BLOCK)
     offsets = np.arange(1, m + 1, dtype=np.uint64)
     offsets *= np.uint64(_GOLDEN)

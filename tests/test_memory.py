@@ -173,26 +173,31 @@ def test_negative_extent_is_a_shape_error_and_leaves_occupancy_untouched():
     arena = ScratchpadArena(capacity_bytes=100)
     with arena.kernel_call("forward", 16) as report:
         arena.allocate("base", (2,), 8)
-        with pytest.raises(ShapeError, match="'x'"):
+        with pytest.raises(ShapeError, match=r"^all extents must be >= 0, got \(-2,\)$"):
             arena.allocate("x", (-2,), 4)
     assert arena.live_bytes == 16
     assert report().peak_sram_bytes == 16
 
 
-# An extent passed bare, as numpy takes it, meets the refusals of its 1-tuple, as (-2,) does
-# above; the bytes of numpy integers too large for the host are counted in Python ints.
+# A bare extent, which numpy would take as its 1-tuple, is not a shape: the extent rule refuses
+# it, as tensor.zeros does. The bytes of numpy integers too large for the host are counted in
+# Python ints, where numpy's product would wrap.
 @pytest.mark.parametrize(
     "shape, error, message",
-    [(-1, ShapeError, "'x'"), (np.int64(-2), ShapeError, "'x'"),
-     (10**20, CapacityError, f"'x': {4 * 10**20} bytes requested"),
-     (np.int64(10**18), CapacityError, f"'x': {4 * 10**18} bytes requested"),
-     ((np.int64(2 * 10**18),), CapacityError, f"'x': {8 * 10**18} bytes requested")],
+    [(-1, ShapeError, "a shape is a sequence of extents, got -1"),
+     (np.int64(-2), ShapeError, "a shape is a sequence of extents, got np.int64(-2)"),
+     (10**20, ShapeError, f"a shape is a sequence of extents, got {10**20}"),
+     (np.int64(10**18), ShapeError, f"a shape is a sequence of extents, got np.int64({10**18})"),
+     ((np.int64(2 * 10**18),), CapacityError,
+      f"scratchpad overflow allocating 'x': {8 * 10**18} bytes requested, 84 of 100 available")],
     ids=["-1", "np.int64(-2)", "10**20", "np.int64(10**18)", "(np.int64(2*10**18),)"],
 )
-def test_a_bare_or_numpy_extent_is_refused_as_its_1_tuple(shape, error, message):
+def test_a_bare_extent_is_a_shape_error_and_numpy_extents_count_in_python_ints(
+    shape, error, message
+):
     arena = ScratchpadArena(capacity_bytes=100)
     arena.allocate("base", (2,), 8)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         arena.allocate("x", shape, 4)
     assert arena.live_bytes == 16 and len(arena._held) == 1
 
@@ -348,8 +353,10 @@ def test_a_whole_float_capacity_or_element_size_is_refused_and_a_numpy_integer_i
 @pytest.mark.parametrize("shape", [(2.0,), (True, 2), ("2",), (None,), 2.5], ids=repr)
 def test_an_extent_that_is_not_an_integer_is_a_shape_error_and_changes_nothing(shape):
     arena = ScratchpadArena(capacity_bytes=64)
+    bare, of_tuple = "a shape is a sequence of extents", "extents must be integers"
+    message = f"{of_tuple if type(shape) is tuple else bare}, got {shape}"
     with arena.kernel_call("forward", 64) as report:
-        with pytest.raises(ShapeError, match="^invalid shape .* for 'x'"):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             arena.allocate("x", shape, 4)
     assert arena.live_bytes == 0 and report() == TrafficReport({}, {}, 0)
 

@@ -2,14 +2,15 @@
 
 A numpy array, a string and None in place of each DenseTensor parameter, and a float, a
 string and None in place of each config parameter (AttnParams, TileConfig, ScratchpadArena,
-WindowConfig, the arena list), are refused with one :class:`FlashwinError` that names the
-function, the class and the parameter, never a bare ``AttributeError`` or ``TypeError`` from
-inside the call. The other operands are valid, so the refusal is the operand rule's and not
-a shape check's. A subclass of each config class passes.
+WindowConfig, Rng, the arena list, the report iterable), are refused with one
+:class:`FlashwinError` that names the function, the class and the parameter, never a bare
+``AttributeError`` or ``TypeError`` from inside the call. The other operands are valid, so
+the refusal is the operand rule's and not a shape check's. A subclass of each config class
+passes.
 """
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ import pytest
 from flashwin import (
     AttnParams,
     FlashwinError,
+    Rng,
     ScratchpadArena,
     TileConfig,
     TrafficReport,
     WindowConfig,
     batched_flash_forward,
+    fill_uniform,
     finite_diff_grad,
     flash_backward,
     flash_forward,
@@ -134,7 +137,12 @@ CONFIGS = [
      lambda cls: cls(1), BAD_CONFIGS),
     ("peak_sram_backward", lambda c: peak_sram_backward(4, 4, c), "cfg", TileConfig,
      lambda cls: cls(1), BAD_CONFIGS),
-    # Each report by its index, in a list and in a one-pass iterator.
+    ("fill_uniform", lambda rng: fill_uniform(rng, (2,), 0.0, 1.0), "rng", Rng,
+     lambda cls: cls(1), BAD_CONFIGS),
+    # The report iterable (a string is an iterable of strings), then each report by its
+    # index, in a list and in a one-pass iterator.
+    ("merge_reports", merge_reports, "reports", Iterable, lambda cls: cls([TrafficReport()]),
+     [2.0, 5, None]),
     ("merge_reports", lambda rep: merge_reports([rep]), "reports[0]", TrafficReport,
      lambda cls: cls(), BAD_CONFIGS),
     ("merge_reports", lambda rep: merge_reports(iter([TrafficReport(), rep])), "reports[1]",
@@ -162,7 +170,7 @@ def test_a_subclass_of_each_config_class_passes(row):
     # The valid value itself, then one of a subclass: the benchmark traces the kernels on
     # a ScratchpadArena subclass.
     _, call, _, kind, make, _ = row
-    base = list if kind is Sequence else kind
+    base = list if kind in (Sequence, Iterable) else kind
     call(make(base))
     call(make(type(f"Sub{base.__name__}", (base,), {})))
 

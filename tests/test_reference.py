@@ -13,10 +13,13 @@ from flashwin import (
     InvalidRangeError,
     NumericsError,
     Rng,
+    ScratchpadArena,
     ShapeError,
     TileConfig,
     fill_uniform,
     finite_diff_grad,
+    flash_backward,
+    flash_forward,
     max_abs_diff,
     naive_backward,
     naive_forward,
@@ -470,3 +473,19 @@ class TestFiniteDiffGrad:
     def test_bad_step_rejected(self):
         with pytest.raises(InvalidRangeError):
             finite_diff_grad(lambda t: 0.0, zeros([2]), 0.0)
+
+
+def test_scores_past_exps_range_give_exact_weights_and_gradients_on_both_paths():
+    # Scores of 900 overflow exp unless the row max is subtracted first; with it each row's
+    # weights are exactly one-hot, so O is V, dV is dO and dS, hence dQ and dK, is zero.
+    qkv = DenseTensor((2, 2), 30.0 * np.eye(2))
+    do = DenseTensor((2, 2), [1.0, 2.0, 3.0, 4.0])
+    o, p = naive_forward(qkv, qkv, qkv, AttnParams(scale=1.0))
+    assert np.array_equal(p.array, np.eye(2)) and np.array_equal(o.array, qkv.array)
+    flash_o, ctx, _ = flash_forward(qkv, qkv, qkv, TileConfig(r=2, scale=1.0), ScratchpadArena())
+    assert np.array_equal(flash_o.array, qkv.array)
+    naive = naive_backward(qkv, qkv, qkv, p, do, AttnParams(scale=1.0))
+    flash = flash_backward(ctx, do, ScratchpadArena())[:3]
+    for dq, dk, dv in (naive, flash):
+        assert np.array_equal(dv.array, do.array)
+        assert np.array_equal(dq.array, np.zeros((2, 2))) and np.array_equal(dk.array, dq.array)

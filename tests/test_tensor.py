@@ -1,5 +1,6 @@
 """Tensor substrate: creation, deterministic filling, matmul, comparison."""
 
+import math
 import re
 import tracemalloc
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from flashwin import (
+    CapacityError,
     DenseTensor,
     InvalidRangeError,
     Rng,
+    ScratchpadArena,
     ShapeError,
     WindowConfig,
     fill_uniform,
@@ -119,6 +122,64 @@ class TestExtents:
         assert got.array.tobytes() == want.array.tobytes()
         assert a.next_u64() == b.next_u64()
         assert zeros(shape).shape == DenseTensor(shape, np.zeros(15)).shape == (3, 5)
+
+
+# The one extent rule, tensor._validated, by each shape it refuses: its exact message, with
+# "{bound}" the least extent allowed, 1 for a tensor and 0 for a scratchpad buffer.
+REFUSED_SHAPES = [
+    (None, "a shape is a sequence of extents, got None"),
+    (5, "a shape is a sequence of extents, got 5"),
+    (2.5, "a shape is a sequence of extents, got 2.5"),
+    ((2.0,), "extents must be integers, got (2.0,)"),
+    ((True, 2), "extents must be integers, got (True, 2)"),
+    (("2",), "extents must be integers, got ('2',)"),
+    ((None,), "extents must be integers, got (None,)"),
+    ((), "shape must have 1..4 axes, got ()"),
+    ((1, 1, 1, 1, 1), "shape must have 1..4 axes, got (1, 1, 1, 1, 1)"),
+    ((-2,), "all extents must be >= {bound}, got (-2,)"),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, message", REFUSED_SHAPES, ids=[repr(shape) for shape, _ in REFUSED_SHAPES]
+)
+@pytest.mark.parametrize("make", ["zeros", "fill_uniform", "DenseTensor", "allocate"])
+def test_every_taker_of_a_shape_refuses_by_the_one_extent_rule_and_changes_nothing(
+    make, shape, message
+):
+    rng, arena = Rng(3), ScratchpadArena(capacity_bytes=64)
+    arena.allocate("base", (2,), 8)
+    build = {
+        "zeros": lambda: zeros(shape),
+        "fill_uniform": lambda: fill_uniform(rng, shape, -1.0, 1.0),
+        "DenseTensor": lambda: DenseTensor(shape, np.zeros(2)),
+        "allocate": lambda: arena.allocate("x", shape, 4),
+    }[make]
+    message = message.format(bound=0 if make == "allocate" else 1)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        build()
+    assert arena.live_bytes == 16 and len(arena._held) == 1
+    assert rng.next_u64() == Rng(3).next_u64()  # no draw was taken
+
+
+def test_a_zero_extent_makes_an_empty_buffer_but_no_tensor():
+    arena = ScratchpadArena(capacity_bytes=64)
+    assert arena.allocate("x", (0, 3), 4).shape == (0, 3) and arena.live_bytes == 0
+    with pytest.raises(ShapeError, match=r"^all extents must be >= 1, got \(0, 3\)$"):
+        zeros((0, 3))
+
+
+@pytest.mark.parametrize(
+    "shape", [(10**15,), (2**31, 2**31), (np.int64(2 * 10**18),)], ids=repr
+)
+def test_a_well_formed_buffer_too_large_for_the_host_is_a_capacity_error(shape):
+    # Its bytes are counted in Python ints, where numpy's product would wrap.
+    arena = ScratchpadArena(capacity_bytes=64)
+    nbytes = math.prod(int(e) for e in shape) * 4
+    message = f"scratchpad overflow allocating 'x': {nbytes} bytes requested, 64 of 64 available"
+    with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+        arena.allocate("x", shape, 4)
+    assert arena.live_bytes == 0 and not arena._held
 
 
 class TestFillUniform:
